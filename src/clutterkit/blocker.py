@@ -1,10 +1,24 @@
 """Exact blocker computation and transversal predicates.
 
 The blocker of a clutter is the clutter of its inclusion-minimal
-transversals.  It is computed by folding the edges one at a time: the
-running family holds the minimal transversals of the edges seen so far;
-a new edge keeps every set that already meets it and extends each of the
-others by a single vertex of the edge, pruning non-minimal results.
+transversals.  It is computed by Berge's fold over the edges, one at a
+time: the running family holds the minimal transversals of the edges
+seen so far.  A new edge e keeps every set that already meets it (a
+hitter) and extends each other set t (a mover) by single vertices b of e.
+
+Which extensions to keep is decided by critical edges, as in MMCS
+(Murakami & Uno, 2014).  A private edge of u in t is a seen edge f with
+f & t == {u}; t | b is minimal exactly when every u in t keeps a private
+edge that misses b.  So b is forbidden when it lies in every private edge
+of some u, and each mover costs one pass over the seen edges.  No other
+check is needed:
+
+- No hitter lies inside another, and no t | b lies inside a hitter w (t
+  would then lie strictly inside w).  A hitter lies inside t | b exactly
+  when b is forbidden.
+- Extensions t | b and t' | b' are comparable only when equal: b is not
+  in t', so b == b', then t <= t' and the antichain forces t == t'.
+
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
 """
@@ -31,37 +45,42 @@ def is_transversal(h: Clutter, t: Iterable[int]) -> bool:
 def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     """The clutter of all minimal transversals of h.
 
-    Intermediate families can outgrow the final result; if one exceeds
-    edge_budget sets a ResourceLimitError is raised instead of exhausting
-    memory.  Output is canonical and deterministic.
+    Intermediate families can outgrow the final result; as soon as one
+    grows past edge_budget sets a ResourceLimitError is raised, so the fold
+    never holds more than edge_budget + 1 sets.  Output is canonical and
+    deterministic.
     """
     if h.is_zero:
         return ONE
     verts = h.vertices
     pos = {v: i for i, v in enumerate(verts)}
     family = [0]
+    seen: list[int] = []
     for edge in h.edges:
         mask = 0
         for v in edge:
             mask |= 1 << pos[v]
-        hitters, movers = [], []
-        for t in family:
-            (hitters if t & mask else movers).append(t)
-        bits = [1 << pos[v] for v in edge]
-        cands = sorted({t | b for t in movers for b in bits},
-                       key=lambda c: (c.bit_count(), c))
-        kept: list[int] = []
-        for c in cands:
-            if any(w & c == w for w in hitters):
-                continue
-            if any(w & c == w for w in kept):
-                continue
-            kept.append(c)
-        family = hitters + kept
-        if len(family) > edge_budget:
-            raise ResourceLimitError(
-                f"blocker intermediate family exceeded {edge_budget} sets"
-            )
+        movers = [t for t in family if not t & mask]
+        family = [t for t in family if t & mask]
+        for t in movers:
+            private: dict[int, int] = {}
+            for f in seen:
+                u = f & t
+                if u and not u & (u - 1):
+                    private[u] = private.get(u, f) & f
+            forbidden = 0
+            for common in private.values():
+                forbidden |= common
+            free = mask & ~forbidden
+            while free:
+                b = free & -free
+                free ^= b
+                family.append(t | b)
+                if len(family) > edge_budget:
+                    raise ResourceLimitError(
+                        f"blocker intermediate family exceeded {edge_budget} sets"
+                    )
+        seen.append(mask)
     return Clutter._from_antichain(
         frozenset(v for v, i in pos.items() if t >> i & 1) for t in family
     )

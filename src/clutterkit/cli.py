@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .blocker import blocker, maximal_independent_sets
-from .bounds import BoundParams, blocker_size_bound, class_membership, verify_bound
+from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membership, verify_bound
 from .core import Clutter
 from .errors import ParseError, ResourceLimitError
 from .formats import (
@@ -105,8 +105,7 @@ def cmd_bound(args) -> int:
         ok = bool(report.within_bound)
     else:
         params = BoundParams(len(h), h.rank(), args.k)
-        payload = {"edges": params.edge_count, "r": params.r, "k": params.k,
-                   "bound": blocker_size_bound(params)}
+        payload = BoundReport(params, blocker_size_bound(params)).as_dict()
         ok = True
     if args.json:
         print(json.dumps(payload))

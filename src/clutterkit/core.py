@@ -46,7 +46,11 @@ class Clutter:
         for e in edges:
             s = frozenset(e)
             for v in s:
-                if not isinstance(v, int) or v < 0:
+                # exact ints skip the isinstance tests; bool is an int
+                # subclass whose labels would not parse back
+                if (v.__class__ is not int
+                        and (isinstance(v, bool) or not isinstance(v, int))
+                        or v < 0):
                     raise ValueError(
                         f"vertex labels must be non-negative integers, got {v!r}"
                     )

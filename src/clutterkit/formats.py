@@ -158,6 +158,8 @@ def parse_setcover(text: str) -> SetCoverInstance:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("first line must hold two integers", head_no)
+    if n < 0:
+        raise ParseError("universe size must be non-negative", head_no)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} set lines, found {len(lines) - 1}", head_no)
     sets: list[frozenset[int]] = []
@@ -170,6 +172,8 @@ def parse_setcover(text: str) -> SetCoverInstance:
             w = Fraction(toks[0])
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"weight {toks[0]!r} is not a rational", lineno)
+        if w < 0:
+            raise ParseError("weights must be non-negative", lineno)
         try:
             size = int(toks[1])
             elems = [int(t) for t in toks[2:]]
@@ -177,9 +181,9 @@ def parse_setcover(text: str) -> SetCoverInstance:
             raise ParseError("set size and elements must be integers", lineno)
         if len(elems) != size:
             raise ParseError(f"declared {size} elements, found {len(elems)}", lineno)
+        for u in elems:
+            if not 1 <= u <= n:
+                raise ParseError(f"element {u} outside universe 1..{n}", lineno)
         sets.append(frozenset(elems))
         weights.append(w)
-    try:
-        return SetCoverInstance(n, tuple(sets), tuple(weights))
-    except ValueError as exc:
-        raise ParseError(str(exc), head_no)
+    return SetCoverInstance(n, tuple(sets), tuple(weights))

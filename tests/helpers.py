@@ -44,6 +44,25 @@ def brute_minimal_transversals(edge_sets) -> set[frozenset]:
     return out
 
 
+def berge_fold_peak(edges) -> int:
+    """Largest family an unindexed Berge fold holds after any step.
+
+    Folds the edges in the order given, keeping every set that meets the
+    new edge, extending the others by each vertex of it, and dropping any
+    set with a proper subset in the new family.  The intermediate families
+    depend on the order, so pass the edges in canonical order to match
+    the package's fold.
+    """
+    family = {frozenset()}
+    peak = 0
+    for e in map(frozenset, edges):
+        grown = {t for t in family if t & e}
+        grown |= {t | {b} for t in family if not t & e for b in e}
+        family = {t for t in grown if not any(w < t for w in grown)}
+        peak = max(peak, len(family))
+    return peak
+
+
 def _brute_minimal_sets(sets) -> set[frozenset]:
     pool = set(sets)
     return {s for s in pool if not any(t < s for t in pool)}

@@ -14,7 +14,7 @@ from clutterkit import (
     maximal_independent_sets,
 )
 
-from helpers import brute_minimal_transversals, random_clutter_sample
+from helpers import berge_fold_peak, brute_minimal_transversals, random_clutter_sample
 
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
@@ -59,6 +59,35 @@ class TestBlocker:
     def test_budget_error(self):
         with pytest.raises(ResourceLimitError):
             blocker(kk2(8), edge_budget=100)
+
+    def test_matches_brute_force_on_exact_size_edges(self):
+        # edges of one size stay distinct under minimalization, so the
+        # families grow large enough to exercise pruning
+        rng = random.Random(43)
+        for _ in range(40):
+            r = rng.choice((3, 4))
+            n = rng.randint(r + 1, 12)
+            h = Clutter([rng.sample(range(1, n + 1), r)
+                         for _ in range(rng.randint(1, 20))])
+            assert set(blocker(h).edge_sets) == brute_minimal_transversals(h.edge_sets)
+
+    def _assert_budget_trips_past_peak(self, h, peak):
+        assert blocker(h, edge_budget=peak) == blocker(h)
+        with pytest.raises(ResourceLimitError):
+            blocker(h, edge_budget=peak - 1)
+
+    def test_budget_caps_the_peak_family(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            h = random_clutter_sample(rng, max_vertices=10, max_edges=10,
+                                      allow_bounds=False)
+            self._assert_budget_trips_past_peak(h, berge_fold_peak(h.edges))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_budget_caps_the_peak_family_on_matchings(self, k):
+        h = kk2(k)
+        assert berge_fold_peak(h.edges) == 2**k
+        self._assert_budget_trips_past_peak(h, 2**k)
 
 
 class TestIsTransversal:

@@ -37,6 +37,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Clutter([[-1, 2]])
 
+    @pytest.mark.parametrize("edge", [[True, 2], [False], [1, "2"], [1.0]])
+    def test_non_integer_vertex_rejected(self, edge):
+        # bool is an int subclass, but `True 2` would not parse back
+        with pytest.raises(ValueError):
+            Clutter([edge])
+
     def test_canonical_order_is_size_then_lex(self):
         h = Clutter([[2, 1], [3]])
         assert h.edges == ((3,), (1, 2))

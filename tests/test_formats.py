@@ -132,3 +132,13 @@ class TestSetCoverFormat:
     def test_wrong_line_count(self):
         with pytest.raises(ParseError):
             parse_setcover("2 2\n1 1 1\n")
+
+    def test_element_outside_universe_reports_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_setcover("3 2\n1 1 1\n1 2 2 9\n")
+        assert err.value.line == 3
+
+    def test_negative_weight_reports_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_setcover("2 2\n1 1 1\n-1 1 2\n")
+        assert err.value.line == 3
