@@ -60,12 +60,14 @@ class BoundReport:
 def blocker_size_bound(params: BoundParams) -> int:
     """Exact value of the bound; arbitrary precision.
 
-    Binomial terms with m beyond the edge count contribute nothing.
+    Binomial terms with m beyond the edge count are zero, so the sum stops
+    at the smaller of the exponent cap and the edge count.
     """
     limit = params.k * (2 * params.r - 3) * 2 ** (params.r - 2)
     per_edge = comb(params.r, 2)
     return sum(
-        comb(params.edge_count, m) * per_edge**m for m in range(limit + 1)
+        comb(params.edge_count, m) * per_edge**m
+        for m in range(min(limit, params.edge_count) + 1)
     )
 
 

@@ -118,6 +118,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 int(parts[3])
             except ValueError:
                 raise ParseError("header counts must be integers", lineno)
+            if num_vars < 0:
+                raise ParseError("variable count must be non-negative", lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before the 'p cnf' header", lineno)
@@ -131,6 +133,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                     raise ParseError("empty clause", lineno)
                 clauses.append(tuple(lits))
                 lits = []
+            elif abs(lit) > num_vars:
+                raise ParseError(f"literal {lit} outside variables 1..{num_vars}", lineno)
             else:
                 lits.append(lit)
     if num_vars is None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .blocker import blocker
 from .core import Clutter, ONE, ZERO
+from .generate import random_clutter
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,7 @@ def _sample(rng: random.Random, max_vertices: int, max_edges: int, max_rank: int
     if roll < 0.06:
         return ONE
     n = rng.randint(1, max_vertices)
-    edges = []
-    for _ in range(rng.randint(1, max_edges)):
-        size = rng.randint(1, min(max_rank, n))
-        edges.append(rng.sample(range(1, n + 1), size))
-    return Clutter(edges)
+    return random_clutter(n, rng.randint(1, max_edges), max_rank, rng.getrandbits(32))
 
 
 def run_law_suite(

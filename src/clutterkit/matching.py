@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Clutter, Edge, ZERO
 from .errors import ResourceLimitError
@@ -173,6 +173,15 @@ def expansion(
     return out
 
 
+def _condition4(edge_sets, lsets, ssets) -> bool:
+    """Condition 4: every edge inside the union of the hosts contains a pair set."""
+    support = frozenset().union(*ssets)
+    for e in edge_sets:
+        if e <= support and not any(l <= e for l in lsets):
+            return False
+    return True
+
+
 def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
     """Check conditions 1, 2, 3a and 4 against h (2 holds structurally)."""
     prs = matching.pairs
@@ -186,11 +195,7 @@ def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
         for j, s in enumerate(ssets):
             if i != j and l <= s:
                 return False
-    support = frozenset().union(*ssets) if prs else frozenset()
-    for e in h.edge_sets:
-        if e <= support and not any(l <= e for l in lsets):
-            return False
-    return True
+    return _condition4(h.edge_sets, lsets, ssets)
 
 
 def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
@@ -206,6 +211,56 @@ def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
     return True
 
 
+def _search_pairs(
+    h: Clutter, budget: int, stage: str, size: int | None = None
+) -> Iterator[list[Pair]]:
+    """Depth-first search for the semi-matchings of h, as lists of pairs.
+
+    The candidates are (L, S) for every two-vertex subset L of every edge
+    S, in sorted order; a family grows only by later candidates that keep
+    conditions 2 and 3a with every pair already chosen, and each family
+    reached is yielded when it also satisfies condition 4.  With size
+    given, only families of that size are yielded and the search does not
+    descend past them.  Every family reached is one search node; past
+    `budget` nodes a ResourceLimitError naming the stage is raised.
+    """
+    cand = sorted({(l, e) for e in h.edges for l in itertools.combinations(e, 2)})
+    cl = [frozenset(l) for l, _ in cand]
+    cs = [frozenset(s) for _, s in cand]
+    edge_sets = h.edge_sets
+    chosen: list[int] = []
+
+    def next_child(start: int) -> int:
+        """First candidate from start on that keeps 2 and 3a, else len(cand)."""
+        for i in range(start, len(cand)):
+            li, si = cl[i], cs[i]
+            for j in chosen:
+                if cl[j] & li or cl[j] <= si or li <= cs[j]:
+                    break
+            else:
+                return i
+        return len(cand)
+
+    visited = 0
+    start = 0
+    while True:
+        visited += 1
+        if visited > budget:
+            raise ResourceLimitError(f"{stage} exceeded budget of {budget} search nodes")
+        at_size = len(chosen) == size
+        if (size is None or at_size) and _condition4(
+            edge_sets, [cl[j] for j in chosen], [cs[j] for j in chosen]
+        ):
+            yield [cand[j] for j in chosen]
+        i = next_child(len(cand) if at_size else start)
+        while i == len(cand):
+            if not chosen:
+                return
+            i = next_child(chosen.pop() + 1)
+        chosen.append(i)
+        start = i + 1
+
+
 def enumerate_semi_matchings(
     h: Clutter, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[SemiMatching]:
@@ -213,45 +268,9 @@ def enumerate_semi_matchings(
 
     The empty matching is included whenever it qualifies (always, except
     when h has the empty edge).  Search is exponential; after visiting
-    `budget` candidate pair sets a ResourceLimitError is raised.
+    `budget` search nodes a ResourceLimitError is raised.
     """
-    cand = sorted({(tuple(sorted(l)), e) for e in h.edges for l in itertools.combinations(e, 2)})
-    cl = [frozenset(l) for l, _ in cand]
-    cs = [frozenset(s) for _, s in cand]
-    edge_sets = h.edge_sets
-    found: list[list[int]] = []
-    visited = 0
-
-    def condition4(chosen: list[int]) -> bool:
-        support = frozenset().union(*(cs[i] for i in chosen)) if chosen else frozenset()
-        for e in edge_sets:
-            if e <= support and not any(cl[i] <= e for i in chosen):
-                return False
-        return True
-
-    def rec(start: int, chosen: list[int]) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise ResourceLimitError(
-                f"semi-matching enumeration exceeded budget of {budget} candidates"
-            )
-        if condition4(chosen):
-            found.append(chosen.copy())
-        for i in range(start, len(cand)):
-            li, si = cl[i], cs[i]
-            ok = True
-            for j in chosen:
-                if cl[j] & li or cl[j] <= si or li <= cs[j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(i)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    out = [SemiMatching([cand[i] for i in idxs]) for idxs in found]
+    out = [SemiMatching(f) for f in _search_pairs(h, budget, "semi-matching enumeration")]
     out.sort(key=lambda m: (len(m.pairs), m.pairs))
     return out
 
@@ -414,61 +433,26 @@ def find_kk2_minor(
 ) -> MinorWitness | None:
     """Exact search for a k-edge matching minor; a witness or None.
 
-    Candidate matchings are assembled from two-vertex subsets of edges
-    (every matching edge of a minor is the trace of a host edge), and
-    candidate contraction sets from unions of host edges covering the
-    chosen pairs.  Whenever a matching minor exists, a witness of this
-    restricted shape exists, so the search is exhaustive.  Each candidate
-    costs one restriction check; past node_budget checks a
-    ResourceLimitError is raised.
+    h has a matching minor of k pairs exactly when it has an expanded
+    minor matching of k pairs, so the search walks the semi-matchings of
+    size k and returns the witness of the first one that also meets 3b.
+
+    (=>) Suppose h deleted on D and contracted on C is {L_1, ..., L_k}.
+    Each L_i is S_i - C for some edge S_i that misses D, so S_i lies
+    inside L_i | C and misses L_j for every j != i (3b, which implies 2
+    and 3a).  Every edge inside the union of the S_i misses D, so it
+    contains some L_j (condition 4).
+    (<=) This is matching_to_minor: by 3b, S_i leaves exactly L_i, and by
+    condition 4 every other edge inside the union of the S_i contains
+    some L_j.
+
+    node_budget counts search nodes, the unit enumerate_semi_matchings
+    counts; past it a ResourceLimitError is raised.
     """
     if k < 0:
         raise ValueError("matching size must be non-negative")
-    if k == 0:
-        return None if h.is_one else MinorWitness(h.vertices, (), ())
-    if h.is_zero or h.is_one:
-        return None
-    pair_hosts: dict[Edge, list[frozenset]] = {}
-    for e, es in zip(h.edges, h.edge_sets):
-        for l in itertools.combinations(e, 2):
-            pair_hosts.setdefault(l, []).append(es)
-    pairs = sorted(pair_hosts)
-    verts = frozenset(h.vertices)
-    checks = 0
-
-    def check_candidate(chosen: tuple[Edge, ...]) -> MinorWitness | None:
-        nonlocal checks
-        a = frozenset(v for p in chosen for v in p)
-        target = Clutter(chosen)
-        seen: set[frozenset] = set()
-        for hosts in itertools.product(*(pair_hosts[p] for p in chosen)):
-            b = frozenset().union(*hosts) - a
-            if b in seen:
-                continue
-            seen.add(b)
-            checks += 1
-            if checks > node_budget:
-                raise ResourceLimitError(
-                    f"matching-minor search exceeded node budget of {node_budget}"
-                )
-            if h.restrict(verts - a - b, b) == target:
-                return MinorWitness(tuple(sorted(verts - a - b)), tuple(sorted(b)), chosen)
-        return None
-
-    def rec(start: int, chosen: list[Edge], used: frozenset) -> MinorWitness | None:
-        if len(chosen) == k:
-            return check_candidate(tuple(chosen))
-        for i in range(start, len(pairs)):
-            if len(pairs) - i < k - len(chosen):
-                break
-            p = pairs[i]
-            if used & frozenset(p):
-                continue
-            chosen.append(p)
-            got = rec(i + 1, chosen, used | frozenset(p))
-            chosen.pop()
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [], frozenset())
+    for pairs in _search_pairs(h, node_budget, "matching-minor search", k):
+        m = SemiMatching(pairs)
+        if is_expanded_minor_matching(h, m):
+            return matching_to_minor(h, m)
+    return None

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -47,6 +49,25 @@ class TestBoundValue:
                     assert blocker_size_bound(BoundParams(h + 1, r, k)) >= base
                     assert blocker_size_bound(BoundParams(h, r + 1, k)) >= base
                     assert blocker_size_bound(BoundParams(h, r, k + 1)) >= base
+
+    def test_equals_the_uncapped_sum(self):
+        # terms with m above the edge count are zero, so capping the
+        # exponent range at the edge count must not change the value
+        for h in range(9):
+            for r in range(2, 6):
+                for k in range(3):
+                    limit = k * (2 * r - 3) * 2 ** (r - 2)
+                    full = sum(math.comb(h, m) * math.comb(r, 2) ** m
+                               for m in range(limit + 1))
+                    assert blocker_size_bound(BoundParams(h, r, k)) == full
+
+    def test_large_rank_is_fast(self):
+        # the exponent cap is k(2r-3)2^(r-2), about 86,000 at r = 12
+        start = time.perf_counter()
+        assert blocker_size_bound(BoundParams(3, 12, 1)) == (1 + 66) ** 3
+        assert blocker_size_bound(BoundParams(10, 11, 1)) == 56**10
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"bound took {elapsed:.2f}s (limit 0.5s)"
 
     def test_equality_family(self):
         for k in range(1, 11):

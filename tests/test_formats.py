@@ -108,8 +108,17 @@ class TestDimacs:
             parse_dimacs("p cnf 2 1\n1 x 0\n")
 
     def test_literal_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as err:
             parse_dimacs("p cnf 2 1\n5 0\n")
+        assert err.value.line == 2
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("p cnf 2 2\n1 2 0\nc note\n1\n-3 0\n")
+        assert err.value.line == 5
+
+    def test_negative_variable_count(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("c header next\np cnf -1 0\n")
+        assert err.value.line == 2
 
 
 class TestSetCoverFormat:

@@ -528,9 +528,31 @@ class TestFindMatchingMinor:
                 if w is not None:
                     assert w.verify(h)
 
+    def test_agrees_with_oracle_on_exact_size_edges(self):
+        # edges of exactly three or four vertices survive minimalization,
+        # so these families are larger than the mixed-size samples above
+        rng = random.Random(211)
+        found = 0
+        for _ in range(80):
+            n = rng.randint(4, 8)
+            r = rng.randint(3, min(4, n))
+            h = Clutter(rng.sample(range(1, n + 1), r) for _ in range(rng.randint(2, 8)))
+            for k in (2, 3):
+                w = find_kk2_minor(h, k)
+                assert (w is not None) == brute_has_matching_minor(h.edge_sets, k)
+                if w is not None:
+                    assert w.verify(h)
+                    found += 1
+        assert found >= 20
+
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             find_kk2_minor(staircase(5), 2, node_budget=3)
+
+    def test_budget_trips_on_large_staircase(self):
+        # the search needs 18,215 nodes here; 2000 must refuse, not answer
+        with pytest.raises(ResourceLimitError):
+            find_kk2_minor(staircase(14), 2, node_budget=2000)
 
     def test_minor_relation_respects_duality(self):
         def is_blocker_of_pair_matching(k):
