@@ -19,6 +19,18 @@ check is needed:
 - Extensions t | b and t' | b' are comparable only when equal: b is not
   in t', so b == b', then t <= t' and the antichain forces t == t'.
 
+The fold can also drop, as soon as it is built, every set holding both
+vertices of a clashing pair; solve_sat folds only the consistent sets
+this way.  The pruned fold yields exactly the consistent members of the
+blocker, in the same canonical order:
+
+- Every member T of the next family is a hitter t or an extension t | b
+  of some t in the current one; either way t <= T.
+- A subset of a consistent set is consistent, so every consistent T
+  comes from a t that the pruned fold kept.
+- The critical-edge test reads only t, b and the seen edges, never other
+  family members, so pruning never changes which extensions are kept.
+
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
 """
@@ -50,10 +62,21 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     never holds more than edge_budget + 1 sets.  Output is canonical and
     deterministic.
     """
+    return _berge(h, edge_budget, ())
+
+
+def _berge(h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]) -> Clutter:
+    """The minimal transversals of h that hold no clashing vertex pair."""
     if h.is_zero:
         return ONE
     verts = h.vertices
     pos = {v: i for i, v in enumerate(verts)}
+    partner: dict[int, int] = {}
+    for a, b in clashes:
+        if a in pos and b in pos:
+            bit_a, bit_b = 1 << pos[a], 1 << pos[b]
+            partner[bit_a] = partner.get(bit_a, 0) | bit_b
+            partner[bit_b] = partner.get(bit_b, 0) | bit_a
     family = [0]
     seen: list[int] = []
     for edge in h.edges:
@@ -71,6 +94,12 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
             forbidden = 0
             for common in private.values():
                 forbidden |= common
+            if partner:
+                rest = t
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    forbidden |= partner.get(u, 0)
             free = mask & ~forbidden
             while free:
                 b = free & -free

@@ -6,6 +6,7 @@ failed), 2 usage or input error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import subprocess
@@ -192,6 +193,16 @@ def cmd_laws(args) -> int:
     return 0 if all_ok else 1
 
 
+def _count(text: str) -> int:
+    """argparse type for budgets and sample counts: an integer, at least 0."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clutterkit",
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if budget:
-            p.add_argument("--budget", type=int, default=10**6,
+            p.add_argument("--budget", type=_count, default=10**6,
                            help="resource budget for the underlying engine call")
         if file_arg:
             p.add_argument("file", nargs="?", default="-",
@@ -255,15 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("laws", cmd_laws, "run the algebraic identity suite",
             file_arg=False, budget=False)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept: building costs more
+    # than a small kernel call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -101,25 +101,31 @@ def parse_semi_matching(text: str) -> SemiMatching:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: 'c' comments, a 'p cnf <vars> <clauses>' header,
-    then 0-terminated clauses (possibly spanning lines)."""
+    then 0-terminated clauses (possibly spanning lines).  A line reading
+    '%' (the SATLIB terminator) ends the clauses.  The number of clauses
+    read must equal the header's count."""
     num_vars: int | None = None
+    num_clauses = header_line = 0
     clauses: list[tuple[int, ...]] = []
     lits: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line == "%":
+            break
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("header must read 'p cnf <vars> <clauses>'", lineno)
             try:
                 num_vars = int(parts[2])
-                int(parts[3])
+                num_clauses = int(parts[3])
             except ValueError:
                 raise ParseError("header counts must be integers", lineno)
             if num_vars < 0:
                 raise ParseError("variable count must be non-negative", lineno)
+            header_line = lineno
             continue
         if num_vars is None:
             raise ParseError("clause before the 'p cnf' header", lineno)
@@ -141,6 +147,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ParseError("missing 'p cnf' header", 1)
     if lits:
         clauses.append(tuple(lits))
+    if len(clauses) != num_clauses:
+        raise ParseError(
+            f"header declares {num_clauses} clauses, found {len(clauses)}", header_line
+        )
     return CnfFormula(num_vars, tuple(clauses))
 
 

@@ -41,6 +41,8 @@ def run_law_suite(
     max_rank: int = 4,
 ) -> list[LawResult]:
     """Run every law on `samples` random inputs; one result per law."""
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = random.Random(seed)
     names = [
         "deletion and contraction commute",

@@ -5,7 +5,8 @@ per universe element, listing the sets that cover it.  Minimal covers are
 then exactly the blocker sets, so any monotone objective is minimized by
 scanning them.  A CNF formula maps to a clutter with one vertex per
 literal and one edge per clause; the formula is satisfiable exactly when
-some blocker set avoids every complementary literal pair.
+some blocker set avoids every complementary literal pair, that is, when
+the Berge fold that drops each set holding such a pair ends non-empty.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .blocker import DEFAULT_EDGE_BUDGET, blocker
+from .blocker import DEFAULT_EDGE_BUDGET, _berge, blocker
 from .core import Clutter
 from .errors import InfeasibleInstanceError
 
@@ -78,7 +80,7 @@ class MonotoneOracle:
                 return
 
 
-@dataclass
+@dataclass(frozen=True)
 class CnfFormula:
     """CNF with DIMACS literal conventions (positive/negative var indices)."""
 
@@ -88,7 +90,7 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        self.clauses = tuple(tuple(c) for c in self.clauses)
+        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         for clause in self.clauses:
             if not clause:
                 raise ValueError("clauses must be non-empty")
@@ -97,11 +99,18 @@ class CnfFormula:
                     raise ValueError(f"literal {lit!r} outside variables 1..{self.num_vars}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assignment:
     """Total truth assignment on variables 1..n."""
 
-    values: dict[int, bool]
+    values: Mapping[int, bool]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled or deep-copied; its dict can
+        return Assignment, (dict(self.values),)
 
     def __getitem__(self, var: int) -> bool:
         return self.values[var]
@@ -202,15 +211,19 @@ def solve_sat(
 
     A blocker set touching no complementary pair extends to a full
     assignment; variables it leaves unconstrained default to false.  The
-    returned assignment is re-checked against the formula before return.
+    fold drops every set holding a complementary pair as soon as it is
+    built, so edge_budget caps the consistent family, and the answer is
+    the canonically first consistent blocker set.  The returned
+    assignment is re-checked against the formula before return.
     """
-    transversals = blocker(cnf_to_clutter(formula), edge_budget=edge_budget)
-    for t in transversals:
-        ts = set(t)
-        if any(2 * i in ts and 2 * i + 1 in ts for i in range(1, formula.num_vars + 1)):
-            continue
-        assignment = Assignment({i: (2 * i in ts) for i in range(1, formula.num_vars + 1)})
-        if not satisfies(formula, assignment):
-            raise RuntimeError("internal error: blocker scan produced a falsifying assignment")
-        return assignment
-    return None
+    variables = range(1, formula.num_vars + 1)
+    consistent = _berge(
+        cnf_to_clutter(formula), edge_budget, [(2 * i, 2 * i + 1) for i in variables]
+    )
+    if consistent.is_zero:
+        return None
+    first = consistent.edge_sets[0]
+    assignment = Assignment({i: (2 * i in first) for i in variables})
+    if not satisfies(formula, assignment):
+        raise RuntimeError("internal error: blocker scan produced a falsifying assignment")
+    return assignment

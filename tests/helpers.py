@@ -44,14 +44,15 @@ def brute_minimal_transversals(edge_sets) -> set[frozenset]:
     return out
 
 
-def berge_fold_peak(edges) -> int:
+def berge_fold_peak(edges, clashes=()) -> int:
     """Largest family an unindexed Berge fold holds after any step.
 
     Folds the edges in the order given, keeping every set that meets the
     new edge, extending the others by each vertex of it, and dropping any
-    set with a proper subset in the new family.  The intermediate families
-    depend on the order, so pass the edges in canonical order to match
-    the package's fold.
+    set with a proper subset in the new family.  Then it drops every set
+    that holds both vertices of a pair in clashes.  The intermediate
+    families depend on the order, so pass the edges in canonical order to
+    match the package's fold.
     """
     family = {frozenset()}
     peak = 0
@@ -59,6 +60,7 @@ def berge_fold_peak(edges) -> int:
         grown = {t for t in family if t & e}
         grown |= {t | {b} for t in family if not t & e for b in e}
         family = {t for t in grown if not any(w < t for w in grown)}
+        family = {t for t in family if not any(a in t and b in t for a, b in clashes)}
         peak = max(peak, len(family))
     return peak
 

@@ -197,3 +197,47 @@ def test_roundtrip_through_cli(tmp_path, capsys):
     q.write_text(btext)
     assert main(["blocker", str(q)]) == 0
     assert capsys.readouterr().out == text
+
+
+def test_repeated_calls_share_no_options(c6_file, capsys):
+    assert main(["minor", "--k", "2", "--witness", c6_file]) == 0
+    assert capsys.readouterr().out.startswith("delete:")
+    assert main(["minor", "--k", "2", c6_file]) == 0
+    assert capsys.readouterr().out == "found\n"
+    assert main(["semimatchings", "--list", c6_file]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert main(["semimatchings", c6_file]) == 0
+    assert capsys.readouterr().out == "10\n"
+    assert main(["bound", "--k", "2", "--json", c6_file]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert main(["bound", "--k", "2", c6_file]) == 0
+    assert capsys.readouterr().out.startswith("edges: 6\n")
+    assert main(["blocker", "--budget", "2", c6_file]) == 3
+    assert main(["blocker", c6_file]) == 0
+    assert capsys.readouterr().out.count("\n") == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocker"],
+    ["indep"],
+    ["minor", "--k", "2"],
+    ["semimatchings"],
+    ["bound", "--k", "2", "--verify"],
+    ["membership", "--r", "2", "--k", "2"],
+    ["solve-setcover"],
+    ["solve-sat"],
+])
+def test_negative_budget_is_usage_error(argv, c6_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", "-1", c6_file])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_negative_samples_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--samples", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(["laws", "--samples", "0"]) == 0
+    assert capsys.readouterr().out.count(": ok (0 samples)") == 8

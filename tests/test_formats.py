@@ -120,6 +120,18 @@ class TestDimacs:
             parse_dimacs("c header next\np cnf -1 0\n")
         assert err.value.line == 2
 
+    def test_satlib_terminator_ends_the_clauses(self):
+        f = parse_dimacs("p cnf 3 1\n1 -2 0\n%\n0\n")
+        assert f.clauses == ((1, -2),)
+
+    def test_clause_count_must_match_the_header(self):
+        for text in ("c two\np cnf 3 2\n1 -2 0\n",
+                     "c two\np cnf 3 2\n1 0\n2 0\n3 0\n",
+                     "c two\np cnf 3 5\n1 -2 0\n%\n0\n"):
+            with pytest.raises(ParseError) as err:
+                parse_dimacs(text)
+            assert err.value.line == 2
+
 
 class TestSetCoverFormat:
     def test_basic(self):

@@ -1,3 +1,5 @@
+import pytest
+
 from clutterkit import run_law_suite
 
 
@@ -11,3 +13,8 @@ def test_suite_reports_every_law_once():
     results = run_law_suite(samples=5, seed=1)
     names = [r.name for r in results]
     assert len(names) == len(set(names)) == 8
+
+
+def test_negative_sample_count_is_rejected():
+    with pytest.raises(ValueError):
+        run_law_suite(samples=-3)

@@ -10,7 +10,9 @@ from clutterkit import (
     CnfFormula,
     InfeasibleInstanceError,
     MonotoneOracle,
+    ResourceLimitError,
     SetCoverInstance,
+    blocker,
     cnf_to_clutter,
     satisfies,
     setcover_to_clutter,
@@ -19,6 +21,7 @@ from clutterkit import (
 )
 
 from helpers import (
+    berge_fold_peak,
     brute_min_cover_cost,
     random_cnf,
     random_cover_instance,
@@ -164,6 +167,32 @@ class TestCnfMapping:
         with pytest.raises(ValueError):
             CnfFormula(2, ((0,),))
 
+    def test_formula_is_frozen(self):
+        f = CnfFormula(2, ((1, 2),))
+        with pytest.raises(AttributeError):
+            f.clauses = ((5,),)
+        with pytest.raises(AttributeError):
+            f.num_vars = 1
+        assert f == CnfFormula(2, ((1, 2),))
+
+
+def exact_3cnf(rng, num_vars, num_clauses):
+    """num_clauses clauses, each over 3 distinct variables."""
+    return CnfFormula(num_vars, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(num_clauses)
+    ))
+
+
+def first_consistent_blocker_set(formula):
+    """The assignment read off the canonically first blocker set that
+    holds no complementary literal pair, or None."""
+    variables = range(1, formula.num_vars + 1)
+    for t in blocker(cnf_to_clutter(formula)).edge_sets:
+        if not any(2 * i in t and 2 * i + 1 in t for i in variables):
+            return Assignment({i: 2 * i in t for i in variables})
+    return None
+
 
 class TestSolveSat:
     def test_satisfiable_example(self):
@@ -202,9 +231,52 @@ class TestSolveSat:
             f2 = CnfFormula(f.num_vars, f.clauses + (widened,))
             assert (solve_sat(f2) is not None) == base
 
+    def test_equals_the_first_consistent_blocker_set(self):
+        rng = random.Random(163)
+        formulas = [exact_3cnf(rng, n, round(4.2 * n) + rng.randint(-2, 2))
+                    for n in (3, 4, 5, 6, 7, 8, 9) for _ in range(6)]
+        formulas += [random_cnf(rng, max_vars=9, max_clauses=20) for _ in range(30)]
+        decided = set()
+        for f in formulas:
+            a = solve_sat(f)
+            assert a == first_consistent_blocker_set(f)
+            assert (a is not None) == truth_table_satisfiable(f)
+            decided.add(a is not None)
+        assert decided == {True, False}
+
+    def test_budget_caps_the_consistent_family(self):
+        rng = random.Random(167)
+        for _ in range(30):
+            n = rng.randint(3, 7)
+            f = exact_3cnf(rng, n, rng.randint(1, round(4.2 * n)))
+            clashes = [(2 * i, 2 * i + 1) for i in range(1, n + 1)]
+            peak = berge_fold_peak(cnf_to_clutter(f).edges, clashes)
+            assert solve_sat(f, edge_budget=peak) == solve_sat(f)
+            with pytest.raises(ResourceLimitError):
+                solve_sat(f, edge_budget=peak - 1)
+
 
 class TestAssignment:
     def test_literal_view(self):
         a = Assignment({1: True, 2: False})
         assert a.as_literals() == (1, -2)
         assert a[1] is True
+
+    def test_is_frozen_and_owns_its_values(self):
+        values = {1: True, 2: False}
+        a = Assignment(values)
+        values[1] = False
+        values[3] = True
+        assert a.values == {1: True, 2: False}
+        with pytest.raises(AttributeError):
+            a.values = {1: False}
+        with pytest.raises(TypeError):
+            a.values[1] = False
+
+    def test_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        a = Assignment({1: True, 2: False})
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
