@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Clutter, ONE
+from .core import Clutter, ONE, _canonical
 from .errors import ResourceLimitError
 
 DEFAULT_EDGE_BUDGET = 10**6
@@ -51,7 +51,7 @@ def is_transversal(h: Clutter, t: Iterable[int]) -> bool:
     transversal of the clutter whose only edge is empty.
     """
     ts = frozenset(t)
-    return all(ts & s for s in h.edge_sets)
+    return all(not ts.isdisjoint(e) for e in h.edges)
 
 
 def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
@@ -110,8 +110,10 @@ def _berge(h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]) -> 
                         f"blocker intermediate family exceeded {edge_budget} sets"
                     )
         seen.append(mask)
+    # bit i stands for verts[i], so each decoded tuple comes out sorted
+    bits = [(1 << i, v) for i, v in enumerate(verts)]
     return Clutter._from_antichain(
-        frozenset(v for v, i in pos.items() if t >> i & 1) for t in family
+        tuple([v for bit, v in bits if t & bit]) for t in family
     )
 
 
@@ -124,6 +126,6 @@ def maximal_independent_sets(
     minimal transversals.  Isolated vertices outside the edges of h are
     not modeled.
     """
-    verts = set(h.vertices)
-    sets = [tuple(sorted(verts - set(b))) for b in blocker(h, edge_budget=edge_budget)]
-    return tuple(sorted(sets, key=lambda e: (len(e), e)))
+    verts = h.vertices
+    return _canonical(tuple([v for v in verts if v not in b])
+                      for b in blocker(h, edge_budget=edge_budget).edge_sets)

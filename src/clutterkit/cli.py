@@ -81,6 +81,8 @@ def cmd_minor(args) -> int:
 
 
 def cmd_semimatchings(args) -> int:
+    if args.count:
+        print("warning: --count is deprecated; the count is the default", file=sys.stderr)
     h = _load_clutter(args.file)
     matchings = enumerate_semi_matchings(h, budget=args.budget)
     if args.list:
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("semimatchings", cmd_semimatchings, "enumerate semi-matchings")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--count", action="store_true", help="print the count (default)")
+    group.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     group.add_argument("--list", action="store_true", help="print one matching per line")
 
     p = add("extract", cmd_extract,
@@ -280,7 +282,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -1,10 +1,11 @@
 """Clutters (Sperner families) over non-negative integer vertices.
 
 A clutter is a finite antichain of finite sets: no edge contains another.
-Values are immutable and canonical.  Edges are stored as sorted tuples,
-ordered by size and then lexicographically, so two clutters are equal
-exactly when their edge sequences are equal.  The lattice is bounded by
-ZERO (no edges at all) and ONE (the single edge {}).
+Values are immutable and canonical.  Edges are stored once, as sorted
+tuples ordered by size and then lexicographically, so two clutters are
+equal exactly when their edge sequences are equal.  `edge_sets` builds
+fresh frozensets on each access: read it once, outside loops.  The
+lattice is bounded by ZERO (no edges at all) and ONE (the single edge {}).
 
 All operations are pure functions of their inputs; results never alias
 mutable state, so values can be shared freely across threads.
@@ -16,20 +17,34 @@ from typing import Iterable, Iterator
 Edge = tuple[int, ...]
 
 
-def _edge_key(e: Edge) -> tuple[int, Edge]:
-    return (len(e), e)
+def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    return tuple(sorted(edges, key=lambda e: (len(e), e)))
 
 
-def _minimal(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Inclusion-minimal members of the family, deduplicated."""
+def _minimal(sets: Iterable[frozenset]) -> list[Edge]:
+    """Inclusion-minimal members of the family, deduplicated, as sorted tuples."""
     kept: list[frozenset] = []
     for s in sorted(set(sets), key=len):
         if not any(t <= s for t in kept):
             kept.append(s)
-    return kept
+    return [tuple(sorted(s)) for s in kept]
 
 
-class Clutter:
+class _Value:
+    """Immutable value held in one slot, which its constructor accepts."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy go through the constructor
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+
+class Clutter(_Value):
     """Canonical clutter value.
 
     The constructor accepts any family of vertex iterables and removes
@@ -37,7 +52,7 @@ class Clutter:
     antichain invariant holds for every constructed value.
     """
 
-    __slots__ = ("edges", "_sets")
+    __slots__ = ("edges",)
 
     edges: tuple[Edge, ...]
 
@@ -55,32 +70,24 @@ class Clutter:
                         f"vertex labels must be non-negative integers, got {v!r}"
                     )
             pool.append(s)
-        self._sets = tuple(
-            sorted((frozenset(s) for s in _minimal(pool)),
-                   key=lambda s: _edge_key(tuple(sorted(s))))
-        )
-        self.edges = tuple(tuple(sorted(s)) for s in self._sets)
+        object.__setattr__(self, "edges", _canonical(_minimal(pool)))
 
     @classmethod
-    def _from_antichain(cls, sets: Iterable[frozenset]) -> "Clutter":
-        """Wrap sets already known to be pairwise incomparable."""
+    def _from_antichain(cls, edges: Iterable[Edge]) -> "Clutter":
+        """Wrap sorted tuples already known to be pairwise incomparable."""
         c = cls.__new__(cls)
-        c._sets = tuple(sorted(sets, key=lambda s: _edge_key(tuple(sorted(s)))))
-        c.edges = tuple(tuple(sorted(s)) for s in c._sets)
+        object.__setattr__(c, "edges", _canonical(edges))
         return c
 
     @property
     def edge_sets(self) -> tuple[frozenset, ...]:
-        """Edges as frozensets, in canonical order."""
-        return self._sets
+        """Edges as frozensets, in canonical order, built on each access."""
+        return tuple(map(frozenset, self.edges))
 
     @property
     def vertices(self) -> Edge:
         """Union of all edges, sorted."""
-        out: set[int] = set()
-        for s in self._sets:
-            out |= s
-        return tuple(sorted(out))
+        return tuple(sorted(set().union(*self.edges)))
 
     @property
     def is_zero(self) -> bool:
@@ -98,15 +105,11 @@ class Clutter:
 
     def delete(self, v: int) -> "Clutter":
         """Drop every edge containing v.  The result needs no re-minimalizing."""
-        if not any(v in s for s in self._sets):
-            return self
-        return Clutter._from_antichain(s for s in self._sets if v not in s)
+        return self.restrict((v,), ())
 
     def contract(self, v: int) -> "Clutter":
         """Remove v from every edge, then re-minimalize."""
-        if not any(v in s for s in self._sets):
-            return self
-        return Clutter(s - {v} for s in self._sets)
+        return self.restrict((), (v,))
 
     def restrict(self, delete: Iterable[int], contract: Iterable[int]) -> "Clutter":
         """Delete all of one vertex set, then contract all of another.
@@ -121,18 +124,18 @@ class Clutter:
             raise ValueError(
                 f"deletion and contraction sets overlap on {sorted(d & c)}"
             )
-        survivors = [s for s in self._sets if not (s & d)]
-        if not c:
+        survivors = [e for e in self.edges if d.isdisjoint(e)]
+        if not c or c.isdisjoint(v for e in survivors for v in e):
             return Clutter._from_antichain(survivors)
-        return Clutter(s - c for s in survivors)
+        return Clutter([v for v in e if v not in c] for e in survivors)
 
     def join(self, other: "Clutter") -> "Clutter":
         """Minimalized union of the two edge families."""
-        return Clutter(self._sets + other._sets)
+        return Clutter(self.edges + other.edges)
 
     def meet(self, other: "Clutter") -> "Clutter":
         """Minimalized family of pairwise unions."""
-        return Clutter(a | b for a in self._sets for b in other._sets)
+        return Clutter(a + b for a in self.edges for b in other.edges)
 
     def __or__(self, other: object) -> "Clutter":
         if not isinstance(other, Clutter):
@@ -159,7 +162,12 @@ class Clutter:
         return iter(self.edges)
 
     def __contains__(self, edge: Iterable[int]) -> bool:
-        return frozenset(edge) in set(self._sets)
+        s = set(edge)
+        try:
+            key = tuple(sorted(s))
+        except TypeError:  # labels that do not even compare are no vertices
+            return False
+        return key in self.edges
 
     def __repr__(self) -> str:
         return f"Clutter({[list(e) for e in self.edges]})"

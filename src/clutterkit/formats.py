@@ -100,10 +100,10 @@ def parse_semi_matching(text: str) -> SemiMatching:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: 'c' comments, a 'p cnf <vars> <clauses>' header,
-    then 0-terminated clauses (possibly spanning lines).  A line reading
-    '%' (the SATLIB terminator) ends the clauses.  The number of clauses
-    read must equal the header's count."""
+    """Parse DIMACS CNF: 'c' comments, a single 'p cnf <vars> <clauses>'
+    header, then 0-terminated clauses (possibly spanning lines).  A line
+    reading '%' (the SATLIB terminator) ends the clauses.  The number of
+    clauses read must equal the header's count."""
     num_vars: int | None = None
     num_clauses = header_line = 0
     clauses: list[tuple[int, ...]] = []
@@ -115,6 +115,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line == "%":
             break
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"second 'p cnf' header (first on line {header_line})", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("header must read 'p cnf <vars> <clauses>'", lineno)

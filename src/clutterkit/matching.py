@@ -27,17 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import Clutter, Edge, ZERO
+from .core import Clutter, Edge, ZERO, _Value
 from .errors import ResourceLimitError
 
 DEFAULT_CHOICE_BUDGET = 2**20
-DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_NODE_BUDGET = 10**6
 
 Pair = tuple[Edge, Edge]
 
 
-class SemiMatching:
+class SemiMatching(_Value):
     """Ordered pairs (L, S), canonically sorted by the smallest vertex of L.
 
     Structural invariants (each L has two vertices inside its S; the L are
@@ -61,12 +60,9 @@ class SemiMatching:
                 raise ValueError(f"pair set {l} must lie inside its host set {s}")
             canon.append((l, s))
         canon.sort(key=lambda p: (p[0][0], p[0], p[1]))
-        used: set[int] = set()
-        for l, _ in canon:
-            if used & set(l):
-                raise ValueError("pair sets must be pairwise disjoint")
-            used.update(l)
-        self.pairs = tuple(canon)
+        if len({v for l, _ in canon for v in l}) != 2 * len(canon):
+            raise ValueError("pair sets must be pairwise disjoint")
+        object.__setattr__(self, "pairs", tuple(canon))
 
     @property
     def blocks(self) -> tuple[Edge, ...]:
@@ -81,10 +77,7 @@ class SemiMatching:
     @property
     def support(self) -> Edge:
         """Sorted union of the host edges."""
-        out: set[int] = set()
-        for _, s in self.pairs:
-            out.update(s)
-        return tuple(sorted(out))
+        return tuple(sorted(set().union(*self.hosts)))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -155,12 +148,11 @@ def expansion(
     carrier_set = frozenset(carrier)
     seen: set[int] = set()
     for b in blks:
-        bs = set(b)
-        if seen & bs:
+        if not seen.isdisjoint(b):
             raise ValueError("expansion blocks must be pairwise disjoint")
-        if not bs <= carrier_set:
+        if not carrier_set.issuperset(b):
             raise ValueError("expansion blocks must lie inside the carrier")
-        seen |= bs
+        seen.update(b)
     count = math.prod(len(b) for b in blks)
     if count > choice_budget:
         raise ResourceLimitError(
@@ -173,42 +165,37 @@ def expansion(
     return out
 
 
-def _condition4(edge_sets, lsets, ssets) -> bool:
+def _condition4(edges, blocks, hosts) -> bool:
     """Condition 4: every edge inside the union of the hosts contains a pair set."""
-    support = frozenset().union(*ssets)
-    for e in edge_sets:
-        if e <= support and not any(l <= e for l in lsets):
+    support = frozenset().union(*hosts)
+    for e in edges:
+        if support.issuperset(e) and not any(a in e and b in e for a, b in blocks):
             return False
     return True
+
+
+def _condition3b(pairs: Iterable[Pair]) -> bool:
+    """Condition 3b, given 1 and 2: each host meets the pair sets only in its own."""
+    paired = {v for l, _ in pairs for v in l}
+    return all(len(paired.intersection(s)) == 2 for _, s in pairs)
 
 
 def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
     """Check conditions 1, 2, 3a and 4 against h (2 holds structurally)."""
     prs = matching.pairs
-    edge_index = set(h.edge_sets)
-    lsets = [frozenset(l) for l, _ in prs]
-    ssets = [frozenset(s) for _, s in prs]
-    for s in ssets:
-        if s not in edge_index:
-            return False
-    for i, l in enumerate(lsets):
-        for j, s in enumerate(ssets):
-            if i != j and l <= s:
+    edge_index = set(h.edges)
+    if any(s not in edge_index for _, s in prs):
+        return False
+    for i, (l, _) in enumerate(prs):
+        for j, (_, s) in enumerate(prs):
+            if i != j and l[0] in s and l[1] in s:
                 return False
-    return _condition4(h.edge_sets, lsets, ssets)
+    return _condition4(h.edges, matching.blocks, matching.hosts)
 
 
 def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
     """A semi-matching whose two-vertex sets avoid all other hosts (3b)."""
-    if not is_semi_matching(h, matching):
-        return False
-    prs = matching.pairs
-    for i, (l, _) in enumerate(prs):
-        ls = set(l)
-        for j, (_, s) in enumerate(prs):
-            if i != j and ls & set(s):
-                return False
-    return True
+    return is_semi_matching(h, matching) and _condition3b(matching.pairs)
 
 
 def _search_pairs(
@@ -227,7 +214,6 @@ def _search_pairs(
     cand = sorted({(l, e) for e in h.edges for l in itertools.combinations(e, 2)})
     cl = [frozenset(l) for l, _ in cand]
     cs = [frozenset(s) for _, s in cand]
-    edge_sets = h.edge_sets
     chosen: list[int] = []
 
     def next_child(start: int) -> int:
@@ -249,7 +235,7 @@ def _search_pairs(
             raise ResourceLimitError(f"{stage} exceeded budget of {budget} search nodes")
         at_size = len(chosen) == size
         if (size is None or at_size) and _condition4(
-            edge_sets, [cl[j] for j in chosen], [cs[j] for j in chosen]
+            h.edges, [cand[j][0] for j in chosen], [cs[j] for j in chosen]
         ):
             yield [cand[j] for j in chosen]
         i = next_child(len(cand) if at_size else start)
@@ -262,7 +248,7 @@ def _search_pairs(
 
 
 def enumerate_semi_matchings(
-    h: Clutter, *, budget: int = DEFAULT_ENUM_BUDGET
+    h: Clutter, *, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[SemiMatching]:
     """Every semi-matching of h, in size-then-lex order.
 
@@ -292,20 +278,19 @@ def extend_semi_matching(
     c = frozenset(carrier)
     if len(r) != 2:
         raise ValueError("the appended pair must have exactly two vertices")
-    if not set(r) <= c:
+    if not c.issuperset(r):
         raise ValueError("the appended pair must lie inside the carrier")
-    if c not in set(h.edge_sets):
+    if c not in h:
         raise ValueError("the carrier must be an edge of the host clutter")
     expanded = expansion(h, [r], c)
     if not is_semi_matching(expanded, matching):
         raise ValueError("input is not a semi-matching of the expanded clutter")
-    rs = set(r)
     new_pairs: list[tuple[Edge, Edge]] = []
     for l, s in matching.pairs:
         ss = frozenset(s)
         host = next(
-            (e for e, es in zip(h.edges, h.edge_sets)
-             if ss <= es <= (ss | c) and not rs <= es),
+            (e for e in h.edges
+             if ss.issubset(e) and (ss | c).issuperset(e) and not (r[0] in e and r[1] in e)),
             None,
         )
         if host is None:
@@ -368,8 +353,8 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
     prs = matching.pairs
     if not prs:
         return matching
-    stable = list(greedy_independent_set(build_conflict_graph(matching)))
-    outside = [j for j in range(len(prs)) if j not in set(stable)]
+    stable = greedy_independent_set(build_conflict_graph(matching))
+    outside = [j for j in range(len(prs)) if j not in stable]
     s_of = {i: frozenset(prs[i][1]) for i in stable}
     if not outside:
         return SemiMatching(prs)
@@ -409,11 +394,8 @@ def matching_to_minor(h: Clutter, matching: SemiMatching) -> MinorWitness:
     """
     if not is_expanded_minor_matching(h, matching):
         raise ValueError("input is not an expanded minor matching of the given clutter")
-    union_l: set[int] = set()
-    union_s: set[int] = set()
-    for l, s in matching.pairs:
-        union_l.update(l)
-        union_s.update(s)
+    union_l = set().union(*matching.blocks)
+    union_s = set().union(*matching.hosts)
     delete = tuple(sorted(set(h.vertices) - union_s))
     contract = tuple(sorted(union_s - union_l))
     return MinorWitness(delete, contract, matching.blocks)
@@ -452,7 +434,7 @@ def find_kk2_minor(
     if k < 0:
         raise ValueError("matching size must be non-negative")
     for pairs in _search_pairs(h, node_budget, "matching-minor search", k):
-        m = SemiMatching(pairs)
-        if is_expanded_minor_matching(h, m):
-            return matching_to_minor(h, m)
+        # the search guarantees 1, 2, 3a and 4
+        if _condition3b(pairs):
+            return matching_to_minor(h, SemiMatching(pairs))
     return None

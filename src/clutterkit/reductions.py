@@ -222,7 +222,7 @@ def solve_sat(
     )
     if consistent.is_zero:
         return None
-    first = consistent.edge_sets[0]
+    first = consistent.edges[0]
     assignment = Assignment({i: (2 * i in first) for i in variables})
     if not satisfies(formula, assignment):
         raise RuntimeError("internal error: blocker scan produced a falsifying assignment")

@@ -70,6 +70,43 @@ def _brute_minimal_sets(sets) -> set[frozenset]:
     return {s for s in pool if not any(t < s for t in pool)}
 
 
+def canonical_edges(sets) -> tuple[tuple[int, ...], ...]:
+    """Sorted tuples ordered by size, then lexicographically."""
+    return tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda e: (len(e), e)))
+
+
+# Frozenset definitions of the clutter operations, for differential tests.
+# Each takes and returns families of frozensets.
+
+def fs_clutter(family) -> set[frozenset]:
+    return _brute_minimal_sets(map(frozenset, family))
+
+
+def fs_restrict(sets, delete, contract) -> set[frozenset]:
+    d, c = frozenset(delete), frozenset(contract)
+    return _brute_minimal_sets(e - c for e in sets if not e & d)
+
+
+def fs_join(a, b) -> set[frozenset]:
+    return _brute_minimal_sets(set(a) | set(b))
+
+
+def fs_meet(a, b) -> set[frozenset]:
+    return _brute_minimal_sets(x | y for x in a for y in b)
+
+
+def fs_vertices(sets) -> tuple[int, ...]:
+    return tuple(sorted(set().union(*sets)))
+
+
+def fs_contains(sets, edge) -> bool:
+    return frozenset(edge) in set(sets)
+
+
+def fs_is_transversal(sets, t) -> bool:
+    return all(frozenset(t) & e for e in sets)
+
+
 def brute_has_matching_minor(edge_sets, k: int) -> bool:
     """Exhaustive search over every keep/delete/contract assignment."""
     edges = [frozenset(e) for e in edge_sets]

@@ -153,6 +153,38 @@ def test_semimatchings_explicit_count_flag(c6_file, capsys):
     assert capsys.readouterr().out == "10\n"
 
 
+def test_count_flag_is_deprecated_and_hidden(c6_file, capsys):
+    assert main(["semimatchings", "--count", c6_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "10\n"
+    assert "deprecated" in captured.err
+    assert main(["semimatchings", c6_file]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["semimatchings", "--help"]) == 0
+    assert "--count" not in capsys.readouterr().out
+    assert main(["semimatchings", "--count", "--list", c6_file]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocker", "--budget", "x"],
+    ["minor"],
+    ["no-such-command"],
+    [],
+])
+def test_argparse_usage_error_returns_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_help_prints_and_returns_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: clutterkit" in capsys.readouterr().out
+    assert main(["blocker", "--help"]) == 0
+    assert "--budget" in capsys.readouterr().out
+
+
 def test_bound_without_verify(tmp_path, capsys):
     p = tmp_path / "m3.clt"
     p.write_text("0 1\n2 3\n4 5\n")
@@ -228,16 +260,12 @@ def test_repeated_calls_share_no_options(c6_file, capsys):
     ["solve-sat"],
 ])
 def test_negative_budget_is_usage_error(argv, c6_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--budget", "-1", c6_file])
-    assert exc.value.code == 2
+    assert main([*argv, "--budget", "-1", c6_file]) == 2
     assert "non-negative" in capsys.readouterr().err
 
 
 def test_negative_samples_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["laws", "--samples", "-3"])
-    assert exc.value.code == 2
+    assert main(["laws", "--samples", "-3"]) == 2
     assert capsys.readouterr().out == ""
     assert main(["laws", "--samples", "0"]) == 0
     assert capsys.readouterr().out.count(": ok (0 samples)") == 8

@@ -1,11 +1,23 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clutterkit import Clutter, ONE, ZERO
+from clutterkit import Clutter, ONE, ZERO, is_transversal
 
-from helpers import random_clutter_sample
+from helpers import (
+    canonical_edges,
+    fs_clutter,
+    fs_contains,
+    fs_is_transversal,
+    fs_join,
+    fs_meet,
+    fs_restrict,
+    fs_vertices,
+    random_clutter_sample,
+)
 
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
@@ -178,6 +190,25 @@ class TestValueSemantics:
     def test_iteration_yields_canonical_edges(self):
         assert list(Clutter([[3], [1, 2]])) == [(3,), (1, 2)]
 
+    def test_is_frozen(self):
+        h = Clutter([[2, 1], [3]])
+        index = {h: "h"}
+        with pytest.raises(AttributeError):
+            h.edges = ((9,),)
+        with pytest.raises(AttributeError):
+            del h.edges
+        with pytest.raises(AttributeError):
+            h.extra = 1
+        assert h.edges == ((3,), (1, 2))
+        assert index[Clutter([[1, 2], [3]])] == "h"
+
+    def test_pickles_and_copies(self):
+        for h in (ZERO, ONE, C6, Clutter([[0, 10**9], [7]])):
+            for clone in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+                assert clone == h
+                assert clone.edges == h.edges
+                assert hash(clone) == hash(h)
+
 
 def _assert_canonical(h):
     sets = h.edge_sets
@@ -208,3 +239,49 @@ def test_random_operation_sequences_preserve_invariants():
             else:
                 h = blocker(h)
             _assert_canonical(h)
+
+
+# labels whose set iteration order is not their sorted order
+LABELS = [0, 1, 2, 3, 8, 9, 16, 33, 10**9]
+
+
+def _raw_family(rng):
+    """Unsorted vertex lists with repeats, sometimes none or an empty one."""
+    roll = rng.random()
+    if roll < 0.05:
+        return []
+    labels = rng.sample(LABELS, rng.randint(1, 7))
+    family = [[rng.choice(labels) for _ in range(rng.randint(1, 4))]
+              for _ in range(rng.randint(1, 6))]
+    if roll < 0.1:
+        family.append([])
+    return family
+
+
+def test_operations_match_frozenset_definitions():
+    rng = random.Random(2718)
+    families = [[], [[]]] + [_raw_family(rng) for _ in range(400)]
+    for fam in families:
+        gfam = rng.choice(families)
+        h, g = Clutter(fam), Clutter(gfam)
+        sets, other = fs_clutter(fam), fs_clutter(gfam)
+        assert h.edges == canonical_edges(sets)
+        assert h.edge_sets == tuple(map(frozenset, h.edges))
+        assert h.vertices == fs_vertices(sets)
+        # some labels are absent from every edge
+        pool = list(LABELS)
+        for v in pool:
+            assert h.delete(v).edges == canonical_edges(fs_restrict(sets, [v], []))
+            assert h.contract(v).edges == canonical_edges(fs_restrict(sets, [], [v]))
+        rng.shuffle(pool)
+        cut = rng.randint(0, 4)
+        d, c = pool[:cut], pool[cut:cut + rng.randint(0, 4)]
+        assert h.restrict(d, c).edges == canonical_edges(fs_restrict(sets, d, c))
+        assert h.join(g).edges == canonical_edges(fs_join(sets, other))
+        assert h.meet(g).edges == canonical_edges(fs_meet(sets, other))
+        queries = [list(e) for e in h.edges] + _raw_family(rng)
+        for q in queries:
+            q = q + q[:rng.randint(0, len(q))]
+            rng.shuffle(q)
+            assert (q in h) == fs_contains(sets, q)
+            assert is_transversal(h, q) == fs_is_transversal(sets, q)

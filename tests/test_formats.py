@@ -132,6 +132,14 @@ class TestDimacs:
                 parse_dimacs(text)
             assert err.value.line == 2
 
+    def test_second_header_reports_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("p cnf 1 1\n1 0\np cnf 3 2\n3 0\n")
+        assert err.value.line == 3
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("c one\np cnf 2 1\np cnf 2 1\n1 2 0\n")
+        assert err.value.line == 3
+
 
 class TestSetCoverFormat:
     def test_basic(self):

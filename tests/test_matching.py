@@ -58,6 +58,25 @@ class TestSemiMatchingType:
         with pytest.raises(ValueError):
             SemiMatching([((1, 2), (1, 2)), ((2, 3), (2, 3))])
 
+    def test_is_frozen(self):
+        m = SemiMatching([((1, 2), (1, 2, 3))])
+        with pytest.raises(AttributeError):
+            m.pairs = ()
+        with pytest.raises(AttributeError):
+            del m.pairs
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m.pairs == (((1, 2), (1, 2, 3)),)
+
+    def test_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        m = SemiMatching([((4, 5), (4, 5, 6)), ((1, 2), (1, 2, 3))])
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert clone == m
+            assert clone.pairs == m.pairs
+
 
 class TestExpansion:
     def test_hand_example(self):
