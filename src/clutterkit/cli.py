@@ -81,8 +81,6 @@ def cmd_minor(args) -> int:
 
 
 def cmd_semimatchings(args) -> int:
-    if args.count:
-        print("warning: --count is deprecated; the count is the default", file=sys.stderr)
     h = _load_clutter(args.file)
     matchings = enumerate_semi_matchings(h, budget=args.budget)
     if args.list:
@@ -231,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="print the witness")
 
     p = add("semimatchings", cmd_semimatchings, "enumerate semi-matchings")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
-    group.add_argument("--list", action="store_true", help="print one matching per line")
+    p.add_argument("--list", action="store_true", help="print one matching per line")
 
     p = add("extract", cmd_extract,
             "thin a semi-matching to an expanded minor matching", budget=False)

@@ -25,6 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .core import Clutter, Edge, ZERO, _Value
@@ -63,6 +65,14 @@ class SemiMatching(_Value):
         if len({v for l, _ in canon for v in l}) != 2 * len(canon):
             raise ValueError("pair sets must be pairwise disjoint")
         object.__setattr__(self, "pairs", tuple(canon))
+
+    @classmethod
+    def _from_canonical(cls, pairs: tuple[Pair, ...]) -> "SemiMatching":
+        """Wrap sorted-tuple pairs already in canonical order that meet the
+        structural invariants."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "pairs", pairs)
+        return m
 
     @property
     def blocks(self) -> tuple[Edge, ...]:
@@ -199,52 +209,82 @@ def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
 
 
 def _search_pairs(
-    h: Clutter, budget: int, stage: str, size: int | None = None
-) -> Iterator[list[Pair]]:
-    """Depth-first search for the semi-matchings of h, as lists of pairs.
+    h: Clutter, budget: int, stage: str, minor_size: int | None = None
+) -> Iterator[tuple[Pair, ...]]:
+    """Depth-first search for the semi-matchings of h, as tuples of pairs.
 
     The candidates are (L, S) for every two-vertex subset L of every edge
-    S, in sorted order; a family grows only by later candidates that keep
-    conditions 2 and 3a with every pair already chosen, and each family
-    reached is yielded when it also satisfies condition 4.  With size
-    given, only families of that size are yielded and the search does not
-    descend past them.  Every family reached is one search node; past
-    `budget` nodes a ResourceLimitError naming the stage is raised.
+    S, in sorted order.  Each candidate holds a bitmask of the later
+    candidates compatible with it: those that keep conditions 2 and 3a
+    with it or, when minor_size is given, meet 3b both ways (L_i misses
+    S_j and L_j misses S_i, which implies 2 and 3a).  A family grows only
+    by candidates in the AND of its members' masks, taken in index order,
+    so families are reached in depth-first preorder, which within one size
+    is lexicographic.  Each family reached is yielded when it also
+    satisfies condition 4.  With minor_size given, only the expanded minor
+    matchings of that size are yielded and the search does not descend
+    past them.
+
+    `budget` counts search steps: one per candidate built, one per pair of
+    candidates whose compatibility is settled, and one per family reached.
+    Every step is charged before its work is done, so a clutter whose
+    set-up alone is over budget trips before any candidate is built.  Past
+    `budget` steps a ResourceLimitError naming the stage is raised.
     """
-    cand = sorted({(l, e) for e in h.edges for l in itertools.combinations(e, 2)})
-    cl = [frozenset(l) for l, _ in cand]
-    cs = [frozenset(s) for _, s in cand]
+    edges = h.edges
+    n = sum(len(e) * (len(e) - 1) // 2 for e in edges)
+    used = n + n * (n - 1) // 2
+    if used > budget:
+        raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
+    cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
+    # bitmasks over candidate indices
+    of_pair: dict[Edge, int] = {}  # two-vertex set -> candidates with that L
+    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
+    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
+    for i, (l, e) in enumerate(cand):
+        bit = 1 << i
+        of_pair[l] = of_pair.get(l, 0) | bit
+        for v in l:
+            in_l[v] = in_l.get(v, 0) | bit
+        for v in e:
+            in_s[v] = in_s.get(v, 0) | bit
+    if minor_size is None:
+        # 2 and 3a fail when L_i meets L_j or either L lies inside the other's S
+        inside = {e: reduce(or_, map(of_pair.get, itertools.combinations(e, 2)), 0)
+                  for e in edges}
+        clash = [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
+    else:
+        # 3b fails when L_i meets S_j or L_j meets S_i
+        meets = {e: reduce(or_, (in_l.get(v, 0) for v in e), 0) for e in edges}
+        clash = [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
+    full = (1 << n) - 1
+    later = [(full ^ c) >> (i + 1) << (i + 1) for i, c in enumerate(clash)]
+
     chosen: list[int] = []
-
-    def next_child(start: int) -> int:
-        """First candidate from start on that keeps 2 and 3a, else len(cand)."""
-        for i in range(start, len(cand)):
-            li, si = cl[i], cs[i]
-            for j in chosen:
-                if cl[j] & li or cl[j] <= si or li <= cs[j]:
-                    break
-            else:
-                return i
-        return len(cand)
-
-    visited = 0
-    start = 0
+    rest: list[int] = []  # rest[d]: untried children of the family chosen[:d]
+    kids = full
     while True:
-        visited += 1
-        if visited > budget:
-            raise ResourceLimitError(f"{stage} exceeded budget of {budget} search nodes")
-        at_size = len(chosen) == size
-        if (size is None or at_size) and _condition4(
-            h.edges, [cand[j][0] for j in chosen], [cs[j] for j in chosen]
-        ):
-            yield [cand[j] for j in chosen]
-        i = next_child(len(cand) if at_size else start)
-        while i == len(cand):
+        used += 1
+        if used > budget:
+            raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
+        at_size = len(chosen) == minor_size
+        if minor_size is None or at_size:
+            pairs = tuple(cand[i] for i in chosen)
+            if _condition4(edges, [l for l, _ in pairs], [s for _, s in pairs]):
+                yield pairs
+            if at_size:
+                kids = 0
+        while not kids:
             if not chosen:
                 return
-            i = next_child(chosen.pop() + 1)
+            chosen.pop()
+            kids = rest.pop()
+        low = kids & -kids
+        kids ^= low
+        rest.append(kids)
+        i = low.bit_length() - 1
         chosen.append(i)
-        start = i + 1
+        kids &= later[i]
 
 
 def enumerate_semi_matchings(
@@ -253,11 +293,14 @@ def enumerate_semi_matchings(
     """Every semi-matching of h, in size-then-lex order.
 
     The empty matching is included whenever it qualifies (always, except
-    when h has the empty edge).  Search is exponential; after visiting
-    `budget` search nodes a ResourceLimitError is raised.
+    when h has the empty edge).  Search is exponential.  `budget` counts
+    search steps: one per (pair, host edge) candidate built, one per pair
+    of candidates tested, and one per family reached.  Past it a
+    ResourceLimitError is raised.
     """
-    out = [SemiMatching(f) for f in _search_pairs(h, budget, "semi-matching enumeration")]
-    out.sort(key=lambda m: (len(m.pairs), m.pairs))
+    out = [SemiMatching._from_canonical(f)
+           for f in _search_pairs(h, budget, "semi-matching enumeration")]
+    out.sort(key=len)  # stable: preorder is already lexicographic within a size
     return out
 
 
@@ -416,8 +459,9 @@ def find_kk2_minor(
     """Exact search for a k-edge matching minor; a witness or None.
 
     h has a matching minor of k pairs exactly when it has an expanded
-    minor matching of k pairs, so the search walks the semi-matchings of
-    size k and returns the witness of the first one that also meets 3b.
+    minor matching of k pairs, so the search walks the families of k
+    (pair, host edge) candidates that meet 3b pairwise and returns the
+    witness of the first one that also meets condition 4.
 
     (=>) Suppose h deleted on D and contracted on C is {L_1, ..., L_k}.
     Each L_i is S_i - C for some edge S_i that misses D, so S_i lies
@@ -428,13 +472,14 @@ def find_kk2_minor(
     condition 4 every other edge inside the union of the S_i contains
     some L_j.
 
-    node_budget counts search nodes, the unit enumerate_semi_matchings
-    counts; past it a ResourceLimitError is raised.
+    node_budget counts search steps: one per (pair, host edge) candidate
+    built, one per pair of candidates tested, and one per family reached.
+    The candidates and pair tests are charged before they are built, so an
+    over-budget clutter is refused before its set-up takes memory.  Past
+    node_budget steps a ResourceLimitError is raised.
     """
     if k < 0:
         raise ValueError("matching size must be non-negative")
     for pairs in _search_pairs(h, node_budget, "matching-minor search", k):
-        # the search guarantees 1, 2, 3a and 4
-        if _condition3b(pairs):
-            return matching_to_minor(h, SemiMatching(pairs))
+        return matching_to_minor(h, SemiMatching._from_canonical(pairs))
     return None

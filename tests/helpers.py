@@ -107,6 +107,30 @@ def fs_is_transversal(sets, t) -> bool:
     return all(frozenset(t) & e for e in sets)
 
 
+def brute_semi_matchings(edges) -> list[tuple]:
+    """Every semi-matching, as tuples of (L, S) pairs in size-then-lex order.
+
+    Tries every set of (two-vertex set, edge) candidates against conditions
+    1, 2, 3a and 4 as written, with no index or pruning.  Sets of more than
+    |V| / 2 candidates are skipped: their two-vertex sets cannot be disjoint.
+    """
+    edges = [tuple(sorted(e)) for e in edges]
+    cands = sorted({(l, s) for s in edges for l in itertools.combinations(s, 2)})
+    as_sets = {c: (frozenset(c[0]), frozenset(c[1])) for c in cands}
+    universe = set().union(*edges) if edges else set()
+    out = []
+    for r in range(len(universe) // 2 + 1):
+        for family in itertools.combinations(cands, r):
+            ls, ss = zip(*map(as_sets.get, family)) if family else ((), ())
+            support = frozenset().union(*ss)
+            if (len(frozenset().union(*ls)) == 2 * r
+                    and all(not ls[i] <= ss[j] for i in range(r) for j in range(r) if i != j)
+                    and all(any(l <= set(e) for l in ls)
+                            for e in edges if support.issuperset(e))):
+                out.append(family)
+    return sorted(out, key=lambda f: (len(f), f))
+
+
 def brute_has_matching_minor(edge_sets, k: int) -> bool:
     """Exhaustive search over every keep/delete/contract assignment."""
     edges = [frozenset(e) for e in edge_sets]

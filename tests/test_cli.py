@@ -148,21 +148,11 @@ def test_laws_command(capsys):
     assert out.count(": ok") == 8
 
 
-def test_semimatchings_explicit_count_flag(c6_file, capsys):
-    assert main(["semimatchings", "--count", c6_file]) == 0
-    assert capsys.readouterr().out == "10\n"
-
-
-def test_count_flag_is_deprecated_and_hidden(c6_file, capsys):
-    assert main(["semimatchings", "--count", c6_file]) == 0
+def test_count_flag_is_usage_error(c6_file, capsys):
+    assert main(["semimatchings", "--count", c6_file]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "10\n"
-    assert "deprecated" in captured.err
-    assert main(["semimatchings", c6_file]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["semimatchings", "--help"]) == 0
-    assert "--count" not in capsys.readouterr().out
-    assert main(["semimatchings", "--count", "--list", c6_file]) == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --count" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from clutterkit import (
     Clutter,
     ConflictGraph,
+    MinorWitness,
     ONE,
     ResourceLimitError,
     SemiMatching,
@@ -30,6 +32,7 @@ from clutterkit import (
 from helpers import (
     brute_has_matching_minor,
     brute_minor_contains,
+    brute_semi_matchings,
     random_clutter_sample,
 )
 
@@ -201,6 +204,34 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             enumerate_semi_matchings(kk2(10), budget=50)
+
+    def test_matches_brute_force_and_first_minor_family(self):
+        # the list must equal the unindexed oracle's (content, size-then-lex
+        # order, no duplicates), and the minor search must return the
+        # witness of the first family of k pairs in it that meets 3b
+        rng = random.Random(233)
+        hs = [staircase(n) for n in range(2, 6)]
+        for _ in range(150):
+            hs.append(random_clutter_sample(rng, max_vertices=7, max_edges=6))
+            # edges of one size survive minimalization, giving larger families
+            n = rng.randint(4, 7)
+            r = rng.randint(2, min(4, n))
+            hs.append(Clutter(rng.sample(range(n), r) for _ in range(rng.randint(2, 6))))
+        for h in hs:
+            ref = brute_semi_matchings(h.edges)
+            assert [m.pairs for m in enumerate_semi_matchings(h)] == ref
+            for k in range(4):
+                first = next((f for f in ref if len(f) == k and all(
+                    not set(f[i][0]) & set(f[j][1])
+                    for i in range(k) for j in range(k) if i != j)), None)
+                want = None
+                if first is not None:
+                    support = set().union(*(s for _, s in first))
+                    paired = set().union(*(l for l, _ in first))
+                    want = MinorWitness(tuple(sorted(set(h.vertices) - support)),
+                                        tuple(sorted(support - paired)),
+                                        tuple(l for l, _ in first))
+                assert find_kk2_minor(h, k) == want
 
     def test_blocker_size_bounded_by_count(self):
         rng = random.Random(71)
@@ -569,9 +600,23 @@ class TestFindMatchingMinor:
             find_kk2_minor(staircase(5), 2, node_budget=3)
 
     def test_budget_trips_on_large_staircase(self):
-        # the search needs 18,215 nodes here; 2000 must refuse, not answer
+        # the search needs about 157k steps here (560 candidates, 156,520
+        # pair tests, 561 nodes); 2000 must refuse, not answer
         with pytest.raises(ResourceLimitError):
             find_kk2_minor(staircase(14), 2, node_budget=2000)
+
+    def test_budget_bounds_set_up_memory(self):
+        # one edge of 300 vertices gives 44,850 candidates and about 10**9
+        # candidate pairs: the budget must refuse them before any is built
+        h = Clutter([range(300)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                find_kk2_minor(h, 2, node_budget=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_minor_relation_respects_duality(self):
         def is_blocker_of_pair_matching(k):
