@@ -96,6 +96,8 @@ def verify_bound(
     NotInClassError otherwise) and rank at least 2.  A report with
     within_bound false would indicate an implementation bug.
     """
+    if k < 0:
+        raise ValueError("matching bound must be non-negative")
     if h.is_zero:
         raise ValueError("the bound is undefined for the edgeless clutter")
     witness = find_kk2_minor(h, k + 1, node_budget=node_budget)

@@ -30,6 +30,7 @@ from .generate import kk2, random_clutter, staircase
 from .laws import run_law_suite
 from .matching import (
     MinorWitness,
+    _search_pairs,
     enumerate_semi_matchings,
     extract_minor_matching,
     find_kk2_minor,
@@ -82,12 +83,12 @@ def cmd_minor(args) -> int:
 
 def cmd_semimatchings(args) -> int:
     h = _load_clutter(args.file)
-    matchings = enumerate_semi_matchings(h, budget=args.budget)
     if args.list:
-        for m in matchings:
+        for m in enumerate_semi_matchings(h, budget=args.budget):
             print(format_semi_matching(m))
     else:
-        print(len(matchings))
+        # counted straight off the search: no list is built or sorted
+        print(sum(1 for _ in _search_pairs(h, args.budget, "semi-matching enumeration")))
     return 0
 
 

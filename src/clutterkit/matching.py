@@ -175,13 +175,40 @@ def expansion(
     return out
 
 
-def _condition4(edges, blocks, hosts) -> bool:
-    """Condition 4: every edge inside the union of the hosts contains a pair set."""
-    support = frozenset().union(*hosts)
+def _slot_tables(edges, vertices):
+    """Bit tables for the condition-4 carry test: (low, guard, marks).
+
+    Each edge of two or more vertices, and the empty edge, owns a block of
+    bits: one slot per vertex, then one guard bit.  One-vertex edges own
+    no block.  `low` has the lowest bit of every block and `guard` every
+    guard bit.  For each v in `vertices`, `marks[v]` has, in every block
+    holding v, the slot of v and the guard.  Two vertices never share a
+    slot, so marks[a] & marks[b] is the guards of the edges holding both.
+    The test, and why it is exact, is stated in `_search_pairs`.
+    """
+    lows: list[int] = []
+    tops: list[int] = []
+    at_of: dict[int, list[int]] = {v: [] for v in vertices}
+    at = 0
     for e in edges:
-        if support.issuperset(e) and not any(a in e and b in e for a, b in blocks):
-            return False
-    return True
+        if len(e) == 1:
+            continue
+        top = at + len(e)
+        lows.append(at)
+        tops.append(top)
+        for i, v in enumerate(e, at):
+            if v in at_of:
+                at_of[v] += i, top
+        at = top + 1
+
+    def bits(positions: list[int]) -> int:
+        # one pass over a buffer: OR-ing bits into a growing int is quadratic
+        buf = bytearray(at // 8 + 1)
+        for p in positions:
+            buf[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(buf, "little")
+
+    return bits(lows), bits(tops), {v: bits(p) for v, p in at_of.items()}
 
 
 def _condition3b(pairs: Iterable[Pair]) -> bool:
@@ -200,7 +227,13 @@ def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
         for j, (_, s) in enumerate(prs):
             if i != j and l[0] in s and l[1] in s:
                 return False
-    return _condition4(h.edges, matching.blocks, matching.hosts)
+    support = frozenset().union(*matching.hosts)
+    # an edge that misses every host lies inside their union only if empty
+    low, guard, marks = _slot_tables(
+        [e for e in h.edges if not e or not support.isdisjoint(e)], support)
+    covered = reduce(or_, marks.values(), 0) & ~guard
+    held = reduce(or_, (marks[a] & marks[b] for a, b in matching.blocks), 0)
+    return not (covered + low) & guard & ~held
 
 
 def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
@@ -225,6 +258,29 @@ def _search_pairs(
     matchings of that size are yielded and the search does not descend
     past them.
 
+    Condition 4 is one carry test over the tables of `_slot_tables`.  Let
+    `covered` be the OR of the slots of the hosts' vertices (their marks
+    without the guards), and `held` the OR, over the pair sets L, of the
+    guards of the edges holding L.  The family meets condition 4 exactly
+    when
+
+        (covered + low) & guard & ~held == 0.
+
+    Adding a block's low bit carries into its guard exactly when every
+    slot of the block is set, that is when the edge lies inside the union
+    of the hosts.  `covered` sets no guard bit, so the carry stops at the
+    guard and no block touches another.  So `(covered + low) & guard`
+    holds the guards of exactly the edges inside the union, and the test
+    asks that each of them hold some L.  The empty edge's block is its
+    guard alone, which the addition always sets, so ONE fails.  A
+    one-vertex edge needs no block: h is an antichain, so no other edge,
+    and so no host, holds its vertex, and the edge is never inside the
+    union.  Leaving those edges out keeps the tables O(n^2) bits for n
+    candidates, the order of the compatibility masks.  The tables are
+    built at the first family checked, so a minor search that never
+    reaches minor_size builds none.  Each family then costs one OR per
+    pair and the test.
+
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility is settled, and one per family reached.
     Every step is charged before its work is done, so a clutter whose
@@ -239,15 +295,19 @@ def _search_pairs(
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
     # bitmasks over candidate indices
     of_pair: dict[Edge, int] = {}  # two-vertex set -> candidates with that L
-    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
-    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
+    of_host: dict[Edge, int] = {}  # edge -> candidates with that S
     for i, (l, e) in enumerate(cand):
         bit = 1 << i
         of_pair[l] = of_pair.get(l, 0) | bit
+        of_host[e] = of_host.get(e, 0) | bit
+    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
+    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
+    for l, mask in of_pair.items():
         for v in l:
-            in_l[v] = in_l.get(v, 0) | bit
+            in_l[v] = in_l.get(v, 0) | mask
+    for e, mask in of_host.items():
         for v in e:
-            in_s[v] = in_s.get(v, 0) | bit
+            in_s[v] = in_s.get(v, 0) | mask
     if minor_size is None:
         # 2 and 3a fail when L_i meets L_j or either L lies inside the other's S
         inside = {e: reduce(or_, map(of_pair.get, itertools.combinations(e, 2)), 0)
@@ -263,15 +323,24 @@ def _search_pairs(
     chosen: list[int] = []
     rest: list[int] = []  # rest[d]: untried children of the family chosen[:d]
     kids = full
+    covers = None  # condition-4 tables, built at the first family checked
     while True:
         used += 1
         if used > budget:
             raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
         at_size = len(chosen) == minor_size
         if minor_size is None or at_size:
-            pairs = tuple(cand[i] for i in chosen)
-            if _condition4(edges, [l for l, _ in pairs], [s for _, s in pairs]):
-                yield pairs
+            if covers is None:
+                low, guard, marks = _slot_tables(edges, in_s)
+                of_edge = {e: reduce(or_, map(marks.get, e)) & ~guard for e in of_host}
+                covers = [of_edge[e] for _, e in cand]
+                helds = [marks[a] & marks[b] for (a, b), _ in cand]
+            covered = held = 0
+            for i in chosen:
+                covered |= covers[i]
+                held |= helds[i]
+            if not (covered + low) & guard & ~held:
+                yield tuple(cand[i] for i in chosen)
             if at_size:
                 kids = 0
         while not kids:
@@ -279,10 +348,10 @@ def _search_pairs(
                 return
             chosen.pop()
             kids = rest.pop()
-        low = kids & -kids
-        kids ^= low
+        bit = kids & -kids
+        kids ^= bit
         rest.append(kids)
-        i = low.bit_length() - 1
+        i = bit.bit_length() - 1
         chosen.append(i)
         kids &= later[i]
 

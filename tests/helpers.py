@@ -107,6 +107,19 @@ def fs_is_transversal(sets, t) -> bool:
     return all(frozenset(t) & e for e in sets)
 
 
+def fs_is_semi_matching(edges, pairs) -> bool:
+    """Conditions 1, 2, 3a and 4 as written, over frozensets."""
+    es = {frozenset(e) for e in edges}
+    ls = [frozenset(l) for l, _ in pairs]
+    ss = [frozenset(s) for _, s in pairs]
+    r = len(ls)
+    return (all(len(l) == 2 and l <= s and s in es for l, s in zip(ls, ss))  # 1
+            and len(frozenset().union(*ls)) == 2 * r  # 2
+            and not any(ls[i] <= ss[j] for i in range(r) for j in range(r) if i != j)  # 3a
+            and all(any(l <= e for l in ls)  # 4
+                    for e in es if e <= frozenset().union(*ss)))
+
+
 def brute_semi_matchings(edges) -> list[tuple]:
     """Every semi-matching, as tuples of (L, S) pairs in size-then-lex order.
 

@@ -125,6 +125,14 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             verify_bound(Clutter([[1], [2]]), 1)
 
+    def test_negative_k_rejected_before_the_search(self):
+        # NotInClassError is a ValueError too, so check the exact type
+        for h in (C6, kk2(2), staircase(3)):
+            with pytest.raises(ValueError) as info:
+                verify_bound(h, -1)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "matching bound must be non-negative"
+
     def test_holds_on_random_members(self):
         rng = random.Random(113)
         seen = 0

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clutterkit import ResourceLimitError, enumerate_semi_matchings, serialize_clutter, staircase
 from clutterkit.cli import main
 
 C6_TEXT = "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
@@ -56,6 +60,35 @@ def test_semimatchings_count_and_list(c6_file, capsys):
     assert len(lines) == 10
     assert lines[0] == "-"
     assert "1,2:1,2 ; 4,5:4,5" in lines
+
+
+def test_semimatchings_count_equals_the_list(tmp_path, capsys):
+    for n in range(1, 6):
+        h = staircase(n)
+        p = tmp_path / f"s{n}.clt"
+        p.write_text(serialize_clutter(h))
+        want = len(enumerate_semi_matchings(h))
+        assert main(["semimatchings", str(p)]) == 0
+        assert capsys.readouterr().out == f"{want}\n"
+        # the count trips at the same budget as the list
+        for budget in range(0, 400, 7):
+            try:
+                enumerate_semi_matchings(h, budget=budget)
+                trips = False
+            except ResourceLimitError:
+                trips = True
+            code = main(["semimatchings", "--budget", str(budget), str(p)])
+            assert code == (3 if trips else 0)
+            out, err = capsys.readouterr()
+            assert (out == "") == trips
+            assert ("semi-matching enumeration exceeded" in err) == trips
+
+
+def test_bound_negative_k_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "h.clt"
+    p.write_text("1 2\n2 3\n")
+    assert main(["bound", "--k", "-1", "--verify", str(p)]) == 2
+    assert capsys.readouterr().err == "error: matching bound must be non-negative\n"
 
 
 def test_extract(tmp_path, capsys):
@@ -259,3 +292,78 @@ def test_negative_samples_is_usage_error(capsys):
     assert capsys.readouterr().out == ""
     assert main(["laws", "--samples", "0"]) == 0
     assert capsys.readouterr().out.count(": ok (0 samples)") == 8
+
+
+# Fragments of every input format, so that generated text often gets past
+# the first checks of a parser and reaches the engine.
+_FRAGMENTS = st.sampled_from([
+    "0", "1", "2", "3", "7", "-1", "-2", "1.5", "x", " ", "\n", "\t", "#", "!one",
+    "p cnf ", "p cnf 3 2\n", "c note\n", "%\n", " 0\n", "1 -2 0\n",
+    "2 2\n", "1 1 1\n", "3 2 1 2\n", ",", ":", ";", " ; ", "-", "1,2:1,2,3",
+])
+_INT = st.integers(min_value=-1, max_value=6)
+_ROW = st.lists(_INT, max_size=5).map(lambda row: " ".join(map(str, row)) + "\n")
+_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(_FRAGMENTS, max_size=25).map("".join),
+    st.lists(_ROW, max_size=6).map("".join),  # .clt, cover rows, DIMACS clauses
+    st.tuples(st.sampled_from(["p cnf", ""]), _INT, _INT, st.lists(_ROW, max_size=5))
+    .map(lambda t: f"{t[0]} {t[1]} {t[2]}\n" + "".join(t[3])),  # DIMACS or cover
+    st.lists(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3), max_size=5)
+    .map(lambda cs: f"p cnf 3 {len(cs)}\n" + "".join(" ".join(map(str, c)) + " 0\n"
+                                                    for c in cs)),  # DIMACS
+    st.lists(st.tuples(_INT, st.lists(st.integers(1, 3), max_size=3)), max_size=4)
+    .map(lambda rs: f"3 {len(rs)}\n" + "".join(f"{w} {len(c)} {' '.join(map(str, c))}\n"
+                                                for w, c in rs)),  # cover
+    st.lists(st.tuples(_INT, _INT, st.lists(_INT, max_size=3)), max_size=3)
+    .map(lambda ps: " ; ".join(f"{a},{b}:{','.join(map(str, [a, b, *s]))}"
+                               for a, b, s in ps)),  # semi-matching
+)
+_SMALL = st.integers(min_value=-2, max_value=4).map(str)
+_FLAG = st.booleans()
+
+
+@st.composite
+def _argv(draw, clt: str, other: str):
+    """One subcommand with drawn options; clt and other are input files."""
+    budget = ["--budget", "5000"]
+
+    def flag(name):
+        return [name] if draw(_FLAG) else []
+
+    return draw(st.sampled_from([
+        lambda: ["blocker", *budget, clt],
+        lambda: ["indep", *budget, clt],
+        lambda: ["minor", "--k", draw(_SMALL), *flag("--witness"), *budget, clt],
+        lambda: ["semimatchings", *flag("--list"), *budget, clt],
+        lambda: ["extract", "--matching", other, clt],
+        lambda: ["bound", "--k", draw(_SMALL), *flag("--verify"), *flag("--json"),
+                 *budget, clt],
+        lambda: ["membership", "--r", draw(_SMALL), "--k", draw(_SMALL),
+                 *flag("--json"), *budget, clt],
+        lambda: ["solve-setcover", *flag("--weighted"), *budget, other],
+        lambda: ["solve-sat", *budget, other],
+        lambda: ["gen", "--family", draw(st.sampled_from(["kk2", "staircase", "random"])),
+                 *[a for name in ("--k", "--n", "--m", "--r")
+                   if draw(_FLAG) for a in (name, draw(_SMALL))]],
+        lambda: ["laws", "--samples", draw(st.sampled_from(["0", "1", "-1", "x"])),
+                 "--seed", draw(_SMALL)],
+    ]))()
+
+
+@pytest.mark.filterwarnings("ignore:.*subsumed or duplicate")
+@given(clt_text=_TEXT, other_text=_TEXT, data=st.data())
+@settings(deadline=None, max_examples=400)
+def test_malformed_input_keeps_the_exit_code_contract(tmp_path_factory, clt_text,
+                                                      other_text, data):
+    # every run returns 0, 1, 2 or 3; none raises or prints a traceback
+    d = tmp_path_factory.getbasetemp() / "fuzz"
+    d.mkdir(exist_ok=True)
+    (d / "h.clt").write_text(clt_text)
+    (d / "other.txt").write_text(other_text)
+    argv = data.draw(_argv(str(d / "h.clt"), str(d / "other.txt")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -77,6 +77,24 @@ class TestMatchingFormat:
         m = SemiMatching([((1, 2), (1, 2, 3)), ((4, 5), (4, 5))])
         assert parse_semi_matching(format_semi_matching(m)) == m
 
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                              st.integers(min_value=0, max_value=10**6),
+                              st.frozensets(st.integers(min_value=0, max_value=10**6),
+                                            max_size=4)),
+                    max_size=5, unique_by=(lambda p: p[0], lambda p: p[1])))
+    @settings(deadline=None)
+    def test_roundtrip_hypothesis(self, drawn):
+        paired = {v for a, b, _ in drawn for v in (a, b)}
+        pairs = [((a, b), {a, b} | extra) for a, b, extra in drawn]
+        if len(paired) != 2 * len(pairs):
+            with pytest.raises(ValueError):
+                SemiMatching(pairs)
+            return
+        m = SemiMatching(pairs)
+        text = format_semi_matching(m)
+        assert parse_semi_matching(text) == m
+        assert format_semi_matching(parse_semi_matching(text)) == text
+
     def test_empty(self):
         assert format_semi_matching(SemiMatching()) == "-"
         assert parse_semi_matching("-") == SemiMatching()

@@ -33,6 +33,7 @@ from helpers import (
     brute_has_matching_minor,
     brute_minor_contains,
     brute_semi_matchings,
+    fs_is_semi_matching,
     random_clutter_sample,
 )
 
@@ -137,6 +138,45 @@ class TestSemiMatchingPredicates:
         assert is_semi_matching(ZERO, empty)
         assert is_semi_matching(C6, empty)
         assert not is_semi_matching(ONE, empty)
+
+    def test_matches_frozenset_definition(self):
+        # every family meeting 1, 2 and 3a, so that condition 4 decides, plus
+        # random pair lists with hosts that are not edges and two-vertex sets
+        # that break 1, 2 or 3a; ONE, ZERO and one-vertex edges come from
+        # the sampler
+        rng = random.Random(241)
+        by_4 = {True: 0, False: 0}
+        other = {True: 0, False: 0}
+        for i in range(400):
+            if i % 2:
+                h = random_clutter_sample(rng, max_vertices=7, max_edges=6, max_rank=4)
+            else:  # edges of one size survive minimalization, giving larger families
+                n = rng.randint(4, 7)
+                h = Clutter(rng.sample(range(n), rng.randint(2, 3))
+                            for _ in range(rng.randint(2, 7)))
+            for m in _all_123a_candidates(h):
+                want = fs_is_semi_matching(h.edges, m.pairs)
+                assert is_semi_matching(h, m) == want, (h, m)
+                by_4[want] += 1
+            pool = list(h.vertices) + [98, 99]
+            for _ in range(5):
+                pairs = []
+                for _ in range(rng.randint(1, 3)):
+                    if h.edges and rng.random() < 0.6:
+                        s = list(rng.choice(h.edges))
+                    else:
+                        s = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+                    l = rng.sample(s, 2) if len(s) >= 2 else s + [pool[-1]]
+                    pairs.append((l, s))
+                want = fs_is_semi_matching(h.edges, pairs)
+                try:
+                    m = SemiMatching(pairs)
+                except ValueError:
+                    assert not want  # a structural fault breaks 1 or 2
+                    continue
+                assert is_semi_matching(h, m) == want, (h, m)
+                other[want] += 1
+        assert min(by_4.values()) > 600 and min(other.values()) > 200
 
     def test_condition4_matches_expansion_characterization(self):
         rng = random.Random(61)
@@ -617,6 +657,23 @@ class TestFindMatchingMinor:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_memory_does_not_grow_with_one_vertex_edges(self):
+        # no host holds the vertex of a one-vertex edge, so the condition-4
+        # tables must not grow with them.  The edges are an antichain as
+        # written, and minimalizing 20,003 of them takes Clutter() about 30 s
+        h = Clutter._from_antichain([(i,) for i in range(20_000)]
+                                    + [(20_000 + 2 * i, 20_001 + 2 * i) for i in range(3)])
+        for run, want in ((lambda: len(enumerate_semi_matchings(h)), 8),
+                          (lambda: find_kk2_minor(h, 0) is not None, True)):
+            tracemalloc.start()
+            try:
+                got = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 5 * 10**6
 
     def test_minor_relation_respects_duality(self):
         def is_blocker_of_pair_matching(k):
