@@ -3,11 +3,20 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from typing import Iterator
 
 from .core import Clutter, ONE
 from .errors import ParseError
 from .matching import SemiMatching
 from .reductions import CnfFormula, SetCoverInstance
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text before any '#', stripped) for each non-blank line."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_clutter(text: str) -> Clutter:
@@ -21,10 +30,7 @@ def parse_clutter(text: str) -> Clutter:
     """
     edges: list[list[int]] = []
     one_line: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line == "!one":
             one_line = lineno
             continue
@@ -72,10 +78,7 @@ def parse_semi_matching(text: str) -> SemiMatching:
     """Parse the one-line semi-matching form ('#' comments allowed)."""
     payload = None
     payload_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if payload is not None:
             raise ParseError("a matching document holds a single line", lineno)
         payload, payload_line = line, lineno
@@ -159,11 +162,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_setcover(text: str) -> SetCoverInstance:
     """Parse the cover format: first line 'n m', then m lines of
     '<weight> <size> <e1> ... <esize>' with 1-based elements."""
-    lines = [
-        (lineno, raw.split("#", 1)[0].strip())
-        for lineno, raw in enumerate(text.splitlines(), 1)
-    ]
-    lines = [(lineno, line) for lineno, line in lines if line]
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty cover instance", 1)
     head_no, head = lines[0]

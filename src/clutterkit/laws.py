@@ -22,24 +22,22 @@ class LawResult:
     detail: str | None = None
 
 
-def _sample(rng: random.Random, max_vertices: int, max_edges: int, max_rank: int) -> Clutter:
+MAX_VERTICES = 8
+MAX_EDGES = 6
+MAX_RANK = 4
+
+
+def _sample(rng: random.Random) -> Clutter:
     roll = rng.random()
     if roll < 0.03:
         return ZERO
     if roll < 0.06:
         return ONE
-    n = rng.randint(1, max_vertices)
-    return random_clutter(n, rng.randint(1, max_edges), max_rank, rng.getrandbits(32))
+    n = rng.randint(1, MAX_VERTICES)
+    return random_clutter(n, rng.randint(1, MAX_EDGES), MAX_RANK, rng.getrandbits(32))
 
 
-def run_law_suite(
-    samples: int = 500,
-    seed: int = 0,
-    *,
-    max_vertices: int = 8,
-    max_edges: int = 6,
-    max_rank: int = 4,
-) -> list[LawResult]:
+def run_law_suite(samples: int = 500, seed: int = 0) -> list[LawResult]:
     """Run every law on `samples` random inputs; one result per law."""
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
@@ -64,11 +62,11 @@ def run_law_suite(
         failures[names[3]] = "blocker of the edgeless clutter is not the unit"
 
     for _ in range(samples):
-        f = _sample(rng, max_vertices, max_edges, max_rank)
-        g = _sample(rng, max_vertices, max_edges, max_rank)
-        h = _sample(rng, max_vertices, max_edges, max_rank)
-        u, v = rng.sample(range(1, max_vertices + 3), 2)
-        pool = list(range(1, max_vertices + 3))
+        f = _sample(rng)
+        g = _sample(rng)
+        h = _sample(rng)
+        u, v = rng.sample(range(1, MAX_VERTICES + 3), 2)
+        pool = list(range(1, MAX_VERTICES + 3))
         rng.shuffle(pool)
         cut = rng.randint(0, 3)
         s, t = pool[:cut], pool[cut : cut + rng.randint(0, 3)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Clutter, Edge, ZERO, _Value
 from .errors import ResourceLimitError
@@ -175,20 +175,49 @@ def expansion(
     return out
 
 
-def _slot_tables(edges, vertices):
-    """Bit tables for the condition-4 carry test: (low, guard, marks).
-
-    Each edge of two or more vertices, and the empty edge, owns a block of
-    bits: one slot per vertex, then one guard bit.  One-vertex edges own
-    no block.  `low` has the lowest bit of every block and `guard` every
-    guard bit.  For each v in `vertices`, `marks[v]` has, in every block
-    holding v, the slot of v and the guard.  Two vertices never share a
-    slot, so marks[a] & marks[b] is the guards of the edges holding both.
-    The test, and why it is exact, is stated in `_search_pairs`.
+def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
+    """For each candidate (L, S), the bitmask over candidate indices of
+    those that break conditions 2 or 3a with it or, when `minor` is set,
+    3b (L_i meets S_j or L_j meets S_i, which implies 2 and 3a).  Each
+    mask holds its own candidate's bit.
     """
+    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
+    of_host: dict[Edge, int] = {}  # edge -> candidates with that S
+    for i, ((a, b), e) in enumerate(cand):
+        bit = 1 << i
+        in_l[a] = in_l.get(a, 0) | bit
+        in_l[b] = in_l.get(b, 0) | bit
+        of_host[e] = of_host.get(e, 0) | bit
+    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
+    meets: dict[Edge, int] = {}  # edge -> candidates whose L meets it
+    inside: dict[Edge, int] = {}  # edge -> candidates whose L lies inside it
+    for e, mask in of_host.items():
+        once = twice = 0
+        for v in e:
+            in_s[v] = in_s.get(v, 0) | mask
+            m = in_l.get(v, 0)
+            twice |= once & m
+            once |= m
+        meets[e], inside[e] = once, twice
+    if minor:  # 3b fails when L_i meets S_j or L_j meets S_i
+        return [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
+    # 2 fails when L_i meets L_j, and 3a when either L lies inside the other's S
+    return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
+
+
+def _cover_tables(edges: Iterable[Edge], cand: Sequence[Pair]):
+    """Bit tables for the condition-4 carry test: (low, guard, covers, helds).
+
+    Each of `edges` but the one-vertex ones owns a block of bits: one slot
+    per vertex, then a guard bit.  `low` has the lowest bit of every block
+    and `guard` every guard bit.  For each candidate (L, S), `covers` has
+    the slots of the vertices of S and `helds` the guards of the edges
+    holding L.  `_search_pairs` states the test and why it is exact.
+    """
+    hosts = dict.fromkeys(e for _, e in cand)
+    at_of: dict[int, list[int]] = {v: [] for e in hosts for v in e}
     lows: list[int] = []
     tops: list[int] = []
-    at_of: dict[int, list[int]] = {v: [] for v in vertices}
     at = 0
     for e in edges:
         if len(e) == 1:
@@ -208,37 +237,36 @@ def _slot_tables(edges, vertices):
             buf[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(buf, "little")
 
-    return bits(lows), bits(tops), {v: bits(p) for v, p in at_of.items()}
+    guard = bits(tops)
+    # a vertex's mark has its slot and the guard in every block holding it,
+    # so marks[a] & marks[b] is the guards of the edges holding both
+    marks = {v: bits(p) for v, p in at_of.items()}
+    of_host = {e: reduce(or_, map(marks.get, e)) & ~guard for e in hosts}
+    return (bits(lows), guard, [of_host[e] for _, e in cand],
+            [marks[a] & marks[b] for (a, b), _ in cand])
 
 
-def _condition3b(pairs: Iterable[Pair]) -> bool:
-    """Condition 3b, given 1 and 2: each host meets the pair sets only in its own."""
-    paired = {v for l, _ in pairs for v in l}
-    return all(len(paired.intersection(s)) == 2 for _, s in pairs)
+def _meets_conditions(h: Clutter, matching: SemiMatching, minor: bool) -> bool:
+    """Conditions 1, 2, 3a and 4 or, when `minor` is set, 1, 3b and 4."""
+    support = frozenset().union(*matching.hosts)
+    # the edges inside the union of the hosts: all that condition 4 reads,
+    # and every host that is an edge (|L| = 2 and L <= S hold structurally)
+    inside = [e for e in h.edges if support.issuperset(e)]
+    if not set(matching.hosts) <= set(inside) or any(
+            c != 1 << i for i, c in enumerate(_clash_masks(matching.pairs, minor))):
+        return False
+    low, guard, covers, helds = _cover_tables(inside, matching.pairs)
+    return not (reduce(or_, covers, 0) + low) & guard & ~reduce(or_, helds, 0)
 
 
 def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
     """Check conditions 1, 2, 3a and 4 against h (2 holds structurally)."""
-    prs = matching.pairs
-    edge_index = set(h.edges)
-    if any(s not in edge_index for _, s in prs):
-        return False
-    for i, (l, _) in enumerate(prs):
-        for j, (_, s) in enumerate(prs):
-            if i != j and l[0] in s and l[1] in s:
-                return False
-    support = frozenset().union(*matching.hosts)
-    # an edge that misses every host lies inside their union only if empty
-    low, guard, marks = _slot_tables(
-        [e for e in h.edges if not e or not support.isdisjoint(e)], support)
-    covered = reduce(or_, marks.values(), 0) & ~guard
-    held = reduce(or_, (marks[a] & marks[b] for a, b in matching.blocks), 0)
-    return not (covered + low) & guard & ~held
+    return _meets_conditions(h, matching, False)
 
 
 def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
     """A semi-matching whose two-vertex sets avoid all other hosts (3b)."""
-    return is_semi_matching(h, matching) and _condition3b(matching.pairs)
+    return _meets_conditions(h, matching, True)
 
 
 def _search_pairs(
@@ -248,21 +276,20 @@ def _search_pairs(
 
     The candidates are (L, S) for every two-vertex subset L of every edge
     S, in sorted order.  Each candidate holds a bitmask of the later
-    candidates compatible with it: those that keep conditions 2 and 3a
-    with it or, when minor_size is given, meet 3b both ways (L_i misses
-    S_j and L_j misses S_i, which implies 2 and 3a).  A family grows only
-    by candidates in the AND of its members' masks, taken in index order,
-    so families are reached in depth-first preorder, which within one size
-    is lexicographic.  Each family reached is yielded when it also
-    satisfies condition 4.  With minor_size given, only the expanded minor
-    matchings of that size are yielded and the search does not descend
-    past them.
+    candidates compatible with it: those outside its `_clash_masks` mask
+    for conditions 2 and 3a or, when minor_size is given, for 3b.  A
+    family grows only by candidates in the AND of its members' masks,
+    taken in index order, so families are reached in depth-first preorder,
+    which within one size is lexicographic.  Each family reached is yielded
+    when it also satisfies condition 4.  With minor_size given, only the
+    expanded minor matchings of that size are yielded and the search does
+    not descend past them.
 
-    Condition 4 is one carry test over the tables of `_slot_tables`.  Let
-    `covered` be the OR of the slots of the hosts' vertices (their marks
-    without the guards), and `held` the OR, over the pair sets L, of the
-    guards of the edges holding L.  The family meets condition 4 exactly
-    when
+    Condition 4 is one carry test over the tables of `_cover_tables`.
+    Let `covered` be the OR of the `covers` of the family's candidates,
+    the slots of the hosts' vertices, and `held` the OR of their `helds`,
+    the guards of the edges holding some L.  The family meets condition 4
+    exactly when
 
         (covered + low) & guard & ~held == 0.
 
@@ -293,30 +320,7 @@ def _search_pairs(
     if used > budget:
         raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
-    # bitmasks over candidate indices
-    of_pair: dict[Edge, int] = {}  # two-vertex set -> candidates with that L
-    of_host: dict[Edge, int] = {}  # edge -> candidates with that S
-    for i, (l, e) in enumerate(cand):
-        bit = 1 << i
-        of_pair[l] = of_pair.get(l, 0) | bit
-        of_host[e] = of_host.get(e, 0) | bit
-    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
-    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
-    for l, mask in of_pair.items():
-        for v in l:
-            in_l[v] = in_l.get(v, 0) | mask
-    for e, mask in of_host.items():
-        for v in e:
-            in_s[v] = in_s.get(v, 0) | mask
-    if minor_size is None:
-        # 2 and 3a fail when L_i meets L_j or either L lies inside the other's S
-        inside = {e: reduce(or_, map(of_pair.get, itertools.combinations(e, 2)), 0)
-                  for e in edges}
-        clash = [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
-    else:
-        # 3b fails when L_i meets S_j or L_j meets S_i
-        meets = {e: reduce(or_, (in_l.get(v, 0) for v in e), 0) for e in edges}
-        clash = [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
+    clash = _clash_masks(cand, minor_size is not None)
     full = (1 << n) - 1
     later = [(full ^ c) >> (i + 1) << (i + 1) for i, c in enumerate(clash)]
 
@@ -331,10 +335,7 @@ def _search_pairs(
         at_size = len(chosen) == minor_size
         if minor_size is None or at_size:
             if covers is None:
-                low, guard, marks = _slot_tables(edges, in_s)
-                of_edge = {e: reduce(or_, map(marks.get, e)) & ~guard for e in of_host}
-                covers = [of_edge[e] for _, e in cand]
-                helds = [marks[a] & marks[b] for (a, b), _ in cand]
+                low, guard, covers, helds = _cover_tables(edges, cand)
             covered = held = 0
             for i in chosen:
                 covered |= covers[i]
@@ -415,19 +416,18 @@ def extend_semi_matching(
 def build_conflict_graph(matching: SemiMatching) -> ConflictGraph:
     """Graph on pair indices; assumes the matching satisfies 1, 2 and 3a.
 
-    For hosts of size at most r the graph has at most (r-2) * n edges,
-    since each host has at most r-2 vertices outside its own pair and the
-    two-vertex sets are disjoint.
+    Its edges are the pairs that break 3b: under 3a a host meets another
+    pair's two-vertex set in one vertex or none.  For hosts of size at
+    most r there are at most (r-2) * n edges, since each host has at most
+    r-2 vertices outside its own pair and the two-vertex sets are disjoint.
     """
-    prs = matching.pairs
-    lsets = [frozenset(l) for l, _ in prs]
-    ssets = [frozenset(s) for _, s in prs]
     edges = []
-    for i in range(len(prs)):
-        for j in range(i + 1, len(prs)):
-            if len(ssets[i] & lsets[j]) == 1 or len(ssets[j] & lsets[i]) == 1:
-                edges.append((i, j))
-    return ConflictGraph(len(prs), tuple(edges))
+    for i, c in enumerate(_clash_masks(matching.pairs, True)):
+        c >>= i + 1
+        while c:
+            edges.append((i, i + (c & -c).bit_length()))
+            c &= c - 1
+    return ConflictGraph(len(matching), tuple(edges))
 
 
 def greedy_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
@@ -506,11 +506,14 @@ def matching_to_minor(h: Clutter, matching: SemiMatching) -> MinorWitness:
     """
     if not is_expanded_minor_matching(h, matching):
         raise ValueError("input is not an expanded minor matching of the given clutter")
-    union_l = set().union(*matching.blocks)
-    union_s = set().union(*matching.hosts)
-    delete = tuple(sorted(set(h.vertices) - union_s))
-    contract = tuple(sorted(union_s - union_l))
-    return MinorWitness(delete, contract, matching.blocks)
+    return _witness(h, matching)
+
+
+def _witness(h: Clutter, matching: SemiMatching) -> MinorWitness:
+    """The witness of matching_to_minor, for an expanded minor matching of h."""
+    support = set().union(*matching.hosts)
+    return MinorWitness(tuple(sorted(set(h.vertices) - support)),
+                        tuple(sorted(support.difference(*matching.blocks))), matching.blocks)
 
 
 def is_k_matching(h: Clutter, k: int) -> bool:
@@ -550,5 +553,5 @@ def find_kk2_minor(
     if k < 0:
         raise ValueError("matching size must be non-negative")
     for pairs in _search_pairs(h, node_budget, "matching-minor search", k):
-        return matching_to_minor(h, SemiMatching._from_canonical(pairs))
+        return _witness(h, SemiMatching._from_canonical(pairs))
     return None

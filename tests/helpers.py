@@ -120,6 +120,29 @@ def fs_is_semi_matching(edges, pairs) -> bool:
                     for e in es if e <= frozenset().union(*ss)))
 
 
+def fs_is_expanded_minor_matching(edges, pairs) -> bool:
+    """fs_is_semi_matching plus condition 3b as written, over frozensets."""
+    ls = [frozenset(l) for l, _ in pairs]
+    ss = [frozenset(s) for _, s in pairs]
+    return (fs_is_semi_matching(edges, pairs)
+            and not any(ls[i] & ss[j] for i in range(len(ls)) for j in range(len(ls))
+                        if i != j))  # 3b
+
+
+def fs_conflict_edges(pairs) -> tuple[tuple[int, int], ...]:
+    """Conflict-graph edges by the frozenset loop: i < j conflict when one
+    host meets the other pair's two-vertex set in exactly one vertex."""
+    prs = tuple(pairs)
+    lsets = [frozenset(l) for l, _ in prs]
+    ssets = [frozenset(s) for _, s in prs]
+    edges = []
+    for i in range(len(prs)):
+        for j in range(i + 1, len(prs)):
+            if len(ssets[i] & lsets[j]) == 1 or len(ssets[j] & lsets[i]) == 1:
+                edges.append((i, j))
+    return tuple(edges)
+
+
 def brute_semi_matchings(edges) -> list[tuple]:
     """Every semi-matching, as tuples of (L, S) pairs in size-then-lex order.
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from helpers import (
     brute_has_matching_minor,
     brute_minor_contains,
     brute_semi_matchings,
+    fs_conflict_edges,
+    fs_is_expanded_minor_matching,
     fs_is_semi_matching,
     random_clutter_sample,
 )
@@ -143,10 +146,20 @@ class TestSemiMatchingPredicates:
         # every family meeting 1, 2 and 3a, so that condition 4 decides, plus
         # random pair lists with hosts that are not edges and two-vertex sets
         # that break 1, 2 or 3a; ONE, ZERO and one-vertex edges come from
-        # the sampler
+        # the sampler.  The expanded-minor check must agree with 3b added
         rng = random.Random(241)
         by_4 = {True: 0, False: 0}
         other = {True: 0, False: 0}
+        expanded = {True: 0, False: 0}
+
+        def check(h, m):
+            want = fs_is_semi_matching(h.edges, m.pairs)
+            assert is_semi_matching(h, m) == want, (h, m)
+            want_3b = fs_is_expanded_minor_matching(h.edges, m.pairs)
+            assert is_expanded_minor_matching(h, m) == want_3b, (h, m)
+            expanded[want_3b] += 1
+            return want
+
         for i in range(400):
             if i % 2:
                 h = random_clutter_sample(rng, max_vertices=7, max_edges=6, max_rank=4)
@@ -155,9 +168,7 @@ class TestSemiMatchingPredicates:
                 h = Clutter(rng.sample(range(n), rng.randint(2, 3))
                             for _ in range(rng.randint(2, 7)))
             for m in _all_123a_candidates(h):
-                want = fs_is_semi_matching(h.edges, m.pairs)
-                assert is_semi_matching(h, m) == want, (h, m)
-                by_4[want] += 1
+                by_4[check(h, m)] += 1
             pool = list(h.vertices) + [98, 99]
             for _ in range(5):
                 pairs = []
@@ -174,9 +185,19 @@ class TestSemiMatchingPredicates:
                 except ValueError:
                     assert not want  # a structural fault breaks 1 or 2
                     continue
-                assert is_semi_matching(h, m) == want, (h, m)
+                assert check(h, m) == want
                 other[want] += 1
         assert min(by_4.values()) > 600 and min(other.values()) > 200
+        assert min(expanded.values()) > 600
+
+    def test_eight_thousand_pairs_are_checked_within_two_seconds(self):
+        # every pair of kk2(8000) as its own host: a check that compares every
+        # pair with every other takes many seconds here
+        h = kk2(8000)
+        m = pairs_of(h)
+        start = time.perf_counter()
+        assert is_semi_matching(h, m) and is_expanded_minor_matching(h, m)
+        assert time.perf_counter() - start < 2
 
     def test_condition4_matches_expansion_characterization(self):
         rng = random.Random(61)
@@ -425,6 +446,24 @@ class TestConflictGraph:
     def test_singleton(self):
         g = build_conflict_graph(SemiMatching([((1, 2), (1, 2))]))
         assert g.n == 1 and g.edges == ()
+
+    def test_matches_frozenset_loop(self):
+        # on semi-matchings, where 3a holds, meeting another pair's set is
+        # meeting it in exactly one vertex
+        rng = random.Random(251)
+        checked = with_edges = 0
+        for i in range(200):
+            if i % 2:
+                h = random_clutter_sample(rng, max_vertices=8, max_edges=6)
+            else:
+                n = rng.randint(5, 9)
+                h = Clutter(rng.sample(range(n), 3) for _ in range(rng.randint(2, 6)))
+            for m in enumerate_semi_matchings(h):
+                g = build_conflict_graph(m)
+                assert (g.n, g.edges) == (len(m), fs_conflict_edges(m.pairs)), m
+                checked += 1
+                with_edges += bool(g.edges)
+        assert checked > 2000 and with_edges > 1000
 
     def test_edge_count_bound(self):
         rng = random.Random(83)
