@@ -140,14 +140,9 @@ def _command_oracle(cmd: str) -> MonotoneOracle:
 
 def cmd_solve_setcover(args) -> int:
     inst = parse_setcover(_read_text(args.file))
-    if args.oracle_cmd:
-        cover, cost = solve_setcover(
-            inst, "oracle", oracle=_command_oracle(args.oracle_cmd), edge_budget=args.budget
-        )
-    elif args.weighted:
-        cover, cost = solve_setcover(inst, "weighted", edge_budget=args.budget)
-    else:
-        cover, cost = solve_setcover(inst, "cardinality", edge_budget=args.budget)
+    objective = "oracle" if args.oracle_cmd else "weighted" if args.weighted else "cardinality"
+    oracle = _command_oracle(args.oracle_cmd) if args.oracle_cmd else None
+    cover, cost = solve_setcover(inst, objective, oracle=oracle, edge_budget=args.budget)
     print("cover:", " ".join(map(str, cover)))
     print("cost:", cost)
     return 0

@@ -21,6 +21,7 @@ union of the S_i does not collapse to ONE.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -435,16 +436,30 @@ def greedy_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
 
     Repeatedly takes a surviving vertex of minimum remaining degree
     (smallest index on ties) and discards its neighbors, which yields at
-    least ceil(n^2 / (2m + n)) vertices.
+    least ceil(n^2 / (2m + n)) vertices (Caro-Wei).  The minimum comes
+    off a lazy heap of (remaining degree, vertex): a discarded neighbor
+    lowers the degree of its survivors, which pushes fresh entries.
+    Degrees only fall, so a vertex's stale entries pop after its fresh
+    one, when the vertex is gone; entries of gone vertices are skipped.
     """
     adj = graph.neighbor_map()
+    degree = {v: len(ns) for v, ns in adj.items()}
+    heap = [(d, v) for v, d in degree.items()]
+    heapq.heapify(heap)
     alive = set(range(graph.n))
     chosen: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if v not in alive:
+            continue
         chosen.append(v)
+        gone = adj[v] & alive
         alive.discard(v)
-        alive -= adj[v]
+        alive -= gone
+        for w in gone:
+            for u in adj[w] & alive:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     return tuple(sorted(chosen))
 
 
@@ -454,47 +469,45 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
     input size and r the rank of h.
 
     The construction takes a greedy independent set of the conflict graph
-    and then picks one vertex from each leftover pair by maximizing, with
-    exact rational arithmetic, the expected number of independent pairs
-    whose hosts avoid every picked vertex (ties broken toward the smaller
-    vertex).  Surviving pairs keep their original hosts.  When the rank is
-    two the conflict graph is edgeless and the input survives whole.
+    and then picks one vertex from each leftover pair, in pair order, by
+    the method of conditional expectations, with exact rational
+    arithmetic.  odds[i] is the chance that the host of independent pair i
+    avoids every pick when each leftover pair not yet fixed picks one of
+    its two vertices at random.  By 3a a leftover pair meets a foreign
+    host in at most one vertex, so odds[i] starts at 1/2 per leftover pair
+    meeting host i.  Fixing a leftover pair (lo, hi) to lo zeroes the odds
+    of the hosts holding lo and doubles those of the hosts holding hi, so
+    the expected number of survivors under lo minus that under hi is twice
+    (sum of odds over hosts holding hi) - (sum over hosts holding lo).  The
+    pair picks lo exactly when that difference is non-negative, which
+    maximizes the expectation with ties broken toward the smaller vertex.
+    The independent pairs whose odds end non-zero survive and keep their
+    original hosts.  When the rank is two the conflict graph is edgeless
+    and the input survives whole.
     """
     if not is_semi_matching(h, matching):
         raise ValueError("input is not a semi-matching of the given clutter")
     prs = matching.pairs
-    if not prs:
-        return matching
     stable = greedy_independent_set(build_conflict_graph(matching))
-    outside = [j for j in range(len(prs)) if j not in stable]
-    s_of = {i: frozenset(prs[i][1]) for i in stable}
-    if not outside:
-        return SemiMatching(prs)
-    l_of = {j: prs[j][0] for j in outside}
-
-    def expected(fixed: dict[int, int]) -> Fraction:
-        total = Fraction(0)
-        for i in stable:
-            si = s_of[i]
-            p = Fraction(1)
-            for j in outside:
-                v = fixed.get(j)
-                if v is not None:
-                    if v in si:
-                        p = Fraction(0)
-                        break
-                else:
-                    p *= Fraction(len(set(l_of[j]) - si), 2)
-            total += p
-        return total
-
-    fixed: dict[int, int] = {}
-    for j in outside:
-        lo, hi = l_of[j]
-        fixed[j] = lo if expected(fixed | {j: lo}) >= expected(fixed | {j: hi}) else hi
-    picked = set(fixed.values())
-    keep = [i for i in stable if not (picked & s_of[i])]
-    return SemiMatching(prs[i] for i in keep)
+    holders: dict[int, list[int]] = {}
+    for i in stable:
+        for v in prs[i][1]:
+            holders.setdefault(v, []).append(i)
+    odds = {i: Fraction(1) for i in stable}
+    leftover = [l for j, (l, _) in enumerate(prs) if j not in odds]
+    for l in leftover:
+        for v in l:
+            for i in holders.get(v, ()):
+                odds[i] /= 2
+    for lo, hi in leftover:
+        picked, other = holders.get(lo, ()), holders.get(hi, ())
+        if sum(odds[i] for i in other) < sum(odds[i] for i in picked):
+            picked, other = other, picked
+        for i in picked:
+            odds[i] = Fraction(0)
+        for i in other:
+            odds[i] *= 2
+    return SemiMatching._from_canonical(tuple(prs[i] for i in stable if odds[i]))
 
 
 def matching_to_minor(h: Clutter, matching: SemiMatching) -> MinorWitness:

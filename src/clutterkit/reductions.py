@@ -169,25 +169,19 @@ def solve_setcover(
         if not isinstance(oracle, MonotoneOracle):
             oracle = MonotoneOracle(oracle)
 
-    covers = blocker(setcover_to_clutter(inst), edge_budget=edge_budget)
-    if objective == "oracle":
+    covers = blocker(setcover_to_clutter(inst), edge_budget=edge_budget).edges
+    if objective == "cardinality":
+        costs = [len(t) for t in covers]
+    elif objective == "weighted":
+        costs = [sum((inst.weights[i] for i in t), Fraction(0)) for t in covers]
+    else:
         name_sets = [frozenset(inst.name_of(i) for i in t) for t in covers]
         oracle.spot_check(name_sets, random.Random(0))
-
-    best: tuple[int, ...] | None = None
-    best_cost = None
-    for t in covers:
-        if objective == "cardinality":
-            cost = len(t)
-        elif objective == "weighted":
-            cost = sum((inst.weights[i] for i in t), Fraction(0))
-        else:
-            cost = oracle(frozenset(inst.name_of(i) for i in t))
-        if best_cost is None or cost < best_cost:
-            best, best_cost = t, cost
-    if best is None:
-        raise InfeasibleInstanceError("instance has no cover")
-    return tuple(sorted(inst.name_of(i) for i in best)), best_cost
+        costs = [oracle(names) for names in name_sets]
+    # every element is covered, so covers holds at least one set; min keeps
+    # the first of equal costs
+    best = min(range(len(covers)), key=costs.__getitem__)
+    return tuple(sorted(inst.name_of(i) for i in covers[best])), costs[best]
 
 
 def _literal_vertex(lit: int) -> int:

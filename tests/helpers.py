@@ -251,3 +251,95 @@ def random_cover_instance(rng: random.Random, max_elements=12, max_sets=10,
             sets[rng.randrange(m)].add(u)
     weights = tuple(Fraction(rng.randint(1, max_weight)) for _ in range(m))
     return SetCoverInstance(n, tuple(frozenset(s) for s in sets), weights)
+
+
+def quadratic_greedy_independent_set(graph) -> tuple[int, ...]:
+    """Min-degree greedy by a full scan of the survivors each round: the
+    earlier greedy_independent_set, kept as its reference."""
+    adj = graph.neighbor_map()
+    alive = set(range(graph.n))
+    chosen: list[int] = []
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        chosen.append(v)
+        alive.discard(v)
+        alive -= adj[v]
+    return tuple(sorted(chosen))
+
+
+def recomputed_extract_minor_matching(h, matching):
+    """The earlier extract_minor_matching, kept as its reference: it
+    recomputes the whole conditional expectation for both choices of
+    every leftover pair.  It uses the package's validator and conflict
+    graph, which have their own differential tests."""
+    from clutterkit import SemiMatching, build_conflict_graph, is_semi_matching
+
+    if not is_semi_matching(h, matching):
+        raise ValueError("input is not a semi-matching of the given clutter")
+    prs = matching.pairs
+    if not prs:
+        return matching
+    stable = quadratic_greedy_independent_set(build_conflict_graph(matching))
+    outside = [j for j in range(len(prs)) if j not in stable]
+    s_of = {i: frozenset(prs[i][1]) for i in stable}
+    if not outside:
+        return SemiMatching(prs)
+    l_of = {j: prs[j][0] for j in outside}
+
+    def expected(fixed: dict[int, int]) -> Fraction:
+        total = Fraction(0)
+        for i in stable:
+            si = s_of[i]
+            p = Fraction(1)
+            for j in outside:
+                v = fixed.get(j)
+                if v is not None:
+                    if v in si:
+                        p = Fraction(0)
+                        break
+                else:
+                    p *= Fraction(len(set(l_of[j]) - si), 2)
+            total += p
+        return total
+
+    fixed: dict[int, int] = {}
+    for j in outside:
+        lo, hi = l_of[j]
+        fixed[j] = lo if expected(fixed | {j: lo}) >= expected(fixed | {j: hi}) else hi
+    picked = set(fixed.values())
+    keep = [i for i in stable if not (picked & s_of[i])]
+    return SemiMatching(prs[i] for i in keep)
+
+
+def ring_semi_matching(n: int):
+    """A rank-3 ring of n pairs and its clutter of hosts: pair i is
+    {3i, 3i+1} and its host adds 3((i+1) mod n), the low vertex of the
+    next pair, so the conflict graph is a cycle."""
+    from clutterkit import SemiMatching
+
+    hosts = [(3 * i, 3 * i + 1, 3 * ((i + 1) % n)) for i in range(n)]
+    return Clutter(hosts), SemiMatching((h[:2], h) for h in hosts)
+
+
+def random_tangled_semi_matching(rng: random.Random, max_pairs=9, max_fresh=4):
+    """A random semi-matching of its own clutter of hosts, built to leave
+    pairs over after the greedy independent set.
+
+    Each host is its pair plus at most one vertex of each of some other
+    pairs (so 3a holds) plus a few vertices in no pair.  No host lies
+    inside another, and the clutter's edges are the hosts, so conditions
+    1 and 4 hold too.
+    """
+    from clutterkit import SemiMatching
+
+    n = rng.randint(2, max_pairs)
+    labels = rng.sample(range(2 * n + max_fresh), 2 * n + max_fresh)
+    pairs = [tuple(labels[2 * i:2 * i + 2]) for i in range(n)]
+    fresh = labels[2 * n:]
+    hosts = []
+    for i, l in enumerate(pairs):
+        others = [p for j, p in enumerate(pairs) if j != i]
+        touched = rng.sample(others, rng.randint(0, min(3, len(others))))
+        extra = rng.sample(fresh, rng.randint(0, 2))
+        hosts.append(tuple(sorted({*l, *extra, *(rng.choice(p) for p in touched)})))
+    return Clutter(hosts), SemiMatching(zip(pairs, hosts))

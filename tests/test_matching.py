@@ -37,7 +37,11 @@ from helpers import (
     fs_conflict_edges,
     fs_is_expanded_minor_matching,
     fs_is_semi_matching,
+    quadratic_greedy_independent_set,
     random_clutter_sample,
+    random_tangled_semi_matching,
+    recomputed_extract_minor_matching,
+    ring_semi_matching,
 )
 
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
@@ -502,6 +506,16 @@ class TestGreedyIndependentSet:
                 (a, b) not in eset for a in got for b in got if a < b
             )
 
+    def test_matches_the_quadratic_scan(self):
+        rng = random.Random(211)
+        for _ in range(5000):
+            n = rng.randint(0, 14)
+            density = rng.random()
+            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < density)
+            graph = ConflictGraph(n, edges)
+            assert greedy_independent_set(graph) == quadratic_greedy_independent_set(graph)
+
 
 class TestExtract:
     def test_rank_two_returns_input(self):
@@ -538,6 +552,49 @@ class TestExtract:
                     assert len(out) >= need
                     if r == 2:
                         assert out == m
+
+    def test_matches_the_recomputed_expectation_on_rings(self):
+        for n in range(2, 61):
+            h, m = ring_semi_matching(n)
+            assert extract_minor_matching(h, m) == recomputed_extract_minor_matching(h, m)
+
+    def test_matches_the_recomputed_expectation_on_staircases(self):
+        # every semi-matching of staircase(2..7), and a seeded sample of the
+        # 40,742 of staircase(8); most leave two or more pairs over
+        rng = random.Random(223)
+        for n in range(2, 9):
+            h = staircase(n)
+            ms = enumerate_semi_matchings(h)
+            for m in ms if n < 8 else rng.sample(ms, 2000):
+                assert extract_minor_matching(h, m) == recomputed_extract_minor_matching(h, m)
+
+    def test_matches_the_recomputed_expectation_with_pairs_left_over(self):
+        rng = random.Random(227)
+        left_over = 0
+        for _ in range(800):
+            h, m = random_tangled_semi_matching(rng)
+            assert extract_minor_matching(h, m) == recomputed_extract_minor_matching(h, m)
+            stable = greedy_independent_set(build_conflict_graph(m))
+            left_over += len(m) - len(stable) >= 2
+        assert left_over >= 500
+
+    def test_two_thousand_pair_ring_within_one_second(self):
+        # recomputing the expectation per leftover pair took 35 s on 400 pairs
+        h, m = ring_semi_matching(2000)
+        start = time.perf_counter()
+        out = extract_minor_matching(h, m)
+        assert time.perf_counter() - start < 1
+        assert len(out) >= math.ceil(Fraction(2000, 6))  # n / f(3)
+
+    def test_eight_thousand_pairs_extract_within_four_seconds(self):
+        # every pair of kk2(8000) as its own host: the conflict graph is
+        # edgeless, and a greedy that rescans the survivors each round is
+        # quadratic in the pairs
+        h = kk2(8000)
+        m = pairs_of(h)
+        start = time.perf_counter()
+        assert extract_minor_matching(h, m) == m
+        assert time.perf_counter() - start < 4
 
 
 class TestDerandomizedChoice:

@@ -132,6 +132,27 @@ class TestSolveSetCover:
                 covered |= inst.sets[i]
             assert covered >= set(range(1, inst.universe_size + 1))
 
+    def test_ties_go_to_the_first_blocker_set(self):
+        rng = random.Random(139)
+        half = lambda t: len(t) // 2  # monotone, with many ties
+        tied = 0
+        for _ in range(150):
+            drawn = random_cover_instance(rng, max_elements=8, max_sets=7, max_weight=2)
+            inst = SetCoverInstance(drawn.universe_size, drawn.sets, drawn.weights,
+                                    names=tuple(f"s{i}" for i in range(len(drawn.sets))))
+            covers = blocker(setcover_to_clutter(inst)).edges
+            for objective, cost_of, oracle in (
+                ("cardinality", len, None),
+                ("weighted", lambda t: sum(inst.weights[i] for i in t), None),
+                ("oracle", half, half),
+            ):
+                costs = [cost_of(t) for t in covers]
+                first = costs.index(min(costs))
+                want = (tuple(sorted(inst.name_of(i) for i in covers[first])), costs[first])
+                assert solve_setcover(inst, objective, oracle=oracle) == want
+                tied += costs.count(costs[first]) > 1
+        assert tied > 100
+
     def test_monotonicity_spot_check_warns(self):
         bad = MonotoneOracle(lambda s: -len(s))
         with warnings.catch_warnings(record=True) as caught:
