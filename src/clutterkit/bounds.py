@@ -11,38 +11,49 @@ set) and are rejected with a domain error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker
-from .core import Clutter
+from .core import Clutter, _Value
 from .errors import NotInClassError
 from .matching import DEFAULT_NODE_BUDGET, find_kk2_minor
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(_Value):
     """Parameters of the bound: edge count, rank bound r, matching bound k."""
+
+    __slots__ = ("edge_count", "r", "k")
 
     edge_count: int
     r: int
     k: int
 
-    def __post_init__(self):
-        if self.edge_count < 0:
+    def __init__(self, edge_count: int, r: int, k: int):
+        if edge_count < 0:
             raise ValueError("edge count must be non-negative")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("the bound is only defined for rank at least 2")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("matching bound must be non-negative")
+        super().__init__(edge_count, r, k)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
+    __slots__ = ("params", "bound", "observed_blocker_size", "within_bound")
+
     params: BoundParams
     bound: int
-    observed_blocker_size: int | None = None
-    within_bound: bool | None = None
+    observed_blocker_size: int | None
+    within_bound: bool | None
+
+    def __init__(
+        self,
+        params: BoundParams,
+        bound: int,
+        observed_blocker_size: int | None = None,
+        within_bound: bool | None = None,
+    ):
+        super().__init__(params, bound, observed_blocker_size, within_bound)
 
     def as_dict(self) -> dict:
         out = {

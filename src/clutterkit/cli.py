@@ -7,11 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import shlex
-import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .blocker import blocker, maximal_independent_sets
@@ -110,6 +106,8 @@ def cmd_bound(args) -> int:
         payload = BoundReport(params, blocker_size_bound(params)).as_dict()
         ok = True
     if args.json:
+        import json
+
         print(json.dumps(payload))
     else:
         for key, value in payload.items():
@@ -121,6 +119,8 @@ def cmd_membership(args) -> int:
     h = _load_clutter(args.file)
     member = class_membership(h, args.r, args.k, node_budget=args.budget)
     if args.json:
+        import json
+
         print(json.dumps({"r": args.r, "k": args.k, "rank": h.rank(), "member": member}))
     else:
         print("true" if member else "false")
@@ -128,11 +128,17 @@ def cmd_membership(args) -> int:
 
 
 def _command_oracle(cmd: str) -> MonotoneOracle:
+    import shlex
+    import subprocess
+    from fractions import Fraction
+
     argv = shlex.split(cmd)
 
     def evaluate(names: frozenset):
         payload = " ".join(str(n) for n in sorted(names, key=str)) + "\n"
-        proc = subprocess.run(argv, input=payload, capture_output=True, text=True, check=True)
+        proc = subprocess.run(argv, input=payload, capture_output=True, text=True)
+        if proc.returncode:
+            raise OSError(f"oracle command {cmd!r} exited with status {proc.returncode}")
         return Fraction(proc.stdout.strip())
 
     return MonotoneOracle(evaluate)
@@ -283,7 +289,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError, subprocess.CalledProcessError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

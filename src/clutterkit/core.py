@@ -12,6 +12,7 @@ mutable state, so values can be shared freely across threads.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -24,24 +25,61 @@ def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
 def _minimal(sets: Iterable[frozenset]) -> list[Edge]:
     """Inclusion-minimal members of the family, deduplicated, as sorted tuples."""
     kept: list[frozenset] = []
+    smaller: list[frozenset] = []  # two different sets of one size never nest
+    size = -1
     for s in sorted(set(sets), key=len):
-        if not any(t <= s for t in kept):
+        if len(s) != size:
+            size, smaller = len(s), kept.copy()
+        if not any(t <= s for t in smaller):
             kept.append(s)
     return [tuple(sorted(s)) for s in kept]
 
 
 class _Value:
-    """Immutable value held in one slot, which its constructor accepts."""
+    """Immutable value whose fields are its slots.
+
+    A subclass names its fields in `__slots__`, in the order its
+    constructor takes them.  Its `__init__` checks the arguments and passes
+    the field values, in that order, to `_Value.__init__`, which sets each
+    slot once.  (Hot constructors of one-field values set their slot with
+    `object.__setattr__` instead.)  Equality (same type, equal fields),
+    hash, `repr` (`Name(field=value, ...)`) and pickling go by the field
+    values, so a value with an unhashable field is unhashable.  Pickle and
+    copy rebuild a value through its constructor with the fields as
+    positional arguments, so each stored field must be a valid argument.
+    Setting or deleting an attribute raises AttributeError, and instances
+    have no `__dict__`.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields as one key for equality and hashing; a lone field is its own key
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields: object):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # pickle and copy go through the constructor
-        return type(self), (getattr(self, self.__slots__[0]),)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Clutter(_Value):
@@ -147,14 +185,6 @@ class Clutter(_Value):
             return NotImplemented
         return self.meet(other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Clutter):
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -168,9 +198,6 @@ class Clutter(_Value):
         except TypeError:  # labels that do not even compare are no vertices
             return False
         return key in self.edges
-
-    def __repr__(self) -> str:
-        return f"Clutter({[list(e) for e in self.edges]})"
 
 
 ZERO = Clutter()

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from typing import Iterator
 
 from .core import Clutter, ONE
@@ -162,6 +161,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_setcover(text: str) -> SetCoverInstance:
     """Parse the cover format: first line 'n m', then m lines of
     '<weight> <size> <e1> ... <esize>' with 1-based elements."""
+    from fractions import Fraction
+
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty cover instance", 1)

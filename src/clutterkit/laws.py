@@ -7,19 +7,22 @@ bottom, and that the blocker swaps each operation with its dual.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .blocker import blocker
-from .core import Clutter, ONE, ZERO
+from .core import Clutter, ONE, ZERO, _Value
 from .generate import random_clutter
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(_Value):
+    __slots__ = ("name", "ok", "samples", "detail")
+
     name: str
     ok: bool
     samples: int
-    detail: str | None = None
+    detail: str | None
+
+    def __init__(self, name: str, ok: bool, samples: int, detail: str | None = None):
+        super().__init__(name, ok, samples, detail)
 
 
 MAX_VERTICES = 8

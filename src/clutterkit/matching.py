@@ -21,11 +21,8 @@ union of the S_i does not collapse to ONE.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -96,25 +93,29 @@ class SemiMatching(_Value):
     def __iter__(self):
         return iter(self.pairs)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemiMatching):
-            return NotImplemented
-        return self.pairs == other.pairs
 
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"SemiMatching({[(list(l), list(s)) for l, s in self.pairs]})"
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(_Value):
     """Conflicts between matching pairs: i ~ j when one host meets the
-    other pair's two-vertex set in exactly one vertex."""
+    other pair's two-vertex set in exactly one vertex.
+
+    Vertices are 0..n-1; each edge joins two different vertices.
+    """
+
+    __slots__ = ("n", "edges")
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        edges = tuple(edges)
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"conflict edge {(i, j)} has an endpoint outside 0..{n - 1}")
+            if i == j:
+                raise ValueError(f"conflict edge {(i, j)} is a self-loop")
+        super().__init__(n, edges)
 
     def neighbor_map(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
@@ -124,14 +125,18 @@ class ConflictGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(_Value):
     """A (delete, contract) certificate that the named pairs survive as a
     matching minor."""
+
+    __slots__ = ("delete", "contract", "matching")
 
     delete: Edge
     contract: Edge
     matching: tuple[Edge, ...]
+
+    def __init__(self, delete: Edge, contract: Edge, matching: tuple[Edge, ...]):
+        super().__init__(delete, contract, matching)
 
     def verify(self, h: Clutter) -> bool:
         if set(self.delete) & set(self.contract):
@@ -442,6 +447,8 @@ def greedy_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
     Degrees only fall, so a vertex's stale entries pop after its fresh
     one, when the vertex is gone; entries of gone vertices are skipped.
     """
+    import heapq
+
     adj = graph.neighbor_map()
     degree = {v: len(ns) for v, ns in adj.items()}
     heap = [(d, v) for v, d in degree.items()]
@@ -485,6 +492,8 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
     original hosts.  When the rank is two the conflict graph is edgeless
     and the input survives whole.
     """
+    from fractions import Fraction
+
     if not is_semi_matching(h, matching):
         raise ValueError("input is not a semi-matching of the given clutter")
     prs = matching.pairs

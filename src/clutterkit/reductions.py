@@ -12,59 +12,72 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .blocker import DEFAULT_EDGE_BUDGET, _berge, blocker
-from .core import Clutter
+from .core import Clutter, _Value
 from .errors import InfeasibleInstanceError
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+
+class SetCoverInstance(_Value):
     """Universe {1..n} plus a family of subsets, optionally weighted/named."""
+
+    __slots__ = ("universe_size", "sets", "weights", "names")
 
     universe_size: int
     sets: tuple[frozenset[int], ...]
-    weights: tuple[Fraction, ...] | None = None
-    names: tuple[str, ...] | None = None
+    weights: tuple[Fraction, ...] | None
+    names: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.universe_size < 0:
+    def __init__(
+        self,
+        universe_size: int,
+        sets: tuple[frozenset[int], ...],
+        weights: tuple[Fraction, ...] | None = None,
+        names: tuple[str, ...] | None = None,
+    ):
+        if universe_size < 0:
             raise ValueError("universe size must be non-negative")
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        for s in self.sets:
+        sets = tuple(frozenset(s) for s in sets)
+        for s in sets:
             for u in s:
-                if not isinstance(u, int) or not 1 <= u <= self.universe_size:
-                    raise ValueError(f"element {u!r} outside universe 1..{self.universe_size}")
-        if self.weights is not None:
-            ws = tuple(Fraction(w) for w in self.weights)
-            if len(ws) != len(self.sets):
+                if not isinstance(u, int) or not 1 <= u <= universe_size:
+                    raise ValueError(f"element {u!r} outside universe 1..{universe_size}")
+        if weights is not None:
+            from fractions import Fraction
+
+            weights = tuple(Fraction(w) for w in weights)
+            if len(weights) != len(sets):
                 raise ValueError("one weight per set is required")
-            if any(w < 0 for w in ws):
+            if any(w < 0 for w in weights):
                 raise ValueError("weights must be non-negative")
-            object.__setattr__(self, "weights", ws)
-        if self.names is not None:
-            names = tuple(str(n) for n in self.names)
-            if len(names) != len(self.sets):
+        if names is not None:
+            names = tuple(str(n) for n in names)
+            if len(names) != len(sets):
                 raise ValueError("one name per set is required")
-            object.__setattr__(self, "names", names)
+        super().__init__(universe_size, sets, weights, names)
 
     def name_of(self, i: int):
         return self.names[i] if self.names is not None else i
 
 
-@dataclass(frozen=True)
-class MonotoneOracle:
+class MonotoneOracle(_Value):
     """Caller-supplied cost on families of set names; assumed monotone.
 
     Monotonicity cannot be certified efficiently, so spot_check samples a
     few pairs and warns (never fails) on a violation.
     """
 
+    __slots__ = ("evaluate",)
+
     evaluate: Callable[[frozenset], object]
+
+    def __init__(self, evaluate: Callable[[frozenset], object]):
+        super().__init__(evaluate)
 
     def __call__(self, names: frozenset):
         return self.evaluate(names)
@@ -80,33 +93,36 @@ class MonotoneOracle:
                 return
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Value):
     """CNF with DIMACS literal conventions (positive/negative var indices)."""
+
+    __slots__ = ("num_vars", "clauses")
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        for clause in self.clauses:
+        clauses = tuple(tuple(c) for c in clauses)
+        for clause in clauses:
             if not clause:
                 raise ValueError("clauses must be non-empty")
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit!r} outside variables 1..{self.num_vars}")
+                if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit!r} outside variables 1..{num_vars}")
+        super().__init__(num_vars, clauses)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """Total truth assignment on variables 1..n."""
+
+    __slots__ = ("values",)
 
     values: Mapping[int, bool]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+    def __init__(self, values: Mapping[int, bool]):
+        super().__init__(MappingProxyType(dict(values)))
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled or deep-copied; its dict can
@@ -173,6 +189,8 @@ def solve_setcover(
     if objective == "cardinality":
         costs = [len(t) for t in covers]
     elif objective == "weighted":
+        from fractions import Fraction
+
         costs = [sum((inst.weights[i] for i in t), Fraction(0)) for t in covers]
     else:
         name_sets = [frozenset(inst.name_of(i) for i in t) for t in covers]

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clutterkit
 from clutterkit import ResourceLimitError, enumerate_semi_matchings, serialize_clutter, staircase
 from clutterkit.cli import main
 
@@ -144,6 +147,30 @@ def test_solve_setcover_oracle_cmd(tmp_path, capsys):
     cmd = f"{sys.executable} -c \"import sys; print(len(sys.stdin.read().split()))\""
     assert main(["solve-setcover", "--oracle-cmd", cmd, str(p)]) == 0
     assert "cost: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["false", f"{sys.executable} -c \"print('x')\"",
+                                 f"{sys.executable} -c \"print(1); raise SystemExit(1)\""],
+                         ids=["exits 1", "prints no rational", "prints a cost and exits 1"])
+def test_solve_setcover_failing_oracle_is_an_input_error(tmp_path, capsys, cmd):
+    p = tmp_path / "cover.txt"
+    p.write_text("3 3\n1 2 1 2\n1 2 2 3\n1 2 1 3\n")
+    assert main(["solve-setcover", "--oracle-cmd", cmd, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_loads_no_unused_stdlib_modules():
+    # modules only some subcommands need are imported where they are used
+    code = ("import sys; before = set(sys.modules); import clutterkit, clutterkit.cli; "
+            "print(' '.join(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clutterkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    new = set(proc.stdout.split())
+    assert "clutterkit.cli" in new
+    unused = {"dataclasses", "inspect", "subprocess", "shlex", "json", "fractions",
+              "decimal", "heapq"}
+    assert not new & unused
 
 
 def test_solve_sat(tmp_path, capsys):

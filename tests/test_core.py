@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,29 @@ class TestConstruction:
         # bool is an int subclass, but `True 2` would not parse back
         with pytest.raises(ValueError):
             Clutter([edge])
+
+    def test_minimalization_matches_the_brute_force_oracle(self):
+        # many sets of each size, repeated in another vertex order, and now
+        # and then the empty set, which makes the clutter ONE
+        rng = random.Random(4099)
+        for trial in range(300):
+            n = rng.randint(1, 12)
+            count = 1000 if trial % 50 == 0 else rng.randint(1, 120)
+            fam = [rng.sample(range(n), rng.randint(1, min(n, 5))) for _ in range(count)]
+            fam += [e[::-1] for e in rng.sample(fam, count // 3)]
+            if rng.random() < 0.1:
+                fam.insert(rng.randint(0, len(fam)), [])
+            assert Clutter(fam).edges == canonical_edges(fs_clutter(fam))
+        assert Clutter(list(ONE) + fam) == ONE
+
+    def test_same_size_sets_are_never_compared(self):
+        # 20,000 singletons cost a quadratic scan if sets of one size are
+        # compared with each other; three pairs outside them survive
+        fam = [[i] for i in range(20_000)] + [[20_000 + 2 * j, 20_001 + 2 * j] for j in range(3)]
+        start = time.perf_counter()
+        h = Clutter(fam)
+        assert time.perf_counter() - start < 1.0
+        assert len(h) == 20_003
 
     def test_canonical_order_is_size_then_lex(self):
         h = Clutter([[2, 1], [3]])

@@ -481,6 +481,15 @@ class TestConflictGraph:
                 assert len(g.edges) <= (r - 2) * len(m)
 
 
+    @pytest.mark.parametrize("n, edges", [(-1, ()), (3, ((0, 5),)), (3, ((-1, 2),)),
+                                          (2, ((0, 0),))],
+                             ids=["negative order", "endpoint past n", "negative endpoint",
+                                  "self-loop"])
+    def test_rejects_malformed_graphs(self, n, edges):
+        with pytest.raises(ValueError):
+            ConflictGraph(n, edges)
+
+
 class TestGreedyIndependentSet:
     def test_edgeless(self):
         assert greedy_independent_set(ConflictGraph(5, ())) == (0, 1, 2, 3, 4)

@@ -1,0 +1,122 @@
+"""The contract every value type shares through the one immutable base."""
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from clutterkit import (
+    Assignment,
+    BoundParams,
+    BoundReport,
+    Clutter,
+    CnfFormula,
+    ConflictGraph,
+    LawResult,
+    MinorWitness,
+    MonotoneOracle,
+    SemiMatching,
+    SetCoverInstance,
+)
+
+# class, keyword arguments in constructor order, and the repr they give
+CASES = [
+    (Clutter, {"edges": ((3,), (1, 2))},
+     "Clutter(edges=((3,), (1, 2)))"),
+    (SemiMatching, {"pairs": (((1, 2), (1, 2, 3)),)},
+     "SemiMatching(pairs=(((1, 2), (1, 2, 3)),))"),
+    (BoundParams, {"edge_count": 3, "r": 2, "k": 1},
+     "BoundParams(edge_count=3, r=2, k=1)"),
+    (BoundReport, {"params": BoundParams(3, 2, 1), "bound": 7,
+                   "observed_blocker_size": 4, "within_bound": True},
+     "BoundReport(params=BoundParams(edge_count=3, r=2, k=1), bound=7, "
+     "observed_blocker_size=4, within_bound=True)"),
+    (LawResult, {"name": "law", "ok": False, "samples": 5, "detail": "f=ONE"},
+     "LawResult(name='law', ok=False, samples=5, detail='f=ONE')"),
+    (ConflictGraph, {"n": 3, "edges": ((0, 1), (1, 2))},
+     "ConflictGraph(n=3, edges=((0, 1), (1, 2)))"),
+    (MinorWitness, {"delete": (5,), "contract": (3,), "matching": ((1, 2),)},
+     "MinorWitness(delete=(5,), contract=(3,), matching=((1, 2),))"),
+    (SetCoverInstance, {"universe_size": 2, "sets": (frozenset({1}), frozenset({1, 2})),
+                        "weights": (Fraction(1), Fraction(1, 2)), "names": ("a", "b")},
+     "SetCoverInstance(universe_size=2, sets=(frozenset({1}), frozenset({1, 2})), "
+     "weights=(Fraction(1, 1), Fraction(1, 2)), names=('a', 'b'))"),
+    (MonotoneOracle, {"evaluate": len},
+     "MonotoneOracle(evaluate=<built-in function len>)"),
+    (CnfFormula, {"num_vars": 2, "clauses": ((1, -2),)},
+     "CnfFormula(num_vars=2, clauses=((1, -2),))"),
+    (Assignment, {"values": {1: True, 2: False}},
+     "Assignment(values=mappingproxy({1: True, 2: False}))"),
+]
+
+# keyword arguments each validating constructor rejects
+REJECTED = [
+    (Clutter, {"edges": ((-1,),)}),
+    (SemiMatching, {"pairs": (((1, 9), (1, 2)),)}),
+    (BoundParams, {"edge_count": 3, "r": 1, "k": 1}),
+    (ConflictGraph, {"n": 2, "edges": ((0, 2),)}),
+    (SetCoverInstance, {"universe_size": 2, "sets": (frozenset({3}),)}),
+    (CnfFormula, {"num_vars": 1, "clauses": ((2,),)}),
+]
+
+cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
+                                ids=[cls.__name__ for cls, *_ in CASES])
+
+
+@cases
+def test_keyword_construction(cls, kwargs):
+    v = cls(**kwargs)
+    assert cls.__slots__ == tuple(kwargs)
+    assert v == cls(*kwargs.values())
+    for name, value in kwargs.items():
+        assert getattr(v, name) == value
+
+
+@pytest.mark.parametrize("cls, kwargs", REJECTED, ids=[cls.__name__ for cls, _ in REJECTED])
+def test_validation(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+@cases
+def test_immutable(cls, kwargs):
+    v = cls(**kwargs)
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert not hasattr(v, "__dict__")
+    assert v == cls(**kwargs)
+
+
+@cases
+def test_equality_and_hash(cls, kwargs):
+    v, w = cls(**kwargs), cls(**kwargs)
+    assert v == w and not v != w
+    assert v != tuple(kwargs.values())
+    if cls is Assignment:  # its mapping proxy is unhashable
+        with pytest.raises(TypeError):
+            hash(v)
+    else:
+        assert hash(v) == hash(w)
+
+
+@cases
+def test_pickle_and_deepcopy_round_trip(cls, kwargs):
+    v = cls(**kwargs)
+    for clone in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+        assert type(clone) is cls
+        assert clone == v
+
+
+@pytest.mark.parametrize("cls, kwargs, text", CASES, ids=[cls.__name__ for cls, *_ in CASES])
+def test_repr_names_every_field(cls, kwargs, text):
+    assert repr(cls(**kwargs)) == text
+
+
+def test_values_of_different_types_differ():
+    assert BoundParams(3, 2, 1) != MinorWitness(3, 2, 1)
+    assert Clutter([[1, 2]]) != SemiMatching([((1, 2), (1, 2))])
