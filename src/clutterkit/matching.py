@@ -27,7 +27,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .core import Clutter, Edge, ZERO, _Value
+from .core import Clutter, Edge, _Value
 from .errors import ResourceLimitError
 
 DEFAULT_CHOICE_BUDGET = 2**20
@@ -174,11 +174,9 @@ def expansion(
         raise ResourceLimitError(
             f"expansion would iterate {count} choice functions (budget {choice_budget})"
         )
-    out = ZERO
-    for choice in itertools.product(*blks):
-        image = frozenset(choice)
-        out = out.join(h.restrict(image, carrier_set - image))
-    return out
+    # minimalizing the union once equals joining the minors one by one
+    return Clutter(e for choice in itertools.product(*blks)
+                   for e in h.restrict(choice, carrier_set.difference(choice)).edges)
 
 
 def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
@@ -211,17 +209,18 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
     return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
 
 
-def _cover_tables(edges: Iterable[Edge], cand: Sequence[Pair]):
+def _cover_tables(edges: Sequence[Edge], cand: Sequence[Pair]):
     """Bit tables for the condition-4 carry test: (low, guard, covers, helds).
 
     Each of `edges` but the one-vertex ones owns a block of bits: one slot
     per vertex, then a guard bit.  `low` has the lowest bit of every block
     and `guard` every guard bit.  For each candidate (L, S), `covers` has
     the slots of the vertices of S and `helds` the guards of the edges
-    holding L.  `_search_pairs` states the test and why it is exact.
+    holding L.  Every edge of two or more vertices must be some
+    candidate's host, as it is in `_search_pairs`, the one caller, which
+    states the test and why it is exact.
     """
-    hosts = dict.fromkeys(e for _, e in cand)
-    at_of: dict[int, list[int]] = {v: [] for e in hosts for v in e}
+    at_of: dict[int, list[int]] = {}
     lows: list[int] = []
     tops: list[int] = []
     at = 0
@@ -232,8 +231,7 @@ def _cover_tables(edges: Iterable[Edge], cand: Sequence[Pair]):
         lows.append(at)
         tops.append(top)
         for i, v in enumerate(e, at):
-            if v in at_of:
-                at_of[v] += i, top
+            at_of.setdefault(v, []).extend((i, top))
         at = top + 1
 
     def bits(positions: list[int]) -> int:
@@ -247,22 +245,45 @@ def _cover_tables(edges: Iterable[Edge], cand: Sequence[Pair]):
     # a vertex's mark has its slot and the guard in every block holding it,
     # so marks[a] & marks[b] is the guards of the edges holding both
     marks = {v: bits(p) for v, p in at_of.items()}
-    of_host = {e: reduce(or_, map(marks.get, e)) & ~guard for e in hosts}
+    of_host = {e: reduce(or_, map(marks.get, e)) & ~guard for e in edges if len(e) > 1}
     return (bits(lows), guard, [of_host[e] for _, e in cand],
             [marks[a] & marks[b] for (a, b), _ in cand])
 
 
+def _foreign_owners(matching: SemiMatching) -> tuple[dict[int, int], list[list[int]]]:
+    """The map owner: vertex -> index of the pair whose L holds it, and for
+    each host S_j, in pair order, the owners other than j of its vertices.
+
+    L_i meets S_j exactly when i is among host j's foreign owners, and lies
+    inside S_j exactly when i is there twice.
+    """
+    owner = {v: i for i, l in enumerate(matching.blocks) for v in l}
+    return owner, [[owner[v] for v in s if owner.get(v, j) != j]
+                   for j, s in enumerate(matching.hosts)]
+
+
 def _meets_conditions(h: Clutter, matching: SemiMatching, minor: bool) -> bool:
-    """Conditions 1, 2, 3a and 4 or, when `minor` is set, 1, 3b and 4."""
-    support = frozenset().union(*matching.hosts)
-    # the edges inside the union of the hosts: all that condition 4 reads,
-    # and every host that is an edge (|L| = 2 and L <= S hold structurally)
-    inside = [e for e in h.edges if support.issuperset(e)]
-    if not set(matching.hosts) <= set(inside) or any(
-            c != 1 << i for i, c in enumerate(_clash_masks(matching.pairs, minor))):
+    """Conditions 1, 2, 3a and 4 or, when `minor` is set, 1, 3b and 4.
+
+    2 holds structurally, and so do |L| = 2 and L <= S.  3b fails when a
+    host has a foreign owner and 3a when it has one twice.  Condition 4
+    reads only the edges inside the union of the hosts: an edge holds L_i
+    exactly when owner i turns up twice among its vertices.  Every host
+    lies inside that union, so condition 1 holds when each host turns up
+    among those edges.
+    """
+    owner, foreign = _foreign_owners(matching)
+    if any(f and (minor or len(set(f)) < len(f)) for f in foreign):
         return False
-    low, guard, covers, helds = _cover_tables(inside, matching.pairs)
-    return not (reduce(or_, covers, 0) + low) & guard & ~reduce(or_, helds, 0)
+    support = frozenset().union(*matching.hosts)
+    hosts = set(matching.hosts)
+    for e in h.edges:
+        if support.issuperset(e):
+            held = [owner[v] for v in e if v in owner]
+            if len(set(held)) == len(held):  # no L inside e
+                return False
+            hosts.discard(e)
+    return not hosts
 
 
 def is_semi_matching(h: Clutter, matching: SemiMatching) -> bool:
@@ -427,13 +448,9 @@ def build_conflict_graph(matching: SemiMatching) -> ConflictGraph:
     most r there are at most (r-2) * n edges, since each host has at most
     r-2 vertices outside its own pair and the two-vertex sets are disjoint.
     """
-    edges = []
-    for i, c in enumerate(_clash_masks(matching.pairs, True)):
-        c >>= i + 1
-        while c:
-            edges.append((i, i + (c & -c).bit_length()))
-            c &= c - 1
-    return ConflictGraph(len(matching), tuple(edges))
+    _, foreign = _foreign_owners(matching)
+    edges = {(min(i, j), max(i, j)) for j, f in enumerate(foreign) for i in f}
+    return ConflictGraph(len(matching), tuple(sorted(edges)))
 
 
 def greedy_independent_set(graph: ConflictGraph) -> tuple[int, ...]:

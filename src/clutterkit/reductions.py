@@ -10,6 +10,7 @@ the Berge fold that drops each set holding such a pair ends non-empty.
 """
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from types import MappingProxyType
@@ -173,7 +174,7 @@ def solve_setcover(
     every objective here is monotone, the optimum over all covers is
     attained at a minimal cover, i.e. at a blocker set.  Returns
     (sorted tuple of set names, cost); ties go to the canonically first
-    blocker set.
+    blocker set.  The oracle is called once per distinct name set.
     """
     if objective not in ("cardinality", "weighted", "oracle"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -182,8 +183,8 @@ def solve_setcover(
     if objective == "oracle":
         if oracle is None:
             raise ValueError("oracle objective requires an oracle")
-        if not isinstance(oracle, MonotoneOracle):
-            oracle = MonotoneOracle(oracle)
+        # one evaluation per distinct name set, shared by spot_check and the scan
+        oracle = MonotoneOracle(functools.cache(oracle))
 
     covers = blocker(setcover_to_clutter(inst), edge_budget=edge_budget).edges
     if objective == "cardinality":

@@ -52,6 +52,17 @@ def pairs_of(h: Clutter) -> SemiMatching:
     return SemiMatching((e, e) for e in h.edges)
 
 
+def traced(run):
+    """run() and the tracemalloc peak, in bytes, of that call alone."""
+    tracemalloc.start()
+    try:
+        got = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak
+
+
 class TestSemiMatchingType:
     def test_canonical_order_by_min_vertex(self):
         m = SemiMatching([((4, 5), (4, 5, 6)), ((1, 2), (1, 2, 3))])
@@ -136,6 +147,14 @@ class TestSemiMatchingPredicates:
         m = SemiMatching([((1, 2), (1, 2, 3)), ((4, 5), (4, 5))])
         assert is_expanded_minor_matching(h, m)
 
+    def test_pair_inside_another_host_fails_3a(self):
+        # conditions 1, 2 and 4 hold; only 3a fails, as L_2 lies inside S_1
+        h = Clutter([[1, 2, 3, 4], [3, 4, 5]])
+        m = SemiMatching([((1, 2), (1, 2, 3, 4)), ((3, 4), (3, 4, 5))])
+        assert not fs_is_semi_matching(h.edges, m.pairs)
+        assert not is_semi_matching(h, m)
+        assert not is_expanded_minor_matching(h, m)
+
     def test_host_must_be_an_edge(self):
         m = SemiMatching([((1, 2), (1, 2))])
         assert not is_semi_matching(Clutter([[1, 2, 3]]), m)
@@ -202,6 +221,14 @@ class TestSemiMatchingPredicates:
         start = time.perf_counter()
         assert is_semi_matching(h, m) and is_expanded_minor_matching(h, m)
         assert time.perf_counter() - start < 2
+
+    def test_eight_thousand_pairs_are_checked_in_linear_memory(self):
+        # a clash mask per pair with a bit for every pair takes 56.8 MB here
+        h = kk2(8000)
+        m = pairs_of(h)
+        for check in (is_semi_matching, is_expanded_minor_matching):
+            got, peak = traced(lambda: check(h, m))
+            assert got and peak < 8 * 10**6, (check.__name__, peak)
 
     def test_condition4_matches_expansion_characterization(self):
         rng = random.Random(61)
@@ -469,6 +496,12 @@ class TestConflictGraph:
                 with_edges += bool(g.edges)
         assert checked > 2000 and with_edges > 1000
 
+    def test_eight_thousand_pair_ring_in_linear_memory(self):
+        # a clash mask per pair with a bit for every pair takes 37.9 MB here
+        _, m = ring_semi_matching(8000)
+        g, peak = traced(lambda: build_conflict_graph(m))
+        assert len(g.edges) == 8000 and peak < 12 * 10**6, peak
+
     def test_edge_count_bound(self):
         rng = random.Random(83)
         for _ in range(40):
@@ -594,6 +627,12 @@ class TestExtract:
         out = extract_minor_matching(h, m)
         assert time.perf_counter() - start < 1
         assert len(out) >= math.ceil(Fraction(2000, 6))  # n / f(3)
+
+    def test_eight_thousand_pair_ring_extracts_in_linear_memory(self):
+        # a validity check and conflict graph on bit tables take 74.5 MB here
+        h, m = ring_semi_matching(8000)
+        out, peak = traced(lambda: extract_minor_matching(h, m))
+        assert len(out) >= math.ceil(Fraction(8000, 6)) and peak < 12 * 10**6, peak
 
     def test_eight_thousand_pairs_extract_within_four_seconds(self):
         # every pair of kk2(8000) as its own host: the conflict graph is

@@ -161,6 +161,22 @@ class TestSolveSetCover:
             bad.spot_check([frozenset({1}), frozenset({2}), frozenset({1, 2})], rng)
         assert any("monotonicity" in str(w.message) for w in caught)
 
+    @pytest.mark.parametrize("wrap", [lambda f: f, MonotoneOracle], ids=["callable", "wrapped"])
+    def test_oracle_evaluates_each_name_set_once(self, wrap):
+        # three covers of two sets each, and the spot check samples their
+        # unions, which are all the full family: four distinct name sets
+        from collections import Counter
+
+        calls = Counter()
+
+        def cost(names):
+            calls[names] += 1
+            return len(names)
+
+        assert solve_setcover(TRIANGLE, "oracle", oracle=wrap(cost)) == (("A", "B"), 2)
+        assert sorted(calls.values()) == [1, 1, 1, 1]
+        assert frozenset("ABC") in calls
+
 
 class TestCnfMapping:
     def test_direct_mapping(self):
