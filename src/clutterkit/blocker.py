@@ -31,6 +31,13 @@ blocker, in the same canonical order:
 - The critical-edge test reads only t, b and the seen edges, never other
   family members, so pruning never changes which extensions are kept.
 
+A mover whose every extension clashes skips the scan over the seen edges.
+
+The fold hands its family over as bitmasks, and each consumer decodes
+only what it needs: blocker decodes the masks into its clutter,
+maximal_independent_sets decodes the complement of each mask within the
+vertex set, and solve_sat decodes the consistent family.
+
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
 """
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Clutter, ONE, _canonical
+from .core import Clutter, Edge, _canonical
 from .errors import ResourceLimitError
 
 DEFAULT_EDGE_BUDGET = 10**6
@@ -62,13 +69,17 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     never holds more than edge_budget + 1 sets.  Output is canonical and
     deterministic.
     """
-    return _berge(h, edge_budget, ())
+    return Clutter._from_antichain(_decode(*_fold(h, edge_budget, ())))
 
 
-def _berge(h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]) -> Clutter:
-    """The minimal transversals of h that hold no clashing vertex pair."""
-    if h.is_zero:
-        return ONE
+def _fold(
+    h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]
+) -> tuple[Edge, list[int]]:
+    """The minimal transversals of h that hold no clashing vertex pair.
+
+    Returns the vertices of h and one bitmask per transversal, in which
+    bit i stands for the i-th vertex.
+    """
     verts = h.vertices
     pos = {v: i for i, v in enumerate(verts)}
     partner: dict[int, int] = {}
@@ -86,20 +97,22 @@ def _berge(h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]) -> 
         movers = [t for t in family if not t & mask]
         family = [t for t in family if t & mask]
         for t in movers:
-            private: dict[int, int] = {}
-            for f in seen:
-                u = f & t
-                if u and not u & (u - 1):
-                    private[u] = private.get(u, f) & f
             forbidden = 0
-            for common in private.values():
-                forbidden |= common
             if partner:
                 rest = t
                 while rest:
                     u = rest & -rest
                     rest ^= u
                     forbidden |= partner.get(u, 0)
+                if not mask & ~forbidden:  # every extension clashes: skip the scan
+                    continue
+            private: dict[int, int] = {}
+            for f in seen:
+                u = f & t
+                if u and not u & (u - 1):
+                    private[u] = private.get(u, f) & f
+            for common in private.values():
+                forbidden |= common
             free = mask & ~forbidden
             while free:
                 b = free & -free
@@ -110,11 +123,14 @@ def _berge(h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]) -> 
                         f"blocker intermediate family exceeded {edge_budget} sets"
                     )
         seen.append(mask)
+    return verts, family
+
+
+def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
+    """Each mask as the sorted tuple of the vertices its bits stand for."""
     # bit i stands for verts[i], so each decoded tuple comes out sorted
     bits = [(1 << i, v) for i, v in enumerate(verts)]
-    return Clutter._from_antichain(
-        tuple([v for bit, v in bits if t & bit]) for t in family
-    )
+    return [tuple([v for bit, v in bits if t & bit]) for t in masks]
 
 
 def maximal_independent_sets(
@@ -123,9 +139,10 @@ def maximal_independent_sets(
     """All maximal sets of vertices containing no edge of h.
 
     These are exactly the complements, within the vertex set of h, of the
-    minimal transversals.  Isolated vertices outside the edges of h are
-    not modeled.
+    minimal transversals, so they cost one fold and edge_budget caps it
+    as in blocker.  Isolated vertices outside the edges of h are not
+    modeled.
     """
-    verts = h.vertices
-    return _canonical(tuple([v for v in verts if v not in b])
-                      for b in blocker(h, edge_budget=edge_budget).edge_sets)
+    verts, masks = _fold(h, edge_budget, ())
+    full = (1 << len(verts)) - 1
+    return _canonical(_decode(verts, [full ^ t for t in masks]))

@@ -12,6 +12,7 @@ mutable state, so values can be shared freely across threads.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -19,7 +20,9 @@ Edge = tuple[int, ...]
 
 
 def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(edges, key=lambda e: (len(e), e)))
+    # by size, then lexicographically: the sort by len is stable, and both
+    # sorts compare in C
+    return tuple(sorted(sorted(edges), key=len))
 
 
 def _minimal(sets: Iterable[frozenset]) -> list[Edge]:
@@ -193,11 +196,13 @@ class Clutter(_Value):
 
     def __contains__(self, edge: Iterable[int]) -> bool:
         s = set(edge)
+        edges = self.edges
         try:
             key = tuple(sorted(s))
+            i = bisect_left(edges, (len(key), key), key=lambda e: (len(e), e))
         except TypeError:  # labels that do not even compare are no vertices
             return False
-        return key in self.edges
+        return i < len(edges) and edges[i] == key
 
 
 ZERO = Clutter()

@@ -16,8 +16,8 @@ import warnings
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .blocker import DEFAULT_EDGE_BUDGET, _berge, blocker
-from .core import Clutter, _Value
+from .blocker import DEFAULT_EDGE_BUDGET, _decode, _fold, blocker
+from .core import Clutter, _canonical, _Value
 from .errors import InfeasibleInstanceError
 
 if TYPE_CHECKING:
@@ -191,8 +191,12 @@ def solve_setcover(
         costs = [len(t) for t in covers]
     elif objective == "weighted":
         from fractions import Fraction
+        from math import lcm
 
-        costs = [sum((inst.weights[i] for i in t), Fraction(0)) for t in covers]
+        # exact integer sums: every weight times the lcm of the denominators
+        scale = lcm(*(w.denominator for w in inst.weights))
+        scaled = [int(w * scale) for w in inst.weights]
+        costs = [sum([scaled[i] for i in t]) for t in covers]
     else:
         name_sets = [frozenset(inst.name_of(i) for i in t) for t in covers]
         oracle.spot_check(name_sets, random.Random(0))
@@ -200,7 +204,8 @@ def solve_setcover(
     # every element is covered, so covers holds at least one set; min keeps
     # the first of equal costs
     best = min(range(len(covers)), key=costs.__getitem__)
-    return tuple(sorted(inst.name_of(i) for i in covers[best])), costs[best]
+    cost = Fraction(costs[best], scale) if objective == "weighted" else costs[best]
+    return tuple(sorted(inst.name_of(i) for i in covers[best])), cost
 
 
 def _literal_vertex(lit: int) -> int:
@@ -230,12 +235,12 @@ def solve_sat(
     assignment is re-checked against the formula before return.
     """
     variables = range(1, formula.num_vars + 1)
-    consistent = _berge(
+    verts, consistent = _fold(
         cnf_to_clutter(formula), edge_budget, [(2 * i, 2 * i + 1) for i in variables]
     )
-    if consistent.is_zero:
+    if not consistent:
         return None
-    first = consistent.edges[0]
+    first = _canonical(_decode(verts, consistent))[0]
     assignment = Assignment({i: (2 * i in first) for i in variables})
     if not satisfies(formula, assignment):
         raise RuntimeError("internal error: blocker scan produced a falsifying assignment")

@@ -14,7 +14,12 @@ from clutterkit import (
     maximal_independent_sets,
 )
 
-from helpers import berge_fold_peak, brute_minimal_transversals, random_clutter_sample
+from helpers import (
+    berge_fold_peak,
+    brute_minimal_transversals,
+    canonical_edges,
+    random_clutter_sample,
+)
 
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
@@ -132,6 +137,35 @@ class TestMaximalIndependentSets:
                 assert not any(e <= iset for e in h.edge_sets)
                 for v in verts - iset:
                     assert any(e <= iset | {v} for e in h.edge_sets)
+
+
+class TestIndependentSetsFromTheFold:
+    def test_complements_of_brute_force_transversals(self):
+        rng = random.Random(19)
+        clutters = [ZERO, ONE, Clutter([[0]]), Clutter([[10**6]]),
+                    Clutter([[3], [8], [10**6]]), Clutter([[0, 10**6], [5]])]
+        for _ in range(300):
+            h = random_clutter_sample(rng, max_vertices=9, max_edges=8)
+            if rng.random() < 0.3:  # sparse labels up to 10^6
+                labels = rng.sample(range(10**6 + 1), 9)
+                h = Clutter([labels[v - 1] for v in e] for e in h.edges)
+            clutters.append(h)
+        for h in clutters:
+            verts = frozenset(h.vertices)
+            want = canonical_edges(verts - t for t in brute_minimal_transversals(h.edge_sets))
+            assert maximal_independent_sets(h) == want
+
+    def test_budget_trips_where_the_blockers_does(self):
+        rng = random.Random(23)
+        clutters = [kk2(k) for k in range(1, 7)]
+        clutters += [random_clutter_sample(rng, max_vertices=10, max_edges=10,
+                                           allow_bounds=False) for _ in range(40)]
+        for h in clutters:
+            peak = berge_fold_peak(h.edges)
+            for dualize in (blocker, maximal_independent_sets):
+                assert dualize(h, edge_budget=peak) == dualize(h)
+                with pytest.raises(ResourceLimitError):
+                    dualize(h, edge_budget=peak - 1)
 
 
 class TestDualityProperties:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clutterkit import Clutter, ONE, ZERO, is_transversal
+from clutterkit.core import _canonical
 
 from helpers import (
     canonical_edges,
@@ -211,6 +212,16 @@ class TestValueSemantics:
         assert (2, 1) in C6
         assert (1, 3) not in C6
 
+    def test_labels_that_do_not_compare_with_the_edges_are_absent(self):
+        from clutterkit import blocker, kk2
+
+        h = blocker(kk2(10))  # 1,024 sets of ten vertices
+        assert len(h) == 1024 and h.edges[500] in h
+        assert [f"v{i}" for i in range(10)] not in h
+        assert ["a"] * 3 not in h
+        assert [0, "a"] not in h
+        assert list(h.edges[500][:-1]) + [0.5] not in h
+
     def test_iteration_yields_canonical_edges(self):
         assert list(Clutter([[3], [1, 2]])) == [(3,), (1, 2)]
 
@@ -309,3 +320,16 @@ def test_operations_match_frozenset_definitions():
             rng.shuffle(q)
             assert (q in h) == fs_contains(sets, q)
             assert is_transversal(h, q) == fs_is_transversal(sets, q)
+
+
+def test_canonical_order_matches_the_size_then_lex_key():
+    rng = random.Random(2719)
+    for _ in range(300):
+        fam = [tuple(sorted(rng.sample(range(12), rng.randint(0, 6))))
+               for _ in range(rng.randint(0, 25))]
+        if fam:  # duplicates, the empty edge among them
+            fam += rng.choices(fam + [()], k=rng.randint(1, 6))
+        rng.shuffle(fam)
+        want = tuple(sorted(fam, key=lambda e: (len(e), e)))
+        assert _canonical(fam) == want
+        assert _canonical(iter(fam)) == want

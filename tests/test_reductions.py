@@ -153,6 +153,25 @@ class TestSolveSetCover:
                 tied += costs.count(costs[first]) > 1
         assert tied > 100
 
+    def test_weighted_with_fractional_weights(self):
+        rng = random.Random(149)
+        pool = [Fraction(n, d) for n, d in ((1, 2), (1, 3), (5, 6), (1, 7), (6, 7), (1, 1))]
+        tied = 0
+        for _ in range(200):
+            drawn = random_cover_instance(rng, max_elements=8, max_sets=7)
+            # 1/2 + 1/3 == 5/6 and 1/7 + 6/7 == 1 make ties common
+            weights = tuple(rng.choice(pool) for _ in drawn.sets)
+            inst = SetCoverInstance(drawn.universe_size, drawn.sets, weights)
+            cover, cost = solve_setcover(inst, "weighted")
+            assert type(cost) is Fraction
+            assert cost == brute_min_cover_cost(inst, "weighted")
+            covers = blocker(setcover_to_clutter(inst)).edges
+            costs = [sum((weights[i] for i in t), Fraction(0)) for t in covers]
+            first = costs.index(min(costs))
+            assert cover == covers[first]
+            tied += costs.count(costs[first]) > 1
+        assert tied > 20
+
     def test_monotonicity_spot_check_warns(self):
         bad = MonotoneOracle(lambda s: -len(s))
         with warnings.catch_warnings(record=True) as caught:
