@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured budget (edges, nodes, choice functions) was exceeded."""
+    """A configured budget (intermediate blocker sets, search steps) was exceeded."""
 
 
 class ParseError(ValueError):

@@ -17,12 +17,13 @@ of the S_i and contracting the rest of that union down to the L_i.
 
 Condition 4 can be restated through the expansion operator: the pairs
 satisfy it exactly when expanding the clutter along the L_i over the
-union of the S_i does not collapse to ONE.
+union of the S_i does not collapse to ONE.  By the closed form of
+`expansion` this is one line: the expansion holds the empty edge exactly
+when some edge inside the union holds no L_i.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +31,6 @@ from typing import Iterable, Iterator, Sequence
 from .core import Clutter, Edge, _Value
 from .errors import ResourceLimitError
 
-DEFAULT_CHOICE_BUDGET = 2**20
 DEFAULT_NODE_BUDGET = 10**6
 
 Pair = tuple[Edge, Edge]
@@ -145,22 +145,27 @@ class MinorWitness(_Value):
         return minor == Clutter(self.matching) and is_k_matching(minor, len(self.matching))
 
 
-def expansion(
-    h: Clutter,
-    blocks: Iterable[Iterable[int]],
-    carrier: Iterable[int],
-    *,
-    choice_budget: int = DEFAULT_CHOICE_BUDGET,
-) -> Clutter:
+def expansion(h: Clutter, blocks: Iterable[Iterable[int]], carrier: Iterable[int]) -> Clutter:
     """Join, over every way of choosing one vertex from each block, of the
     minor that deletes the chosen image and contracts the rest of the
     carrier.
 
-    Blocks must be pairwise disjoint subsets of the carrier.  The number
-    of choice functions is the product of the block sizes; beyond
-    choice_budget a ResourceLimitError is raised.
+    Blocks must be pairwise disjoint subsets of the carrier.  The join has
+    the closed form
+
+        Clutter(e - carrier for e in h.edges if no block lies inside e),
+
+    which is what is computed: one pass over the edges, with no choice
+    function enumerated.  Proof: take a choice with image D and let C be
+    carrier - D.  Then h.restrict(D, C) is the minimal family of the sets
+    e - C over the edges e that miss D, and for such an e, e - C equals
+    e - carrier.  An edge misses the image of some choice exactly when no
+    block lies inside it, since the blocks are disjoint and so the choices
+    from different blocks are independent.  Minimalizing the union once
+    equals joining the minimalized parts.  An empty block admits no choice;
+    it lies inside every edge, so the result is ZERO.
     """
-    blks = [tuple(sorted(set(b))) for b in blocks]
+    blks = [frozenset(b) for b in blocks]
     carrier_set = frozenset(carrier)
     seen: set[int] = set()
     for b in blks:
@@ -169,14 +174,8 @@ def expansion(
         if not carrier_set.issuperset(b):
             raise ValueError("expansion blocks must lie inside the carrier")
         seen.update(b)
-    count = math.prod(len(b) for b in blks)
-    if count > choice_budget:
-        raise ResourceLimitError(
-            f"expansion would iterate {count} choice functions (budget {choice_budget})"
-        )
-    # minimalizing the union once equals joining the minors one by one
-    return Clutter(e for choice in itertools.product(*blks)
-                   for e in h.restrict(choice, carrier_set.difference(choice)).edges)
+    return Clutter(e - carrier_set for e in map(frozenset, h.edges)
+                   if not any(map(e.issuperset, blks)))
 
 
 def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
@@ -428,13 +427,10 @@ def extend_semi_matching(
     new_pairs: list[tuple[Edge, Edge]] = []
     for l, s in matching.pairs:
         ss = frozenset(s)
-        host = next(
-            (e for e in h.edges
-             if ss.issubset(e) and (ss | c).issuperset(e) and not (r[0] in e and r[1] in e)),
-            None,
-        )
-        if host is None:
-            raise ValueError(f"no eligible host edge for pair {l}; matching does not lift")
+        # s is an edge of the expansion, so s = e - c for an edge e of h
+        # that does not hold the pair, and that e is eligible
+        host = next(e for e in h.edges
+                    if ss.issubset(e) and (ss | c).issuperset(e) and not (r[0] in e and r[1] in e))
         new_pairs.append((l, host))
     new_pairs.append((r, tuple(sorted(c))))
     return SemiMatching(new_pairs)
@@ -494,14 +490,18 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
 
     The construction takes a greedy independent set of the conflict graph
     and then picks one vertex from each leftover pair, in pair order, by
-    the method of conditional expectations, with exact rational
-    arithmetic.  odds[i] is the chance that the host of independent pair i
-    avoids every pick when each leftover pair not yet fixed picks one of
-    its two vertices at random.  By 3a a leftover pair meets a foreign
-    host in at most one vertex, so odds[i] starts at 1/2 per leftover pair
-    meeting host i.  Fixing a leftover pair (lo, hi) to lo zeroes the odds
-    of the hosts holding lo and doubles those of the hosts holding hi, so
-    the expected number of survivors under lo minus that under hi is twice
+    the method of conditional expectations, with exact integer
+    arithmetic.  Let t be the size of the largest host.  odds[i] is 2^(t-2)
+    times the chance that the host of independent pair i avoids every pick
+    when each leftover pair not yet fixed picks one of its two vertices at
+    random.  By 3a a leftover pair meets a foreign host in at most one
+    vertex, so odds[i] starts at 2^(t-2) and is halved once per leftover
+    pair meeting host i.  The leftover pairs are disjoint and miss pair i,
+    and host i has at most t - 2 vertices outside pair i, so every halving
+    is exact; scaling all odds alike leaves every comparison below as it
+    is.  Fixing a leftover pair (lo, hi) to lo zeroes the odds of the
+    hosts holding lo and doubles those of the hosts holding hi, so the
+    expected number of survivors under lo minus that under hi is twice
     (sum of odds over hosts holding hi) - (sum over hosts holding lo).  The
     pair picks lo exactly when that difference is non-negative, which
     maximizes the expectation with ties broken toward the smaller vertex.
@@ -509,8 +509,6 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
     original hosts.  When the rank is two the conflict graph is edgeless
     and the input survives whole.
     """
-    from fractions import Fraction
-
     if not is_semi_matching(h, matching):
         raise ValueError("input is not a semi-matching of the given clutter")
     prs = matching.pairs
@@ -519,20 +517,21 @@ def extract_minor_matching(h: Clutter, matching: SemiMatching) -> SemiMatching:
     for i in stable:
         for v in prs[i][1]:
             holders.setdefault(v, []).append(i)
-    odds = {i: Fraction(1) for i in stable}
+    unit = 1 << (max(map(len, matching.hosts), default=2) - 2)
+    odds = dict.fromkeys(stable, unit)
     leftover = [l for j, (l, _) in enumerate(prs) if j not in odds]
     for l in leftover:
         for v in l:
             for i in holders.get(v, ()):
-                odds[i] /= 2
+                odds[i] >>= 1
     for lo, hi in leftover:
         picked, other = holders.get(lo, ()), holders.get(hi, ())
         if sum(odds[i] for i in other) < sum(odds[i] for i in picked):
             picked, other = other, picked
         for i in picked:
-            odds[i] = Fraction(0)
+            odds[i] = 0
         for i in other:
-            odds[i] *= 2
+            odds[i] <<= 1
     return SemiMatching._from_canonical(tuple(prs[i] for i in stable if odds[i]))
 
 

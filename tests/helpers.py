@@ -95,6 +95,16 @@ def fs_meet(a, b) -> set[frozenset]:
     return _brute_minimal_sets(x | y for x in a for y in b)
 
 
+def fs_expansion(sets, blocks, carrier) -> set[frozenset]:
+    """The expansion as defined: the join, over every way of choosing one
+    vertex from each block, of the minor that deletes the chosen image and
+    contracts the rest of the carrier."""
+    out: set[frozenset] = set()
+    for choice in itertools.product(*blocks):
+        out = fs_join(out, fs_restrict(sets, choice, frozenset(carrier) - set(choice)))
+    return out
+
+
 def fs_vertices(sets) -> tuple[int, ...]:
     return tuple(sorted(set().union(*sets)))
 

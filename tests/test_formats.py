@@ -189,3 +189,26 @@ class TestSetCoverFormat:
         with pytest.raises(ParseError) as err:
             parse_setcover("2 2\n1 1 1\n-1 1 2\n")
         assert err.value.line == 3
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_semi_matching, "# one pair\n1,x:1,2,3\n", 2),
+    (parse_dimacs, "c shape\np cnf 2\n1 0\n", 2),
+    (parse_dimacs, "p cnf two 1\n1 0\n", 1),
+    (parse_dimacs, "p cnf 2 2\n1 0\n0\n", 3),
+    (parse_setcover, "# nothing here\n", 1),
+    (parse_setcover, "# head\n2 x\n1 1 1\n", 2),
+    (parse_setcover, "-1 0\n", 1),
+    (parse_setcover, "2 2\n1 1 1\n1\n", 3),
+    (parse_setcover, "2 1\nabc 1 1\n", 2),
+    (parse_setcover, "2 1\n1/0 1 1\n", 2),
+    (parse_setcover, "2 1\n1 2 1 y\n", 2),
+])
+def test_rejection_names_its_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
+def test_final_clause_without_its_zero_is_accepted():
+    assert parse_dimacs("p cnf 2 2\n1 0\n-1 2\n").clauses == ((1,), (-1, 2))

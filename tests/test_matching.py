@@ -35,6 +35,7 @@ from helpers import (
     brute_minor_contains,
     brute_semi_matchings,
     fs_conflict_edges,
+    fs_expansion,
     fs_is_expanded_minor_matching,
     fs_is_semi_matching,
     quadratic_greedy_independent_set,
@@ -120,10 +121,45 @@ class TestExpansion:
         with pytest.raises(ValueError):
             expansion(C6, [[1, 2]], [1])
 
-    def test_choice_budget(self):
+    def test_inputs_past_the_old_choice_budget_answer(self):
+        # no choice function is enumerated, so nothing is refused for their number
         h = Clutter([list(range(20))])
-        with pytest.raises(ResourceLimitError):
-            expansion(h, [[0, 1], [2, 3]], list(range(20)), choice_budget=3)
+        assert expansion(h, [[0, 1], [2, 3]], list(range(20))) == ZERO
+        # 21 pair blocks make 2^21 choice functions, past the old default of 2^20;
+        # each cross edge {2i+1, 2i+2, 100+i} holds no block
+        pairs = [(2 * i, 2 * i + 1) for i in range(22)]
+        h = Clutter(pairs + [(2 * i + 1, 2 * i + 2, 100 + i) for i in range(21)])
+        start = time.perf_counter()
+        got = expansion(h, pairs[:21], range(42))
+        assert time.perf_counter() - start < 0.1
+        assert got == Clutter([[100 + i] for i in range(20)] + [[42, 43], [42, 120]])
+
+    def test_matches_the_join_over_choice_functions(self):
+        # seeded (h, blocks, carrier) triples, ZERO and ONE among the clutters,
+        # with empty block lists, empty blocks, blocks of 1 to 3 vertices and
+        # carriers wider than the blocks; then every semi-matching of
+        # staircase(2..5) with its blocks over its support
+        rng = random.Random(1313)
+        cases = []
+        for _ in range(1500):
+            h = random_clutter_sample(rng)
+            pool = rng.sample(range(1, 11), 10)
+            blocks = []
+            for _ in range(rng.randint(0, 3)):
+                size = 0 if rng.random() < 0.05 else rng.randint(1, 3)
+                blocks.append(pool[:size])
+                del pool[:size]
+            carrier = [v for b in blocks for v in b] + pool[:rng.randint(0, 3)]
+            cases.append((h, blocks, carrier))
+        for n in range(2, 6):
+            h = staircase(n)
+            cases += [(h, m.blocks, m.support) for m in enumerate_semi_matchings(h)]
+        seen = {"ZERO": 0, "ONE": 0, "other": 0}
+        for h, blocks, carrier in cases:
+            got = expansion(h, blocks, carrier)
+            assert got == Clutter(fs_expansion(h.edge_sets, blocks, carrier)), (h, blocks, carrier)
+            seen["ZERO" if got.is_zero else "ONE" if got.is_one else "other"] += 1
+        assert len(cases) > 1900 and min(seen.values()) > 100, seen
 
 
 class TestSemiMatchingPredicates:
