@@ -1,17 +1,24 @@
+import importlib
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from clutterkit import (
+    Assignment,
     Clutter,
+    CnfFormula,
     ONE,
     ResourceLimitError,
     ZERO,
     blocker,
+    cnf_to_clutter,
     expansion,
     is_transversal,
     kk2,
     maximal_independent_sets,
+    solve_sat,
 )
 
 from helpers import (
@@ -19,9 +26,97 @@ from helpers import (
     brute_minimal_transversals,
     canonical_edges,
     random_clutter_sample,
+    truth_table_satisfiable,
 )
 
+# the attribute clutterkit.blocker is the function, not the module
+blocker_module = importlib.import_module("clutterkit.blocker")
+
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+
+
+@pytest.fixture(params=[0, None, 10**9], ids=["all-packed", "default", "none-packed"])
+def pack_from(request, monkeypatch):
+    """Fold with every step packed, with the module's cutoff, or with none."""
+    if request.param is not None:
+        monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)
+
+
+def _spanning_edges(rng, verts, rank, count):
+    """count random sets of rank vertices that together hold all of verts."""
+    while True:
+        edges = [rng.sample(verts, rank) for _ in range(count)]
+        if set().union(*edges) == set(verts):
+            return edges
+
+
+def _disjoint_union(parts):
+    """The clutter of the parts' edges, whose vertex sets are disjoint, with
+    its minimal transversals: one of each part's, joined."""
+    want = {frozenset().union(*pick)
+            for pick in itertools.product(*map(brute_minimal_transversals, parts))}
+    return Clutter([e for part in parts for e in part]), want
+
+
+def _packed_fold_cases():
+    """Clutters with their brute-force minimal transversals: the bounds,
+    singletons, kk2(1..10), and seeded clutters on 7, 8, 15, 16, 23 and 24
+    vertices, where a packed field grows by a byte."""
+    rng = random.Random(59)
+    cases = [(h, brute_minimal_transversals(h.edge_sets))
+             for h in (ZERO, ONE, Clutter([[0]]), Clutter([[3], [5], [10**6]]))]
+    cases += [_disjoint_union([[(2 * i, 2 * i + 1)] for i in range(k)]) for k in range(1, 11)]
+    for sizes in ([7], [8], [15], [8, 7], [16], [8, 8], [8, 8, 7], [8, 8, 8]):
+        for _ in range(2 if sum(sizes) > 8 else 6):
+            labels = rng.sample(range(100), sum(sizes))  # the parts' vertices interleave
+            parts = []
+            for size in sizes:
+                verts, labels = labels[:size], labels[size:]
+                rank = rng.randint(2, 4)
+                count = rng.randint(-(-size // rank), size if len(sizes) == 1 else 6)
+                parts.append(_spanning_edges(rng, verts, rank, count))
+            h, want = _disjoint_union(parts)
+            assert len(h.vertices) == sum(sizes)
+            cases.append((h, want))
+    return cases
+
+
+def _first_consistent(parts, num_vars):
+    """The assignment read off the canonically first blocker set, holding no
+    complementary literal pair, of a formula whose clause groups, given as
+    literal-vertex edges, share no variable; or None."""
+    def consistent(t):
+        return not any(2 * i in t and 2 * i + 1 in t for i in range(1, num_vars + 1))
+
+    per_part = [[t for t in brute_minimal_transversals(part) if consistent(t)] for part in parts]
+    sets = canonical_edges(frozenset().union(*pick) for pick in itertools.product(*per_part))
+    if not sets:
+        return None
+    return Assignment({i: 2 * i in sets[0] for i in range(1, num_vars + 1)})
+
+
+def _packed_sat_cases():
+    """3-CNF formulas of up to 12 variables (24 literal vertices) made of
+    clause groups on disjoint variables, with their expected answers."""
+    rng = random.Random(61)
+    cases = []
+    for sizes in ([4], [7], [4, 3], [4, 4], [4, 4, 3], [4, 4, 4]):
+        for _ in range(5):
+            variables = rng.sample(range(1, sum(sizes) + 1), sum(sizes))
+            clauses, parts = [], []
+            for size in sizes:
+                group, variables = variables[:size], variables[size:]
+                part = [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(group, 3))
+                        for _ in range(rng.randint(1, 6 * size))]
+                clauses += part
+                parts.append([[2 * l if l > 0 else -2 * l + 1 for l in c] for c in part])
+            f = CnfFormula(sum(sizes), tuple(clauses))
+            cases.append((f, _first_consistent(parts, f.num_vars)))
+    return cases
+
+
+_PACKED_FOLD_CASES = _packed_fold_cases()
+_PACKED_SAT_CASES = _packed_sat_cases()
 
 
 class TestBlocker:
@@ -93,6 +188,43 @@ class TestBlocker:
         h = kk2(k)
         assert berge_fold_peak(h.edges) == 2**k
         self._assert_budget_trips_past_peak(h, 2**k)
+
+    @pytest.mark.parametrize("k", range(9, 13))
+    def test_budget_trips_inside_packed_steps_on_matchings(self, k, pack_from):
+        # each step of the kk2 fold doubles the family, as the test above
+        # checks up to k = 8, so the peak is 2^k, reached by the last step
+        self._assert_budget_trips_past_peak(kk2(k), 2**k)
+
+    def test_budget_trips_inside_packed_steps(self, pack_from):
+        rng = random.Random(53)
+        for _ in range(12):
+            rank = rng.choice((3, 4))
+            n = rng.randint(14, 24)
+            h = Clutter(rng.sample(range(n), rank) for _ in range(rng.randint(n // 2, 2 * n // 3)))
+            self._assert_budget_trips_past_peak(h, berge_fold_peak(h.edges))
+
+    def test_sat_budget_trips_inside_packed_steps(self, pack_from):
+        rng = random.Random(71)
+        for _ in range(12):
+            n = rng.randint(7, 12)
+            f = CnfFormula(n, tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randint(n, round(4.2 * n)))))
+            clashes = [(2 * i, 2 * i + 1) for i in range(1, n + 1)]
+            peak = berge_fold_peak(cnf_to_clutter(f).edges, clashes)
+            assert solve_sat(f, edge_budget=peak) == solve_sat(f)
+            with pytest.raises(ResourceLimitError):
+                solve_sat(f, edge_budget=peak - 1)
+
+    def test_memory_of_sixty_five_thousand_sets(self):
+        tracemalloc.start()
+        try:
+            got = blocker(kk2(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2**16
+        assert peak < 16 * 10**6  # bytes; 14.2 MB when first measured
 
 
 class TestIsTransversal:
@@ -166,6 +298,25 @@ class TestIndependentSetsFromTheFold:
                 assert dualize(h, edge_budget=peak) == dualize(h)
                 with pytest.raises(ResourceLimitError):
                     dualize(h, edge_budget=peak - 1)
+
+
+class TestPackedFold:
+    def test_blocker_and_independent_sets_match_brute_force(self, pack_from):
+        for h, want in _PACKED_FOLD_CASES:
+            got = blocker(h)
+            assert set(got.edge_sets) == want
+            assert len(got) == len(want)
+            verts = frozenset(h.vertices)
+            assert maximal_independent_sets(h) == canonical_edges(verts - t for t in want)
+
+    def test_solve_sat_returns_the_first_consistent_blocker_set(self, pack_from):
+        decided = set()
+        for f, want in _PACKED_SAT_CASES:
+            a = solve_sat(f)
+            assert a == want
+            assert (a is not None) == truth_table_satisfiable(f)
+            decided.add(a is not None)
+        assert decided == {True, False}
 
 
 class TestDualityProperties:
