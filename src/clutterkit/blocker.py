@@ -88,10 +88,10 @@ def is_transversal(h: Clutter, t: Iterable[int]) -> bool:
 def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     """The clutter of all minimal transversals of h.
 
-    Intermediate families can outgrow the final result; as soon as one
-    grows past edge_budget sets a ResourceLimitError is raised, so the fold
-    never holds more than edge_budget + 1 sets.  Output is canonical and
-    deterministic.
+    Intermediate families can outgrow the final result; a ResourceLimitError
+    is raised before one would grow past edge_budget sets, so the fold holds
+    at most edge_budget sets, or the one empty set it starts from.  Output
+    is canonical and deterministic.
     """
     return Clutter._from_antichain(_decode(*_fold(h, edge_budget, ())))
 
@@ -145,11 +145,11 @@ def _fold(
                     forbidden |= common
                 free = mask & ~forbidden
                 while free:
+                    if len(family) >= edge_budget:
+                        raise _over_budget(edge_budget)
                     b = free & -free
                     free ^= b
                     family.append(t | b)
-                    if len(family) > edge_budget:
-                        raise _over_budget(edge_budget)
         seen.append(mask)
     return verts, family
 

@@ -15,6 +15,7 @@ from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membersh
 from .core import Clutter
 from .errors import ParseError, ResourceLimitError
 from .formats import (
+    _rational,
     format_semi_matching,
     parse_clutter,
     parse_dimacs,
@@ -130,24 +131,25 @@ def cmd_membership(args) -> int:
 def _command_oracle(cmd: str) -> MonotoneOracle:
     import shlex
     import subprocess
-    from fractions import Fraction
 
     argv = shlex.split(cmd)
+    if not argv:
+        raise ValueError("the oracle command is empty")
 
     def evaluate(names: frozenset):
         payload = " ".join(str(n) for n in sorted(names, key=str)) + "\n"
         proc = subprocess.run(argv, input=payload, capture_output=True, text=True)
         if proc.returncode:
             raise OSError(f"oracle command {cmd!r} exited with status {proc.returncode}")
-        return Fraction(proc.stdout.strip())
+        return _rational(proc.stdout.strip(), None)
 
     return MonotoneOracle(evaluate)
 
 
 def cmd_solve_setcover(args) -> int:
     inst = parse_setcover(_read_text(args.file))
-    objective = "oracle" if args.oracle_cmd else "weighted" if args.weighted else "cardinality"
-    oracle = _command_oracle(args.oracle_cmd) if args.oracle_cmd else None
+    oracle = None if args.oracle_cmd is None else _command_oracle(args.oracle_cmd)
+    objective = "oracle" if oracle is not None else "weighted" if args.weighted else "cardinality"
     cover, cost = solve_setcover(inst, objective, oracle=oracle, edge_budget=args.budget)
     print("cover:", " ".join(map(str, cover)))
     print("cost:", cost)

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import warnings
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Clutter, ONE
 from .errors import ParseError
 from .matching import SemiMatching
 from .reductions import CnfFormula, SetCoverInstance
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -16,6 +19,29 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _ints(tokens: Iterable[str], lineno: int) -> list[int]:
+    """The tokens as ints, or a ParseError on the line naming the first
+    token that is not an integer."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"expected an integer, got {tok!r}", lineno)
+    return values
+
+
+def _rational(token: str, lineno: int | None) -> Fraction:
+    """The token as a Fraction, or a ParseError on the line for anything
+    Fraction refuses, a zero denominator included."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{token!r} is not a rational", lineno)
 
 
 def parse_clutter(text: str) -> Clutter:
@@ -33,17 +59,11 @@ def parse_clutter(text: str) -> Clutter:
         if line == "!one":
             one_line = lineno
             continue
-        edge: list[int] = []
-        for tok in line.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"expected a non-negative integer, got {tok!r}", lineno)
-            if v < 0:
-                raise ParseError(f"vertex labels must be non-negative, got {v}", lineno)
-            if v in edge:
-                raise ParseError(f"duplicate vertex {v} in edge", lineno)
-            edge.append(v)
+        edge = _ints(line.split(), lineno)
+        if min(edge) < 0:
+            raise ParseError(f"vertex labels must be non-negative, got {min(edge)}", lineno)
+        if len(set(edge)) < len(edge):
+            raise ParseError("duplicate vertex in edge", lineno)
         edges.append(edge)
     if one_line is not None:
         if edges:
@@ -88,12 +108,8 @@ def parse_semi_matching(text: str) -> SemiMatching:
         part = chunk.strip()
         if ":" not in part:
             raise ParseError(f"pair {part!r} is missing ':'", payload_line)
-        left, right = part.split(":", 1)
-        try:
-            l = [int(t) for t in left.split(",") if t.strip() != ""]
-            s = [int(t) for t in right.split(",") if t.strip() != ""]
-        except ValueError:
-            raise ParseError(f"pair {part!r} has a non-integer vertex", payload_line)
+        l, s = (_ints([t for t in side.split(",") if t.strip()], payload_line)
+                for side in part.split(":", 1))
         pairs.append((l, s))
     try:
         return SemiMatching(pairs)
@@ -122,22 +138,14 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("header must read 'p cnf <vars> <clauses>'", lineno)
-            try:
-                num_vars = int(parts[2])
-                num_clauses = int(parts[3])
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno)
+            num_vars, num_clauses = _ints(parts[2:], lineno)
             if num_vars < 0:
                 raise ParseError("variable count must be non-negative", lineno)
             header_line = lineno
             continue
         if num_vars is None:
             raise ParseError("clause before the 'p cnf' header", lineno)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"expected an integer literal, got {tok!r}", lineno)
+        for lit in _ints(line.split(), lineno):
             if lit == 0:
                 if not lits:
                     raise ParseError("empty clause", lineno)
@@ -161,8 +169,6 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_setcover(text: str) -> SetCoverInstance:
     """Parse the cover format: first line 'n m', then m lines of
     '<weight> <size> <e1> ... <esize>' with 1-based elements."""
-    from fractions import Fraction
-
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty cover instance", 1)
@@ -170,10 +176,7 @@ def parse_setcover(text: str) -> SetCoverInstance:
     parts = head.split()
     if len(parts) != 2:
         raise ParseError("first line must read '<universe size> <set count>'", head_no)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("first line must hold two integers", head_no)
+    n, m = _ints(parts, head_no)
     if n < 0:
         raise ParseError("universe size must be non-negative", head_no)
     if len(lines) - 1 != m:
@@ -184,17 +187,10 @@ def parse_setcover(text: str) -> SetCoverInstance:
         toks = line.split()
         if len(toks) < 2:
             raise ParseError("set line must read '<weight> <size> <elements...>'", lineno)
-        try:
-            w = Fraction(toks[0])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"weight {toks[0]!r} is not a rational", lineno)
+        w = _rational(toks[0], lineno)
         if w < 0:
             raise ParseError("weights must be non-negative", lineno)
-        try:
-            size = int(toks[1])
-            elems = [int(t) for t in toks[2:]]
-        except ValueError:
-            raise ParseError("set size and elements must be integers", lineno)
+        size, *elems = _ints(toks[1:], lineno)
         if len(elems) != size:
             raise ParseError(f"declared {size} elements, found {len(elems)}", lineno)
         for u in elems:

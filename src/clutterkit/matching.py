@@ -165,6 +165,15 @@ def expansion(h: Clutter, blocks: Iterable[Iterable[int]], carrier: Iterable[int
     equals joining the minimalized parts.  An empty block admits no choice;
     it lies inside every edge, so the result is ZERO.
     """
+    return Clutter(_expansion_sources(h, blocks, carrier))
+
+
+def _expansion_sources(
+    h: Clutter, blocks: Iterable[Iterable[int]], carrier: Iterable[int]
+) -> dict[frozenset[int], Edge]:
+    """Map each set e - carrier, over the edges e of h inside which no block
+    lies, to the canonically first such e.  The keys minimalize to the
+    expansion."""
     blks = [frozenset(b) for b in blocks]
     carrier_set = frozenset(carrier)
     seen: set[int] = set()
@@ -174,8 +183,12 @@ def expansion(h: Clutter, blocks: Iterable[Iterable[int]], carrier: Iterable[int
         if not carrier_set.issuperset(b):
             raise ValueError("expansion blocks must lie inside the carrier")
         seen.update(b)
-    return Clutter(e - carrier_set for e in map(frozenset, h.edges)
-                   if not any(map(e.issuperset, blks)))
+    sources: dict[frozenset[int], Edge] = {}
+    for e in h.edges:
+        es = frozenset(e)
+        if not any(map(es.issuperset, blks)):
+            sources.setdefault(es - carrier_set, e)
+    return sources
 
 
 def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
@@ -421,17 +434,12 @@ def extend_semi_matching(
         raise ValueError("the appended pair must lie inside the carrier")
     if c not in h:
         raise ValueError("the carrier must be an edge of the host clutter")
-    expanded = expansion(h, [r], c)
-    if not is_semi_matching(expanded, matching):
+    sources = _expansion_sources(h, [r], c)
+    if not is_semi_matching(Clutter(sources), matching):
         raise ValueError("input is not a semi-matching of the expanded clutter")
-    new_pairs: list[tuple[Edge, Edge]] = []
-    for l, s in matching.pairs:
-        ss = frozenset(s)
-        # s is an edge of the expansion, so s = e - c for an edge e of h
-        # that does not hold the pair, and that e is eligible
-        host = next(e for e in h.edges
-                    if ss.issubset(e) and (ss | c).issuperset(e) and not (r[0] in e and r[1] in e))
-        new_pairs.append((l, host))
+    # a host s of the expansion misses c, so an edge E of h holds s and lies
+    # inside s | c exactly when E - c == s
+    new_pairs = [(l, sources[frozenset(s)]) for l, s in matching.pairs]
     new_pairs.append((r, tuple(sorted(c))))
     return SemiMatching(new_pairs)
 

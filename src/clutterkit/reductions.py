@@ -170,7 +170,8 @@ def solve_setcover(
     """Minimum cover under a monotone objective, by blocker scan.
 
     objective is one of "cardinality", "weighted" (requires instance
-    weights) or "oracle" (requires an oracle over name sets).  Because
+    weights) or "oracle" (requires an oracle over name sets); an oracle
+    passed with another objective is a ValueError.  Because
     every objective here is monotone, the optimum over all covers is
     attained at a minimal cover, i.e. at a blocker set.  Returns
     (sorted tuple of set names, cost); ties go to the canonically first
@@ -185,6 +186,8 @@ def solve_setcover(
             raise ValueError("oracle objective requires an oracle")
         # one evaluation per distinct name set, shared by spot_check and the scan
         oracle = MonotoneOracle(functools.cache(oracle))
+    elif oracle is not None:
+        raise ValueError(f"the {objective} objective takes no oracle")
 
     covers = blocker(setcover_to_clutter(inst), edge_budget=edge_budget).edges
     if objective == "cardinality":

@@ -150,8 +150,10 @@ def test_solve_setcover_oracle_cmd(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["false", f"{sys.executable} -c \"print('x')\"",
-                                 f"{sys.executable} -c \"print(1); raise SystemExit(1)\""],
-                         ids=["exits 1", "prints no rational", "prints a cost and exits 1"])
+                                 f"{sys.executable} -c \"print(1); raise SystemExit(1)\"",
+                                 "", " ", f"{sys.executable} -c \"print('1/0')\""],
+                         ids=["exits 1", "prints no rational", "prints a cost and exits 1",
+                              "empty", "blank", "prints a zero denominator"])
 def test_solve_setcover_failing_oracle_is_an_input_error(tmp_path, capsys, cmd):
     p = tmp_path / "cover.txt"
     p.write_text("3 3\n1 2 1 2\n1 2 2 3\n1 2 1 3\n")
@@ -200,6 +202,15 @@ def test_gen_families(capsys):
 
 def test_gen_missing_parameter_is_usage_error(capsys):
     assert main(["gen", "--family", "kk2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--family", "kk2", "--k", "0"],
+                                  ["--family", "staircase", "--n", "0"],
+                                  ["--family", "random", "--n", "0", "--m", "1", "--r", "1"]],
+                         ids=["kk2", "staircase", "random"])
+def test_gen_empty_family_is_an_input_error(argv, capsys):
+    assert main(["gen", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_laws_command(capsys):

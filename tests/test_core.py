@@ -200,6 +200,12 @@ class TestJoinMeet:
     def test_meet_with_zero(self):
         assert C6 & ZERO == ZERO
 
+    def test_operands_must_be_clutters(self):
+        with pytest.raises(TypeError):
+            C6 | 1
+        with pytest.raises(TypeError):
+            C6 & "x"
+
 
 class TestValueSemantics:
     def test_equality_and_hash(self):

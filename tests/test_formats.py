@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -50,6 +51,13 @@ class TestClutterFormat:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ParseError):
             parse_clutter("1 1 2\n")
+
+    def test_wide_edge_parses_in_linear_time(self):
+        n = 40_000
+        start = time.perf_counter()
+        h = parse_clutter(" ".join(map(str, range(n))) + "\n")
+        assert time.perf_counter() - start < 0.5
+        assert h.edges == (tuple(range(n)),)
 
     def test_subsumption_warns(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -192,7 +200,11 @@ class TestSetCoverFormat:
 
 
 @pytest.mark.parametrize("parse, text, line", [
+    (parse_clutter, "0 1\n2 -1\n", 2),
+    (parse_clutter, "0 1\n# note\n2 3 2\n", 3),
     (parse_semi_matching, "# one pair\n1,x:1,2,3\n", 2),
+    (parse_semi_matching, "1,2:1,2\n# second\n3,4:3,4\n", 3),
+    (parse_dimacs, "", 1),
     (parse_dimacs, "c shape\np cnf 2\n1 0\n", 2),
     (parse_dimacs, "p cnf two 1\n1 0\n", 1),
     (parse_dimacs, "p cnf 2 2\n1 0\n0\n", 3),

@@ -394,6 +394,19 @@ class TestExtend:
         with pytest.raises(ValueError):
             extend_semi_matching(SemiMatching(), h, (1, 2), (1, 2))
 
+    def test_many_pairs_extend_in_one_pass(self):
+        # pair i's host in h is {2i, 2i+1, x}; the carrier {x, y, z} holds the
+        # new pair {y, z}, so the expansion is kk2(n) and each host lifts
+        n = 8000
+        x, y, z = 2 * n, 2 * n + 1, 2 * n + 2
+        h = Clutter([[2 * i, 2 * i + 1, x] for i in range(n)] + [[x, y, z]])
+        m = SemiMatching([((2 * i, 2 * i + 1), (2 * i, 2 * i + 1)) for i in range(n)])
+        start = time.perf_counter()
+        out = extend_semi_matching(m, h, (y, z), (x, y, z))
+        assert time.perf_counter() - start < 1.0
+        assert out == SemiMatching([((2 * i, 2 * i + 1), (2 * i, 2 * i + 1, x))
+                                    for i in range(n)] + [((y, z), (x, y, z))])
+
     def test_invalid_matching_rejected(self):
         h = Clutter([[1, 2], [3, 4, 5]])
         bogus = SemiMatching([((3, 5), (3, 5))])  # not an edge of the expansion
@@ -742,6 +755,9 @@ class TestMatchingToMinor:
                 if is_expanded_minor_matching(h, m):
                     assert matching_to_minor(h, m).verify(h)
 
+    def test_witness_deleting_a_contracted_vertex_fails(self):
+        assert not MinorWitness((1,), (1, 2), ((3, 4),)).verify(Clutter([[1, 2, 3, 4]]))
+
     def test_rejects_plain_semi_matching(self):
         h = staircase(2)
         m = SemiMatching([((1, 3), (1, 3)), ((2, 4), (2, 3, 4))])
@@ -756,6 +772,7 @@ class TestIsKMatching:
         assert is_k_matching(ZERO, 0)
         assert not is_k_matching(ONE, 0)
         assert not is_k_matching(Clutter([[1, 2]]), 2)
+        assert not is_k_matching(Clutter([[1], [2, 3, 4]]), 2)  # 2 edges on 4 vertices
 
 
 class TestFindMatchingMinor:

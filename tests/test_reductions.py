@@ -64,6 +64,10 @@ class TestSetCoverMapping:
             SetCoverInstance(2, (frozenset({1}),), weights=(1, 2))
         with pytest.raises(ValueError):
             SetCoverInstance(2, (frozenset({1, 2}),), weights=(-1,))
+        with pytest.raises(ValueError):
+            SetCoverInstance(-1, ())
+        with pytest.raises(ValueError):
+            SetCoverInstance(2, (frozenset({1}),), names=("a", "b"))
 
 
 class TestSolveSetCover:
@@ -80,6 +84,13 @@ class TestSolveSetCover:
     def test_weighted_requires_weights(self):
         with pytest.raises(ValueError):
             solve_setcover(TRIANGLE, "weighted")
+
+    @pytest.mark.parametrize("objective, oracle", [("size", None), ("oracle", None),
+                                                   ("cardinality", len), ("weighted", len)])
+    def test_oracle_goes_with_the_oracle_objective_only(self, objective, oracle):
+        inst = SetCoverInstance(3, TRIANGLE.sets, weights=(1, 1, 1))
+        with pytest.raises(ValueError):
+            solve_setcover(inst, objective, oracle=oracle)
 
     def test_oracle_reproduces_cardinality(self):
         rng = random.Random(127)
@@ -222,6 +233,8 @@ class TestCnfMapping:
             CnfFormula(2, ((3,),))
         with pytest.raises(ValueError):
             CnfFormula(2, ((0,),))
+        with pytest.raises(ValueError):
+            CnfFormula(-1, ())
 
     def test_formula_is_frozen(self):
         f = CnfFormula(2, ((1, 2),))
@@ -255,6 +268,7 @@ class TestSolveSat:
         f = CnfFormula(2, ((1, 2), (-1, -2)))
         a = solve_sat(f)
         assert a is not None and satisfies(f, a)
+        assert not satisfies(f, Assignment({1: True, 2: True}))
 
     def test_contradiction(self):
         assert solve_sat(CnfFormula(1, ((1,), (-1,)))) is None
