@@ -21,13 +21,21 @@ check is needed:
 
 The fold can also drop, as soon as it is built, every set holding both
 vertices of a clashing pair; solve_sat folds only the consistent sets
-this way.  The pruned fold yields exactly the consistent members of the
-blocker, in the same canonical order:
+this way.  Each clashing pair is (v, v + 1): the literals of a variable
+are the consecutive integers 2i and 2i + 1, and the fold gives the
+vertices bits in ascending order, so when both occur they sit on
+adjacent bits p and p + 1.  One int, pairs, has bit p set for each such
+pair, and the vertices that clash with a vertex of a mask m are
+(m & pairs) << 1 | (m >> 1) & pairs.  The pruned fold yields exactly
+the consistent members of the blocker, in the same canonical order:
 
 - Every member T of the next family is a hitter t or an extension t | b
   of some t in the current one; either way t <= T.
 - A subset of a consistent set is consistent, so every consistent T
   comes from a t that the pruned fold kept.
+- A kept t is consistent, so t | b clashes exactly when b is in the
+  mask above for t; forbidding those b drops exactly the clashing
+  extensions, and a hitter is a kept t.
 - The critical-edge test reads only t, b and the seen edges, never other
   family members, so pruning never changes which extensions are kept.
 
@@ -101,18 +109,18 @@ def _fold(
 ) -> tuple[Edge, list[int]]:
     """The minimal transversals of h that hold no clashing vertex pair.
 
-    Returns the vertices of h and one bitmask per transversal, in which
-    bit i stands for the i-th vertex.  The order of the masks is
-    unspecified; every caller puts them in canonical order.
+    Each clashing pair must be (v, v + 1), so that its vertices sit on
+    adjacent bits whenever both occur.  Returns the vertices of h and one
+    bitmask per transversal, in which bit i stands for the i-th vertex.
+    The order of the masks is unspecified; every caller puts them in
+    canonical order.
     """
     verts = h.vertices
     pos = {v: i for i, v in enumerate(verts)}
-    partner: dict[int, int] = {}
+    pairs = 0  # bit p set when verts[p] clashes with verts[p + 1]
     for a, b in clashes:
         if a in pos and b in pos:
-            bit_a, bit_b = 1 << pos[a], 1 << pos[b]
-            partner[bit_a] = partner.get(bit_a, 0) | bit_b
-            partner[bit_b] = partner.get(bit_b, 0) | bit_a
+            pairs |= 1 << pos[a]
     nbytes = len(verts) // 8 + 1  # one packed field: the vertex bits and a spare top bit
     family = [0]
     seen: list[int] = []
@@ -123,18 +131,12 @@ def _fold(
         movers = [t for t in family if not t & mask]
         family = [t for t in family if t & mask]
         if len(movers) >= PACK_FROM:
-            _extend_packed(family, movers, mask, seen, partner, nbytes, edge_budget)
+            _extend_packed(family, movers, mask, seen, pairs, nbytes, edge_budget)
         else:
             for t in movers:
-                forbidden = 0
-                if partner:
-                    rest = t
-                    while rest:
-                        u = rest & -rest
-                        rest ^= u
-                        forbidden |= partner.get(u, 0)
-                    if not mask & ~forbidden:  # every extension clashes: skip the scan
-                        continue
+                forbidden = (t & pairs) << 1 | (t >> 1) & pairs
+                if not mask & ~forbidden:  # every extension clashes: skip the scan
+                    continue
                 private: dict[int, int] = {}
                 for f in seen:
                     # t meets every seen edge, so u is never 0
@@ -159,7 +161,7 @@ def _extend_packed(
     movers: list[int],
     mask: int,
     seen: list[int],
-    partner: dict[int, int],
+    pairs: int,
     nbytes: int,
     edge_budget: int,
 ) -> None:
@@ -185,8 +187,7 @@ def _extend_packed(
         # a field of x is 0 exactly when every vertex of t keeps a private
         # edge missing c and no vertex of t clashes with c
         x = fam ^ reduce(or_, compress(privs, [not f & c for f in seen]), 0)
-        if c in partner:
-            x |= fam & partner[c] * low
+        x |= fam & ((c & pairs) << 1 | (c >> 1) & pairs) * low
         ok = (guard - x) & guard
         hits = ok.bit_count()
         if not hits:

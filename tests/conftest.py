@@ -1,6 +1,18 @@
+import importlib
 import pathlib
 import sys
+
+import pytest
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+
+
+@pytest.fixture(params=[0, None, 10**9], ids=["all-packed", "default", "none-packed"])
+def pack_from(request, monkeypatch):
+    """Fold with every step packed, with the module's cutoff, or with none."""
+    if request.param is not None:
+        # the attribute clutterkit.blocker is the function, not the module
+        blocker_module = importlib.import_module("clutterkit.blocker")
+        monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)

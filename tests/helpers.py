@@ -2,13 +2,17 @@
 
 The oracles here avoid the package's algorithms on purpose: transversals
 by subset enumeration, minors by trying every deletion/contraction
-assignment, covers by subfamily enumeration, SAT by truth table.
+assignment, covers by subfamily enumeration, SAT by truth table.  Past
+the reach of subset enumeration, fk_is_blocker checks a claimed blocker
+by Fredman and Khachiyan's duality test.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from clutterkit import Clutter, ONE, ZERO
 
@@ -42,6 +46,60 @@ def brute_minimal_transversals(edge_sets) -> set[frozenset]:
             if all(not all((t - {v}) & e for e in edges) for v in t):
                 out.add(t)
     return out
+
+
+def fk_is_blocker(edges, candidate) -> bool:
+    """True iff candidate is exactly the family of minimal transversals of
+    edges, by Fredman and Khachiyan's algorithm A (J. Algorithms 21, 1996).
+
+    Every candidate set must meet every edge, and every vertex of it must
+    have a private edge, one that the set meets in that vertex alone.  Then
+    the two families must be dual, which the recursion in _fk_dual decides
+    without enumerating subsets, so it reaches sizes brute force cannot.
+    """
+    verts = sorted(set().union(*map(set, edges), *map(set, candidate)))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    f = [sum(bit[v] for v in set(e)) for e in edges]
+    g = [sum(bit[v] for v in set(t)) for t in candidate]
+    if len(set(g)) < len(g):
+        return False
+    for t in g:
+        private = 0
+        for e in f:
+            u = e & t
+            if not u:
+                return False
+            if not u & (u - 1):
+                private |= u
+        if private != t:
+            return False
+    return _fk_dual(f, g)
+
+
+def _fk_dual(f, g) -> bool:
+    """Whether the monotone DNFs with terms f and g (antichains of bitmasks
+    in which every term of f meets every term of g) are dual."""
+    if not f:
+        return g == [0]  # f is 0, so g must be 1
+    if not g:
+        return f == [0]
+    if 0 in f or 0 in g:
+        return False  # one side is 1, and the other is not 0
+    n = reduce(or_, f + g).bit_length()
+    if sum(1 << (n - t.bit_count()) for t in f + g) < 1 << n:
+        return False  # then some x has f(x) and g(~x) both false
+    x = max((1 << i for i in range(n)), key=lambda b: sum(1 for t in f + g if t & b))
+    f0, f1 = [t for t in f if not t & x], [t ^ x for t in f if t & x]
+    g0, g1 = [t for t in g if not t & x], [t ^ x for t in g if t & x]
+    # f = x f1 | f0 and g = x g1 | g0 are dual exactly when f0 | f1 is dual
+    # to g0 and f0 is dual to g0 | g1
+    return _fk_dual(_join(f1, f0), g0) and _fk_dual(f0, _join(g1, g0))
+
+
+def _join(stripped, rest):
+    """The minimal sets of two antichains, where no set of stripped holds a
+    set of rest: all of stripped, and each set of rest holding none of it."""
+    return stripped + [t for t in rest if not any(s & t == s for s in stripped)]
 
 
 def berge_fold_peak(edges, clashes=()) -> int:

@@ -1,4 +1,4 @@
-import importlib
+import functools
 import itertools
 import random
 import tracemalloc
@@ -25,21 +25,12 @@ from helpers import (
     berge_fold_peak,
     brute_minimal_transversals,
     canonical_edges,
+    fk_is_blocker,
     random_clutter_sample,
     truth_table_satisfiable,
 )
 
-# the attribute clutterkit.blocker is the function, not the module
-blocker_module = importlib.import_module("clutterkit.blocker")
-
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
-
-
-@pytest.fixture(params=[0, None, 10**9], ids=["all-packed", "default", "none-packed"])
-def pack_from(request, monkeypatch):
-    """Fold with every step packed, with the module's cutoff, or with none."""
-    if request.param is not None:
-        monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)
 
 
 def _spanning_edges(rng, verts, rank, count):
@@ -115,8 +106,27 @@ def _packed_sat_cases():
     return cases
 
 
+def _wide_fold_cases():
+    """kk2(10) and seeded clutters of rank 2-4 on 20-30 vertices, past the
+    reach of brute force, whose blockers hold 663 to 1,830 sets; a packed field
+    there takes 3 or 4 bytes."""
+    rng = random.Random(71)
+    cases = [kk2(10)]
+    for n, rank, count in [(20, 3, 30), (22, 3, 35), (20, 4, 40), (26, 2, 30), (30, 2, 40)]:
+        cases.append(Clutter(_spanning_edges(rng, rng.sample(range(60), n), rank, count)))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _fk_verdict(h, candidate):
+    """fk_is_blocker, run once per clutter and candidate however often a
+    fixture repeats the test."""
+    return fk_is_blocker(h.edges, candidate)
+
+
 _PACKED_FOLD_CASES = _packed_fold_cases()
 _PACKED_SAT_CASES = _packed_sat_cases()
+_WIDE_FOLD_CASES = _wide_fold_cases()
 
 
 class TestBlocker:
@@ -317,6 +327,30 @@ class TestPackedFold:
             assert (a is not None) == truth_table_satisfiable(f)
             decided.add(a is not None)
         assert decided == {True, False}
+
+
+class TestDualityOracle:
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(67)
+        refused = 0
+        for _ in range(200):
+            h = random_clutter_sample(rng, max_vertices=10, max_edges=8)
+            want = canonical_edges(brute_minimal_transversals(h.edge_sets))
+            assert fk_is_blocker(h.edges, want)
+            if len(want) > 1:
+                drop = rng.randrange(len(want))
+                assert not fk_is_blocker(h.edges, want[:drop] + want[drop + 1:])
+                refused += 1
+        assert refused > 100
+
+    def test_wide_blockers_and_independent_sets(self, pack_from):
+        for h in _WIDE_FOLD_CASES:
+            b = blocker(h)
+            assert 500 < len(b) <= 2000
+            assert _fk_verdict(h, b.edges)
+            verts = frozenset(h.vertices)
+            complements = canonical_edges(verts - set(s) for s in maximal_independent_sets(h))
+            assert _fk_verdict(h, complements)
 
 
 class TestDualityProperties:

@@ -198,6 +198,17 @@ class TestSetCoverFormat:
             parse_setcover("2 2\n1 1 1\n-1 1 2\n")
         assert err.value.line == 3
 
+    def test_exponent_is_bounded(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_setcover("1 1\n1e4000000 1 1\n")
+        assert time.perf_counter() - start < 0.1
+        assert err.value.line == 2
+        from fractions import Fraction
+
+        assert parse_setcover("1 1\n1e4300 1 1\n").weights == (10**4300,)
+        assert parse_setcover("1 1\n1e-4300 1 1\n").weights == (Fraction(1, 10**4300),)
+
 
 @pytest.mark.parametrize("parse, text, line", [
     (parse_clutter, "0 1\n2 -1\n", 2),

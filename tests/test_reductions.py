@@ -314,6 +314,22 @@ class TestSolveSat:
             decided.add(a is not None)
         assert decided == {True, False}
 
+    def test_literals_of_different_variables_at_adjacent_bits(self, pack_from):
+        # a variable that occurs in one polarity only leaves its other literal
+        # out, so a literal of the next variable takes the adjacent bit
+        formulas = [CnfFormula(2, ((1,), (2,))), CnfFormula(2, ((-1,), (2,)))]
+        rng = random.Random(173)
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            signs = [rng.choice(((1,), (-1,), (1, -1))) for _ in range(n)]
+            clauses = [rng.sample(range(1, n + 1), rng.randint(1, min(3, n))) for _ in range(3 * n)]
+            formulas.append(CnfFormula(n, tuple(
+                tuple(v * rng.choice(signs[v - 1]) for v in clause) for clause in clauses
+            )))
+        assert solve_sat(formulas[0]).values == {1: True, 2: True}
+        for f in formulas:
+            assert solve_sat(f) == first_consistent_blocker_set(f)
+
     def test_budget_caps_the_consistent_family(self):
         rng = random.Random(167)
         for _ in range(30):
