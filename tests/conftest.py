@@ -16,3 +16,13 @@ def pack_from(request, monkeypatch):
         # the attribute clutterkit.blocker is the function, not the module
         blocker_module = importlib.import_module("clutterkit.blocker")
         monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)
+
+
+@pytest.fixture(params=[{"LATTICE_UP_TO": -1}, {}, {"LATTICE_SHIFT": 17}],
+                ids=["fold-only", "default", "lattice-always"])
+def engine(request, monkeypatch):
+    """Dualize by the fold alone, with the module's hand-over, or by the
+    subset lattice wherever it may answer (2^n >> 17 is 0 for n <= 16)."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    for name, value in request.param.items():
+        monkeypatch.setattr(blocker_module, name, value)

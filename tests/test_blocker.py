@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import random
 import tracemalloc
@@ -19,6 +20,7 @@ from clutterkit import (
     kk2,
     maximal_independent_sets,
     solve_sat,
+    staircase,
 )
 
 from helpers import (
@@ -235,6 +237,102 @@ class TestBlocker:
             tracemalloc.stop()
         assert len(got) == 2**16
         assert peak < 16 * 10**6  # bytes; 14.2 MB when first measured
+
+
+def _rotations(n, *offsets):
+    """The edges {i + o for o in offsets} mod n, for i < n."""
+    return [[(i + o) % n for o in offsets] for i in range(n)]
+
+
+# a dense rank-4 clutter on 14 vertices whose blocker has 303 sets
+DENSE14 = Clutter(_rotations(14, 0, 1, 3, 7) + _rotations(14, 0, 2, 5, 9))
+
+
+def _engine_cases():
+    """Clutters with their brute-force minimal transversals: no vertices,
+    tables smaller than one byte, the packed-fold cases (up to 16 vertices),
+    and seeded exact-size clutters on up to 12 vertices."""
+    rng = random.Random(79)
+    small = [Clutter([[0, 1]]), Clutter([[0], [1]]), Clutter([[5, 9], [9, 11]]), C6]
+    cases = [(h, brute_minimal_transversals(h.edge_sets)) for h in small]
+    cases += _PACKED_FOLD_CASES
+    for _ in range(40):
+        r = rng.randint(2, 5)
+        n = rng.randint(r + 1, 12)
+        h = Clutter(rng.sample(range(n), r) for _ in range(rng.randint(1, 3 * n)))
+        cases.append((h, brute_minimal_transversals(h.edge_sets)))
+    return cases
+
+
+_ENGINE_CASES = _engine_cases()
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_dense14():
+    return brute_minimal_transversals(DENSE14.edge_sets)
+
+
+class TestEngines:
+    def test_blocker_and_independent_sets_match_brute_force(self, engine):
+        assert {len(h.vertices) for h, _ in _ENGINE_CASES} >= {0, 1, 2, 3, 16}
+        for h, want in _ENGINE_CASES:
+            got = blocker(h)
+            assert set(got.edge_sets) == want
+            assert len(got) == len(want)
+            verts = frozenset(h.vertices)
+            assert maximal_independent_sets(h) == canonical_edges(verts - t for t in want)
+
+    def test_dense_clutter_on_fourteen_vertices(self, engine):
+        want = _brute_dense14()
+        assert len(want) == 303
+        for budget in (10**6, 3432, 3431):
+            assert set(blocker(DENSE14, edge_budget=budget).edge_sets) == want
+
+    def test_solve_sat_returns_the_first_consistent_blocker_set(self, engine):
+        for f, want in _PACKED_SAT_CASES:
+            assert solve_sat(f) == want
+
+
+class TestLatticeSwitch:
+    """Which clutters the fold hands over to the subset lattice."""
+
+    @pytest.fixture
+    def lattice_calls(self, monkeypatch):
+        blocker_module = importlib.import_module("clutterkit.blocker")
+        calls = []
+        lattice = blocker_module._lattice
+
+        def spy(h, pos, pairs):
+            calls.append(len(pos))
+            return lattice(h, pos, pairs)
+
+        monkeypatch.setattr(blocker_module, "_lattice", spy)
+        return calls
+
+    def test_long_fold_on_fourteen_vertices(self, lattice_calls):
+        got = blocker(DENSE14)
+        assert lattice_calls == [14]
+        assert maximal_independent_sets(DENSE14) == canonical_edges(
+            frozenset(DENSE14.vertices) - set(t) for t in got)
+        assert lattice_calls == [14, 14]
+
+    def test_not_below_the_sperner_bound(self, lattice_calls):
+        # C(14, 7) = 3432 sets: one fewer and the fold could trip its budget
+        assert blocker(DENSE14, edge_budget=3431) == blocker(DENSE14, edge_budget=3432)
+        assert lattice_calls == [14]
+
+    def test_not_on_seventeen_vertices(self, lattice_calls):
+        h = Clutter(_rotations(17, 0, 1, 3, 7) + _rotations(17, 0, 2, 5, 9)
+                    + _rotations(17, 0, 4, 6, 13))
+        assert len(h.vertices) == 17
+        assert fk_is_blocker(h.edges, blocker(h).edges)
+        assert lattice_calls == []
+
+    @pytest.mark.parametrize("h", [staircase(7), kk2(7)], ids=["staircase", "kk2"])
+    def test_not_where_the_fold_finishes_first(self, h, lattice_calls):
+        assert len(h.vertices) == 14
+        assert set(blocker(h).edge_sets) == brute_minimal_transversals(h.edge_sets)
+        assert lattice_calls == []
 
 
 class TestIsTransversal:

@@ -109,6 +109,15 @@ class TestSolveSetCover:
             _, wcost = solve_setcover(inst, "weighted")
             assert wcost == brute_min_cover_cost(inst, "weighted")
 
+    def test_matches_brute_force_under_each_engine(self, engine):
+        rng = random.Random(137)
+        for _ in range(30):
+            inst = random_cover_instance(rng, max_elements=10, max_sets=12)
+            _, cost = solve_setcover(inst)
+            assert cost == brute_min_cover_cost(inst)
+            _, wcost = solve_setcover(inst, "weighted")
+            assert wcost == brute_min_cover_cost(inst, "weighted")
+
     def test_blocker_sets_are_exactly_the_minimal_covers(self):
         import itertools
 
@@ -253,6 +262,33 @@ def exact_3cnf(rng, num_vars, num_clauses):
     ))
 
 
+def _near_threshold_formulas():
+    """Exact 3-CNF formulas near the satisfiability threshold on 3 to 9
+    variables, and seeded random ones."""
+    rng = random.Random(163)
+    formulas = [exact_3cnf(rng, n, round(4.2 * n) + rng.randint(-2, 2))
+                for n in (3, 4, 5, 6, 7, 8, 9) for _ in range(6)]
+    return formulas + [random_cnf(rng, max_vars=9, max_clauses=20) for _ in range(30)]
+
+
+def _adjacent_bit_formulas():
+    """Formulas in which each variable occurs in one polarity or both.
+
+    A variable that occurs in one polarity only leaves its other literal
+    out, so a literal of the next variable takes the adjacent bit; one
+    that occurs in both puts a clashing pair on adjacent bits."""
+    formulas = [CnfFormula(2, ((1,), (2,))), CnfFormula(2, ((-1,), (2,)))]
+    rng = random.Random(173)
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        signs = [rng.choice(((1,), (-1,), (1, -1))) for _ in range(n)]
+        clauses = [rng.sample(range(1, n + 1), rng.randint(1, min(3, n))) for _ in range(3 * n)]
+        formulas.append(CnfFormula(n, tuple(
+            tuple(v * rng.choice(signs[v - 1]) for v in clause) for clause in clauses
+        )))
+    return formulas
+
+
 def first_consistent_blocker_set(formula):
     """The assignment read off the canonically first blocker set that
     holds no complementary literal pair, or None."""
@@ -302,12 +338,8 @@ class TestSolveSat:
             assert (solve_sat(f2) is not None) == base
 
     def test_equals_the_first_consistent_blocker_set(self):
-        rng = random.Random(163)
-        formulas = [exact_3cnf(rng, n, round(4.2 * n) + rng.randint(-2, 2))
-                    for n in (3, 4, 5, 6, 7, 8, 9) for _ in range(6)]
-        formulas += [random_cnf(rng, max_vars=9, max_clauses=20) for _ in range(30)]
         decided = set()
-        for f in formulas:
+        for f in _near_threshold_formulas():
             a = solve_sat(f)
             assert a == first_consistent_blocker_set(f)
             assert (a is not None) == truth_table_satisfiable(f)
@@ -315,20 +347,19 @@ class TestSolveSat:
         assert decided == {True, False}
 
     def test_literals_of_different_variables_at_adjacent_bits(self, pack_from):
-        # a variable that occurs in one polarity only leaves its other literal
-        # out, so a literal of the next variable takes the adjacent bit
-        formulas = [CnfFormula(2, ((1,), (2,))), CnfFormula(2, ((-1,), (2,)))]
-        rng = random.Random(173)
-        for _ in range(80):
-            n = rng.randint(2, 8)
-            signs = [rng.choice(((1,), (-1,), (1, -1))) for _ in range(n)]
-            clauses = [rng.sample(range(1, n + 1), rng.randint(1, min(3, n))) for _ in range(3 * n)]
-            formulas.append(CnfFormula(n, tuple(
-                tuple(v * rng.choice(signs[v - 1]) for v in clause) for clause in clauses
-            )))
+        formulas = _adjacent_bit_formulas()
         assert solve_sat(formulas[0]).values == {1: True, 2: True}
         for f in formulas:
             assert solve_sat(f) == first_consistent_blocker_set(f)
+
+    def test_first_consistent_blocker_set_under_each_engine(self, engine):
+        decided = set()
+        for f in _near_threshold_formulas() + _adjacent_bit_formulas():
+            a = solve_sat(f)
+            assert a == first_consistent_blocker_set(f)
+            assert (a is not None) == truth_table_satisfiable(f)
+            decided.add(a is not None)
+        assert decided == {True, False}
 
     def test_budget_caps_the_consistent_family(self):
         rng = random.Random(167)
