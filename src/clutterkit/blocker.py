@@ -19,15 +19,16 @@ check is needed:
 - Extensions t | b and t' | b' are comparable only when equal: b is not
   in t', so b == b', then t <= t' and the antichain forces t == t'.
 
-The fold can also drop, as soon as it is built, every set holding both
-vertices of a clashing pair; solve_sat folds only the consistent sets
-this way.  Each clashing pair is (v, v + 1): the literals of a variable
-are the consecutive integers 2i and 2i + 1, and the fold gives the
-vertices bits in ascending order, so when both occur they sit on
-adjacent bits p and p + 1.  One int, pairs, has bit p set for each such
-pair, and the vertices that clash with a vertex of a mask m are
-(m & pairs) << 1 | (m >> 1) & pairs.  The pruned fold yields exactly
-the consistent members of the blocker, in the same canonical order:
+With literals set, the fold also drops, as soon as it is built, every set
+holding both a vertex v and v ^ 1; solve_sat folds only the consistent
+sets this way, since the literals of variable i are 2i and 2i + 1.  Such
+v and v ^ 1 differ by one, and the fold gives the vertices bits in
+ascending order, so whenever both occur they sit on adjacent bits p and
+p + 1, and comparing each vertex with the next finds them.  One int,
+pairs, has bit p set for each such pair, and the vertices that clash
+with a vertex of a mask m are (m & pairs) << 1 | (m >> 1) & pairs.  The
+pruned fold yields exactly the consistent members of the blocker, in the
+same canonical order:
 
 - Every member T of the next family is a hitter t or an extension t | b
   of some t in the current one; either way t <= T.
@@ -62,7 +63,8 @@ With n vertices, a table of 2^n bits has bit S set when the subset S (bit
 i for the i-th vertex) has some property, and holds[i] is the table of
 the subsets holding vertex i.  A set is a non-transversal exactly when it
 lies inside the complement of some edge, so the non-transversals are the
-down-closure of those complements: set their bits, then for each i OR in
+down-closure of those complements: set the bit of each complement, the
+fold's edge mask XOR 2^n - 1, then for each i OR in
 (miss & holds[i]) >> 2^i, which moves every set holding i to the set
 without it.  The transversals T are the rest.  A transversal is minimal
 when no set one vertex smaller is a transversal, so the minimal ones are
@@ -137,29 +139,25 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     at most edge_budget sets, or the one empty set it starts from.  Output
     is canonical and deterministic.
     """
-    return Clutter._from_antichain(_decode(*_fold(h, edge_budget, ())))
+    return Clutter._from_antichain(_decode(*_fold(h, edge_budget)))
 
 
-def _fold(
-    h: Clutter, edge_budget: int, clashes: Iterable[tuple[int, int]]
-) -> tuple[Edge, list[int]]:
-    """The minimal transversals of h that hold no clashing vertex pair.
+def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, list[int]]:
+    """The minimal transversals of h; with literals, only those that hold
+    no vertex v together with v ^ 1 (the literals 2i and 2i + 1).
 
-    Each clashing pair must be (v, v + 1), so that its vertices sit on
-    adjacent bits whenever both occur.  Returns the vertices of h and one
-    bitmask per transversal, in which bit i stands for the i-th vertex.
-    The order of the masks is unspecified; every caller puts them in
-    canonical order.  A long fold on few vertices hands over to _lattice,
-    which returns the same masks, only where the fold could not trip
-    edge_budget.
+    Returns the vertices of h and one bitmask per transversal, in which bit
+    i stands for the i-th vertex.  The order of the masks is unspecified;
+    every caller puts them in canonical order.  A long fold on few vertices
+    hands over to _lattice, which returns the same masks, only where the
+    fold could not trip edge_budget.
     """
     verts = h.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    pairs = 0  # bit p set when verts[p] clashes with verts[p + 1]
-    for a, b in clashes:
-        if a in pos and b in pos:
-            pairs |= 1 << pos[a]
     n = len(verts)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    masks = [sum(map(bit.__getitem__, e)) for e in h.edges]
+    # bit p set when verts[p] clashes with verts[p + 1]
+    pairs = sum(1 << p for p in range(n - 1) if verts[p] ^ 1 == verts[p + 1]) if literals else 0
     nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
     # the members the fold may test before the lattice costs less; the
     # lattice answers only where no family can outgrow the budget
@@ -169,13 +167,10 @@ def _fold(
     tested = 0
     family = [0]
     seen: list[int] = []
-    for edge in h.edges:
+    for mask in masks:
         tested += len(family)
         if tested > cap:
-            return verts, _lattice(h, pos, pairs)
-        mask = 0
-        for v in edge:
-            mask |= 1 << pos[v]
+            return verts, _lattice(n, masks, pairs)
         movers = [t for t in family if not t & mask]
         family = [t for t in family if t & mask]
         if len(movers) >= PACK_FROM:
@@ -258,17 +253,13 @@ def _holds(n: int) -> tuple[int, ...]:
 _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def _lattice(h: Clutter, pos: dict[int, int], pairs: int) -> list[int]:
-    """The masks _fold returns for h and the clash mask pairs, read off
-    2^n-bit tables of the subsets of its n vertices, numbered by pos."""
-    n = len(pos)
+def _lattice(n: int, masks: list[int], pairs: int) -> list[int]:
+    """The masks _fold returns for the edge masks of a clutter on n vertices
+    and the clash mask pairs, read off 2^n-bit tables of the subsets."""
     holds = _holds(n)
     top = (1 << n) - 1
     buf = bytearray(max(1, (1 << n) >> 3))  # n < 3: one byte
-    for edge in h.edges:
-        x = top  # the complement of the edge
-        for v in edge:
-            x ^= 1 << pos[v]
+    for x in [top ^ m for m in masks]:  # the complements of the edges
         buf[x >> 3] |= 1 << (x & 7)
     miss = int.from_bytes(buf, "little")
     for i, held in enumerate(holds):
@@ -307,6 +298,6 @@ def maximal_independent_sets(
     as in blocker.  Isolated vertices outside the edges of h are not
     modeled.
     """
-    verts, masks = _fold(h, edge_budget, ())
+    verts, masks = _fold(h, edge_budget)
     full = (1 << len(verts)) - 1
     return _canonical(_decode(verts, [full ^ t for t in masks]))

@@ -9,6 +9,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .blocker import blocker, maximal_independent_sets
 from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membership, verify_bound
@@ -32,7 +33,7 @@ from .matching import (
     extract_minor_matching,
     find_kk2_minor,
 )
-from .reductions import MonotoneOracle, solve_sat, solve_setcover
+from .reductions import solve_sat, solve_setcover
 
 
 def _read_text(path: str) -> str:
@@ -128,7 +129,7 @@ def cmd_membership(args) -> int:
     return 0 if member else 1
 
 
-def _command_oracle(cmd: str) -> MonotoneOracle:
+def _command_oracle(cmd: str) -> Callable[[frozenset], object]:
     import shlex
     import subprocess
 
@@ -143,7 +144,7 @@ def _command_oracle(cmd: str) -> MonotoneOracle:
             raise OSError(f"oracle command {cmd!r} exited with status {proc.returncode}")
         return _rational(proc.stdout.strip(), None)
 
-    return MonotoneOracle(evaluate)
+    return evaluate
 
 
 def cmd_solve_setcover(args) -> int:

@@ -238,9 +238,7 @@ def solve_sat(
     assignment is re-checked against the formula before return.
     """
     variables = range(1, formula.num_vars + 1)
-    verts, consistent = _fold(
-        cnf_to_clutter(formula), edge_budget, [(2 * i, 2 * i + 1) for i in variables]
-    )
+    verts, consistent = _fold(cnf_to_clutter(formula), edge_budget, literals=True)
     if not consistent:
         return None
     first = _canonical(_decode(verts, consistent))[0]

@@ -293,6 +293,26 @@ def truth_table_satisfiable(formula) -> bool:
     return False
 
 
+def brute_consistent_minimal_transversals(formula) -> set[frozenset]:
+    """The minimal transversals of a formula's clauses, over the literal
+    vertices 2i (x_i) and 2i + 1 (not x_i), that hold no pair {2i, 2i + 1}.
+
+    Enumerates every consistent set: each variable gives 2i, 2i + 1 or
+    neither.  Every subset of a consistent set is consistent, so a
+    consistent transversal is minimal exactly when no set one vertex
+    smaller is a transversal.
+    """
+    edges = [frozenset(2 * l if l > 0 else -2 * l + 1 for l in c) for c in formula.clauses]
+    choices = [((), (2 * i,), (2 * i + 1,)) for i in range(1, formula.num_vars + 1)]
+    out = set()
+    for pick in itertools.product(*choices):
+        t = frozenset(itertools.chain.from_iterable(pick))
+        if all(t & e for e in edges) and all(
+                not all((t - {v}) & e for e in edges) for v in t):
+            out.add(t)
+    return out
+
+
 def random_cnf(rng: random.Random, max_vars=12, max_clauses=20, width=3):
     from clutterkit import CnfFormula
 

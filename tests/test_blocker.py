@@ -302,9 +302,9 @@ class TestLatticeSwitch:
         calls = []
         lattice = blocker_module._lattice
 
-        def spy(h, pos, pairs):
-            calls.append(len(pos))
-            return lattice(h, pos, pairs)
+        def spy(n, masks, pairs):
+            calls.append(n)
+            return lattice(n, masks, pairs)
 
         monkeypatch.setattr(blocker_module, "_lattice", spy)
         return calls

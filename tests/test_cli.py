@@ -202,6 +202,8 @@ def test_gen_families(capsys):
 
 def test_gen_missing_parameter_is_usage_error(capsys):
     assert main(["gen", "--family", "kk2"]) == 2
+    assert main(["gen", "--family", "staircase"]) == 2
+    assert "family staircase requires --n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--family", "kk2", "--k", "0"],

@@ -68,6 +68,7 @@ class TestSemiMatchingType:
     def test_canonical_order_by_min_vertex(self):
         m = SemiMatching([((4, 5), (4, 5, 6)), ((1, 2), (1, 2, 3))])
         assert m.blocks == ((1, 2), (4, 5))
+        assert list(m) == [((1, 2), (1, 2, 3)), ((4, 5), (4, 5, 6))]
 
     def test_rejects_wrong_pair_size(self):
         with pytest.raises(ValueError):
@@ -798,6 +799,10 @@ class TestFindMatchingMinor:
         assert find_kk2_minor(C6, 0) is not None
         assert find_kk2_minor(ONE, 0) is None
         assert find_kk2_minor(ZERO, 0) is not None
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            find_kk2_minor(C6, -1)
 
     def test_single_pair_exists_iff_rank_at_least_two(self):
         rng = random.Random(103)

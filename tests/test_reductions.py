@@ -1,3 +1,4 @@
+import functools
 import random
 import warnings
 from fractions import Fraction
@@ -19,9 +20,11 @@ from clutterkit import (
     solve_sat,
     solve_setcover,
 )
+from clutterkit.blocker import _decode, _fold
 
 from helpers import (
     berge_fold_peak,
+    brute_consistent_minimal_transversals,
     brute_min_cover_cost,
     random_cnf,
     random_cover_instance,
@@ -289,6 +292,18 @@ def _adjacent_bit_formulas():
     return formulas
 
 
+@functools.lru_cache(maxsize=None)
+def _consistent_family_cases():
+    """Seeded 2- and 3-CNF formulas of at most 8 variables, so at most 16
+    literal vertices and the lattice may answer, and the adjacent-bit
+    formulas, each with its brute-force consistent minimal transversals."""
+    rng = random.Random(181)
+    formulas = [random_cnf(rng, max_vars=8, max_clauses=16, width=rng.choice((2, 3)))
+                for _ in range(60)]
+    formulas += _adjacent_bit_formulas()
+    return [(f, brute_consistent_minimal_transversals(f)) for f in formulas]
+
+
 def first_consistent_blocker_set(formula):
     """The assignment read off the canonically first blocker set that
     holds no complementary literal pair, or None."""
@@ -360,6 +375,15 @@ class TestSolveSat:
             assert (a is not None) == truth_table_satisfiable(f)
             decided.add(a is not None)
         assert decided == {True, False}
+
+    def test_fold_keeps_exactly_the_consistent_minimal_transversals(self, engine, pack_from):
+        sizes = set()
+        for f, want in _consistent_family_cases():
+            got = _decode(*_fold(cnf_to_clutter(f), 10**6, literals=True))
+            assert len(got) == len(want)
+            assert set(map(frozenset, got)) == want
+            sizes.add(len(want))
+        assert 0 in sizes and max(sizes) >= 30
 
     def test_budget_caps_the_consistent_family(self):
         rng = random.Random(167)
