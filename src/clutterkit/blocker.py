@@ -89,7 +89,11 @@ then the fold's.
 The fold hands its family over as bitmasks, and each consumer decodes
 only what it needs: blocker decodes the masks into its clutter,
 maximal_independent_sets decodes the complement of each mask within the
-vertex set, and solve_sat decodes the consistent family.
+vertex set, and solve_sat picks the canonically first consistent set off
+the masks and decodes only that one.  Masks are read four bits at a time:
+each call builds one 16-entry table per four vertices, holding the sorted
+vertex tuple of every subset of them, and a mask decodes to the
+concatenation of its lookups.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
@@ -147,8 +151,9 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     no vertex v together with v ^ 1 (the literals 2i and 2i + 1).
 
     Returns the vertices of h and one bitmask per transversal, in which bit
-    i stands for the i-th vertex.  The order of the masks is unspecified;
-    every caller puts them in canonical order.  A long fold on few vertices
+    i stands for the i-th vertex.  The order of the masks is unspecified:
+    blocker and maximal_independent_sets sort what they decode, and
+    solve_sat picks its set from the masks.  A long fold on few vertices
     hands over to _lattice, which returns the same masks, only where the
     fold could not trip edge_budget.
     """
@@ -283,9 +288,36 @@ def _over_budget(edge_budget: int) -> ResourceLimitError:
 
 def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
     """Each mask as the sorted tuple of the vertices its bits stand for."""
-    # bit i stands for verts[i], so each decoded tuple comes out sorted
-    bits = [(1 << i, v) for i, v in enumerate(verts)]
-    return [tuple([v for bit, v in bits if t & bit]) for t in masks]
+    # one table per 4 bits: entry j holds the vertices of the bits set in j;
+    # bit i stands for verts[i] and verts is sorted, so each tuple is too.
+    # No mask has a bit past the last vertex, so the last lookup needs no
+    # & 15; up to 16 vertices the lookups are unrolled.
+    tables = []
+    for k in range(0, len(verts), 4):
+        table: list[Edge] = [()]
+        for v in verts[k:k + 4]:
+            table += [x + (v,) for x in table]
+        tables.append(table)
+    if len(tables) == 1:
+        a, = tables
+        return [a[m] for m in masks]
+    if len(tables) == 2:
+        a, b = tables
+        return [a[m & 15] + b[m >> 4] for m in masks]
+    if len(tables) == 3:
+        a, b, c = tables
+        return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8] for m in masks]
+    if len(tables) == 4:
+        a, b, c, d = tables
+        return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8 & 15] + d[m >> 12] for m in masks]
+    out = []
+    for m in masks:
+        t: Edge = ()
+        for table in tables:
+            t += table[m & 15]
+            m >>= 4
+        out.append(t)
+    return out
 
 
 def maximal_independent_sets(

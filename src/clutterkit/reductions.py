@@ -16,8 +16,8 @@ import warnings
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .blocker import DEFAULT_EDGE_BUDGET, _decode, _fold, blocker
-from .core import Clutter, _canonical, _Value
+from .blocker import DEFAULT_EDGE_BUDGET, _fold, blocker
+from .core import Clutter, _Value
 from .errors import InfeasibleInstanceError
 
 if TYPE_CHECKING:
@@ -241,7 +241,16 @@ def solve_sat(
     verts, consistent = _fold(cnf_to_clutter(formula), edge_budget, literals=True)
     if not consistent:
         return None
-    first = _canonical(_decode(verts, consistent))[0]
+    # the canonically first set: the fewest vertices, then lex-first; bit i
+    # stands for verts[i], so of two masks of one size the lex-first holds
+    # the lowest bit in which they differ
+    fewest = min(map(int.bit_count, consistent))
+    best, *rest = [m for m in consistent if m.bit_count() == fewest]
+    for m in rest:
+        d = m ^ best
+        if m & d & -d:
+            best = m
+    first = {v for i, v in enumerate(verts) if best >> i & 1}
     assignment = Assignment({i: (2 * i in first) for i in variables})
     if not satisfies(formula, assignment):
         raise RuntimeError("internal error: blocker scan produced a falsifying assignment")

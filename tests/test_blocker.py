@@ -23,6 +23,8 @@ from clutterkit import (
     staircase,
 )
 
+from clutterkit.blocker import _decode
+
 from helpers import (
     berge_fold_peak,
     brute_minimal_transversals,
@@ -333,6 +335,23 @@ class TestLatticeSwitch:
         assert len(h.vertices) == 14
         assert set(blocker(h).edge_sets) == brute_minimal_transversals(h.edge_sets)
         assert lattice_calls == []
+
+
+def _decode_bit_by_bit(verts, masks):
+    """The reference decode: each mask tests every vertex bit."""
+    bits = [(1 << i, v) for i, v in enumerate(verts)]
+    return [tuple([v for bit, v in bits if t & bit]) for t in masks]
+
+
+class TestDecode:
+    def test_matches_the_bit_by_bit_decode(self):
+        # 0 to 40 vertices: no table, a partial last table, the unrolled
+        # lookups up to 16 vertices and the loop above them
+        rng = random.Random(83)
+        for n in range(41):
+            verts = tuple(sorted(rng.sample(range(5 * n), n)))
+            masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]
+            assert _decode(verts, masks) == _decode_bit_by_bit(verts, masks), n
 
 
 class TestIsTransversal:
