@@ -72,28 +72,36 @@ T minus the OR over i of (T << 2^i) & holds[i], the sets holding i whose
 set without i is in T.  A clashing pair on adjacent bits p and p + 1
 drops holds[p] & holds[p + 1] from T first; the kept sets are exactly the
 consistent minimal transversals, because every subset of a consistent
-set is consistent.  The set bits are read off a byte at a time.  Each
-table is 2^n bits, so at most 8 KB with n <= LATTICE_UP_TO = 16, and the
-cached holds tables take n of them for each n used.
+set is consistent.  The set bits are read off a byte at a time: compress
+over a cached tuple of the byte offsets picks out the nonzero bytes in C,
+so only those cost Python work and no call makes an int per byte.  Each
+table is 2^n bits, so at most 8 KB with n <= LATTICE_UP_TO = 16; the
+cached holds tables take n of them for each n used, and the cached
+offsets one int per byte of each table size used.
 
 The lattice takes a few table operations per vertex, where the fold
-tests family members one by one, so the fold counts the members it
-tests, the sum of its family sizes over the steps, and hands over once
-that passes 2^n >> LATTICE_SHIFT.  It does so only when the fold could not have
-tripped its budget: every family it holds is an antichain (a subset of
-the minimal transversals of the seen edges), so by Sperner's theorem
-(1928) it never holds more than C(n, n // 2) sets, and the hand-over
-needs edge_budget >= C(n, n // 2).  Answers and budget trip points are
-then the fold's.
+tests family members one by one.  A plain fold of a clutter with at least
+as many edges as vertices hands over at its first step: such a fold
+tends to run long, and its clutter gives no sign of that before it does.
+Every other fold, over sparser clutters such as kk2 and staircase (n / 2
+edges), which the fold finishes first, or with literals set, where the
+clash pruning keeps the families small, counts the members it tests, the
+sum of its family sizes over the steps, and hands over once that passes
+2^n >> LATTICE_SHIFT.  Either way it does so only when the fold could
+not have tripped its budget: every family it holds is an antichain (a
+subset of the minimal transversals of the seen edges), so by Sperner's
+theorem (1928) it never holds more than C(n, n // 2) sets, and the
+hand-over needs edge_budget >= C(n, n // 2).  Answers and budget trip
+points are then the fold's.
 
 The fold hands its family over as bitmasks, and each consumer decodes
 only what it needs: blocker decodes the masks into its clutter,
 maximal_independent_sets decodes the complement of each mask within the
 vertex set, and solve_sat picks the canonically first consistent set off
-the masks and decodes only that one.  Masks are read four bits at a time:
-each call builds one 16-entry table per four vertices, holding the sorted
-vertex tuple of every subset of them, and a mask decodes to the
-concatenation of its lookups.
+the masks and decodes only that one.  Masks are read four bits at a time
+on up to 16 vertices and eight above: each call builds one table per four
+(or eight) vertices, holding the sorted vertex tuple of every subset of
+them, and a mask decodes to the concatenation of its lookups.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
@@ -116,11 +124,17 @@ DEFAULT_EDGE_BUDGET = 10**6
 # faster from 8 on, and on 3-CNF clutters from 6 on
 PACK_FROM = 8
 
-# the fold hands a clutter on at most LATTICE_UP_TO vertices over to the
-# subset lattice once it has tested more than 2^n >> LATTICE_SHIFT family
-# members; on random rank 2-5, kk2, staircase and 3-CNF clutters with 8 to
-# 18 vertices, a shift of 5 kept every kind within 8% or 8 us of the fold
-# alone, while one of 6 lost up to 22% at 16 vertices
+# on at most LATTICE_UP_TO vertices, a plain fold of at least as many edges
+# as vertices hands over to the subset lattice at once, and any other fold
+# once it has tested more than 2^n >> LATTICE_SHIFT family members.  On
+# random rank 2-5, kk2, staircase and 3-CNF clutters with 8 to 18 vertices,
+# a shift of 5 kept every kind within 8% or 8 us of the fold alone, while
+# one of 6 lost up to 22% at 16 vertices.  Against that cap alone, handing
+# the rank 2-5 clutters with n or 3n edges over at once (and reading the
+# table through cached offsets) made them 1.5-5.3x faster on 12 to 16
+# vertices and slowed no kind by more than 10% and 10 us, while doing so
+# for kk2 and staircase (n / 2 edges) would have made them 1.6x and 6.8x
+# slower at 16
 LATTICE_UP_TO = 16
 LATTICE_SHIFT = 5
 
@@ -153,9 +167,10 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     Returns the vertices of h and one bitmask per transversal, in which bit
     i stands for the i-th vertex.  The order of the masks is unspecified:
     blocker and maximal_independent_sets sort what they decode, and
-    solve_sat picks its set from the masks.  A long fold on few vertices
-    hands over to _lattice, which returns the same masks, only where the
-    fold could not trip edge_budget.
+    solve_sat picks its set from the masks.  On few vertices a long fold,
+    or a plain one of as many edges as vertices, hands over to _lattice,
+    which returns the same masks, only where the fold could not trip
+    edge_budget.
     """
     verts = h.vertices
     n = len(verts)
@@ -164,11 +179,12 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     # bit p set when verts[p] clashes with verts[p + 1]
     pairs = sum(1 << p for p in range(n - 1) if verts[p] ^ 1 == verts[p + 1]) if literals else 0
     nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
-    # the members the fold may test before the lattice costs less; the
-    # lattice answers only where no family can outgrow the budget
+    # the members the fold may test before the lattice costs less, none for
+    # a plain fold of as many edges as vertices; the lattice answers only
+    # where no family can outgrow the budget
     cap = inf
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
-        cap = (1 << n) >> LATTICE_SHIFT
+        cap = 0 if not literals and len(masks) >= n else (1 << n) >> LATTICE_SHIFT
     tested = 0
     family = [0]
     seen: list[int] = []
@@ -255,6 +271,12 @@ def _holds(n: int) -> tuple[int, ...]:
                  for w in (1 << i for i in range(n)))
 
 
+@cache
+def _offsets(size: int) -> tuple[int, ...]:
+    """0 to size - 1, kept so that reading a table makes no int per byte."""
+    return tuple(range(size))
+
+
 _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
@@ -279,7 +301,7 @@ def _lattice(n: int, masks: list[int], pairs: int) -> list[int]:
         up |= (t << (1 << i)) & held
     t ^= t & up
     data = t.to_bytes(len(buf), "little")
-    return [8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]]
+    return [8 * j + i for j in compress(_offsets(len(data)), data) for i in _BITS[data[j]]]
 
 
 def _over_budget(edge_budget: int) -> ResourceLimitError:
@@ -288,34 +310,42 @@ def _over_budget(edge_budget: int) -> ResourceLimitError:
 
 def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
     """Each mask as the sorted tuple of the vertices its bits stand for."""
-    # one table per 4 bits: entry j holds the vertices of the bits set in j;
+    # one table per w bits: entry j holds the vertices of the bits set in j;
     # bit i stands for verts[i] and verts is sorted, so each tuple is too.
-    # No mask has a bit past the last vertex, so the last lookup needs no
-    # & 15; up to 16 vertices the lookups are unrolled.
+    # Each call builds its tables, which up to 16 vertices is a large share
+    # of the call, so there w is 4, and above 16 it is 8.  No mask has a bit
+    # past the last vertex, so the last lookup needs no mask; up to 24
+    # vertices the lookups are unrolled.  With no vertices there is one
+    # table, holding only ().
+    n = len(verts)
+    w = 4 if n <= 16 else 8
     tables = []
-    for k in range(0, len(verts), 4):
+    for k in range(0, max(n, 1), w):
         table: list[Edge] = [()]
-        for v in verts[k:k + 4]:
+        for v in verts[k:k + w]:
             table += [x + (v,) for x in table]
         tables.append(table)
-    if len(tables) == 1:
+    if n <= 4:
         a, = tables
         return [a[m] for m in masks]
-    if len(tables) == 2:
+    if n <= 8:
         a, b = tables
         return [a[m & 15] + b[m >> 4] for m in masks]
-    if len(tables) == 3:
+    if n <= 12:
         a, b, c = tables
         return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8] for m in masks]
-    if len(tables) == 4:
+    if n <= 16:
         a, b, c, d = tables
         return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8 & 15] + d[m >> 12] for m in masks]
+    if n <= 24:
+        a, b, c = tables
+        return [a[m & 255] + b[m >> 8 & 255] + c[m >> 16] for m in masks]
     out = []
     for m in masks:
         t: Edge = ()
         for table in tables:
-            t += table[m & 15]
-            m >>= 4
+            t += table[m & 255]
+            m >>= 8
         out.append(t)
     return out
 

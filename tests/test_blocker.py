@@ -23,7 +23,7 @@ from clutterkit import (
     staircase,
 )
 
-from clutterkit.blocker import _decode
+from clutterkit.blocker import DEFAULT_EDGE_BUDGET, _decode, _fold, _lattice
 
 from helpers import (
     berge_fold_peak,
@@ -295,21 +295,31 @@ class TestEngines:
             assert solve_sat(f) == want
 
 
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """The vertex count of each _lattice call the fold makes."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    calls = []
+    lattice = blocker_module._lattice
+
+    def spy(n, masks, pairs):
+        calls.append(n)
+        return lattice(n, masks, pairs)
+
+    monkeypatch.setattr(blocker_module, "_lattice", spy)
+    return calls
+
+
+def _sat16():
+    """A 3-CNF formula on 8 variables whose clause clutter has 19 edges on
+    all 16 literal vertices."""
+    rng = random.Random(0)
+    return CnfFormula(8, tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3))
+                               for _ in range(20)))
+
+
 class TestLatticeSwitch:
     """Which clutters the fold hands over to the subset lattice."""
-
-    @pytest.fixture
-    def lattice_calls(self, monkeypatch):
-        blocker_module = importlib.import_module("clutterkit.blocker")
-        calls = []
-        lattice = blocker_module._lattice
-
-        def spy(n, masks, pairs):
-            calls.append(n)
-            return lattice(n, masks, pairs)
-
-        monkeypatch.setattr(blocker_module, "_lattice", spy)
-        return calls
 
     def test_long_fold_on_fourteen_vertices(self, lattice_calls):
         got = blocker(DENSE14)
@@ -335,6 +345,52 @@ class TestLatticeSwitch:
         assert len(h.vertices) == 14
         assert set(blocker(h).edge_sets) == brute_minimal_transversals(h.edge_sets)
         assert lattice_calls == []
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_at_once_with_as_many_edges_as_vertices(self, n, lattice_calls):
+        # the n-cycle: n edges on n vertices, whose fold alone tests fewer
+        # than 2^n >> LATTICE_SHIFT members
+        h = Clutter(_rotations(n, 0, 1))
+        assert fk_is_blocker(h.edges, blocker(h).edges)
+        assert lattice_calls == [n]
+
+    def test_not_for_literal_folds(self, lattice_calls):
+        # clash pruning keeps the literal fold short however many clauses
+        f = _sat16()
+        h = cnf_to_clutter(f)
+        assert len(h.vertices) == 16 and len(h) >= 16
+        assert solve_sat(f) == _first_consistent([h.edges], f.num_vars)
+        assert lattice_calls == []
+
+
+class TestLatticeReadout:
+    """The lattice's tables read off at their first and last bytes, and on
+    the largest tables it builds."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_first_and_last_bits_of_the_table(self, n, monkeypatch):
+        blocker_module = importlib.import_module("clutterkit.blocker")
+        monkeypatch.setattr(blocker_module, "LATTICE_UP_TO", -1)
+        full = (1 << n) - 1
+        # the n singletons: one transversal, the table's last bit; the one
+        # edge of all n vertices: the n singletons, its first bits
+        for h, masks, want in [(Clutter([i] for i in range(n)), [1 << i for i in range(n)], [full]),
+                               (Clutter([range(n)]), [full], [1 << i for i in range(n)])]:
+            verts, folded = _fold(h, DEFAULT_EDGE_BUDGET)
+            assert verts == tuple(range(n))
+            assert sorted(folded) == want
+            assert _lattice(n, masks, 0) == want
+
+    def test_dense_clutters_on_sixteen_vertices(self, lattice_calls):
+        rng = random.Random(89)
+        for rank in (2, 3, 4, 3, 4):
+            h = Clutter(_spanning_edges(rng, list(range(16)), rank, rng.randint(16, 48)))
+            assert len(h.vertices) == 16 and len(h) >= 16
+            assert _fk_verdict(h, blocker(h).edges)
+            complements = canonical_edges(frozenset(range(16)) - set(s)
+                                          for s in maximal_independent_sets(h))
+            assert _fk_verdict(h, complements)
+        assert lattice_calls == [16] * 10
 
 
 def _decode_bit_by_bit(verts, masks):
