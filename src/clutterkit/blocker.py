@@ -80,19 +80,13 @@ cached holds tables take n of them for each n used, and the cached
 offsets one int per byte of each table size used.
 
 The lattice takes a few table operations per vertex, where the fold
-tests family members one by one.  A plain fold of a clutter with at least
-as many edges as vertices hands over at its first step: such a fold
-tends to run long, and its clutter gives no sign of that before it does.
-Every other fold, over sparser clutters such as kk2 and staircase (n / 2
-edges), which the fold finishes first, or with literals set, where the
-clash pruning keeps the families small, counts the members it tests, the
-sum of its family sizes over the steps, and hands over once that passes
-2^n >> LATTICE_SHIFT.  Either way it does so only when the fold could
-not have tripped its budget: every family it holds is an antichain (a
-subset of the minimal transversals of the seen edges), so by Sperner's
-theorem (1928) it never holds more than C(n, n // 2) sets, and the
-hand-over needs edge_budget >= C(n, n // 2).  Answers and budget trip
-points are then the fold's.
+tests family members one by one, so _fold decides once, before its first
+step: on at most LATTICE_UP_TO vertices, with edge_budget >= C(n, n // 2),
+the lattice answers, and otherwise the fold runs to the end.  That bound
+keeps every answer and budget trip point the fold's: every family the
+fold holds is an antichain (a subset of the minimal transversals of the
+seen edges), so by Sperner's theorem (1928) it never holds more than
+C(n, n // 2) sets, and with that budget the fold could not have tripped.
 
 The fold hands its family over as bitmasks, and each consumer decodes
 only what it needs: blocker decodes the masks into its clutter,
@@ -110,7 +104,7 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import compress
-from math import comb, inf
+from math import comb
 from operator import or_
 from typing import Iterable
 
@@ -124,19 +118,15 @@ DEFAULT_EDGE_BUDGET = 10**6
 # faster from 8 on, and on 3-CNF clutters from 6 on
 PACK_FROM = 8
 
-# on at most LATTICE_UP_TO vertices, a plain fold of at least as many edges
-# as vertices hands over to the subset lattice at once, and any other fold
-# once it has tested more than 2^n >> LATTICE_SHIFT family members.  On
-# random rank 2-5, kk2, staircase and 3-CNF clutters with 8 to 18 vertices,
-# a shift of 5 kept every kind within 8% or 8 us of the fold alone, while
-# one of 6 lost up to 22% at 16 vertices.  Against that cap alone, handing
-# the rank 2-5 clutters with n or 3n edges over at once (and reading the
-# table through cached offsets) made them 1.5-5.3x faster on 12 to 16
-# vertices and slowed no kind by more than 10% and 10 us, while doing so
-# for kk2 and staircase (n / 2 edges) would have made them 1.6x and 6.8x
-# slower at 16
+# on at most LATTICE_UP_TO vertices the subset lattice answers every fold
+# whose budget it may take over.  Against the fold with the earlier m >= n
+# rule and members-tested cap, per clutter, it made random rank-3 and rank-4
+# clutters with 0.5n to 0.9n edges on 8 to 15 vertices up to 3.5x faster and
+# 3-CNF on 3 to 7 variables up to 2.2x.  It made the folds that finish
+# first slower: 0.5n edges on 16 vertices and 3-CNF on 8 variables up to
+# 1.5x, kk2(8) 1.6x, and staircase(6), (7) and (8) 1.3x, 2.7x and 6.6x
+# (30 to 198 us)
 LATTICE_UP_TO = 16
-LATTICE_SHIFT = 5
 
 
 def is_transversal(h: Clutter, t: Iterable[int]) -> bool:
@@ -167,10 +157,9 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     Returns the vertices of h and one bitmask per transversal, in which bit
     i stands for the i-th vertex.  The order of the masks is unspecified:
     blocker and maximal_independent_sets sort what they decode, and
-    solve_sat picks its set from the masks.  On few vertices a long fold,
-    or a plain one of as many edges as vertices, hands over to _lattice,
-    which returns the same masks, only where the fold could not trip
-    edge_budget.
+    solve_sat picks its set from the masks.  On at most LATTICE_UP_TO
+    vertices, where the fold could not trip edge_budget, _lattice returns
+    the same masks in its place.
     """
     verts = h.vertices
     n = len(verts)
@@ -178,20 +167,14 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     masks = [sum(map(bit.__getitem__, e)) for e in h.edges]
     # bit p set when verts[p] clashes with verts[p + 1]
     pairs = sum(1 << p for p in range(n - 1) if verts[p] ^ 1 == verts[p + 1]) if literals else 0
-    nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
-    # the members the fold may test before the lattice costs less, none for
-    # a plain fold of as many edges as vertices; the lattice answers only
-    # where no family can outgrow the budget
-    cap = inf
+    # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
+    # budget it cannot trip and the lattice may answer in its place
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
-        cap = 0 if not literals and len(masks) >= n else (1 << n) >> LATTICE_SHIFT
-    tested = 0
+        return verts, _lattice(n, masks, pairs)
+    nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
     family = [0]
     seen: list[int] = []
     for mask in masks:
-        tested += len(family)
-        if tested > cap:
-            return verts, _lattice(n, masks, pairs)
         movers = [t for t in family if not t & mask]
         family = [t for t in family if t & mask]
         if len(movers) >= PACK_FROM:

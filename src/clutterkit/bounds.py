@@ -72,14 +72,18 @@ def blocker_size_bound(params: BoundParams) -> int:
     """Exact value of the bound; arbitrary precision.
 
     Binomial terms with m beyond the edge count are zero, so the sum stops
-    at the smaller of the exponent cap and the edge count.
+    at the smaller of the exponent cap and the edge count.  Each term is
+    built from the last, C(E, m + 1) = C(E, m) * (E - m) / (m + 1), which
+    divides exactly before the factor C(r, 2) joins.
     """
-    limit = params.k * (2 * params.r - 3) * 2 ** (params.r - 2)
+    e = params.edge_count
+    limit = min(params.k * (2 * params.r - 3) * 2 ** (params.r - 2), e)
     per_edge = comb(params.r, 2)
-    return sum(
-        comb(params.edge_count, m) * per_edge**m
-        for m in range(min(limit, params.edge_count) + 1)
-    )
+    term = total = 1
+    for m in range(limit):
+        term = term * (e - m) // (m + 1) * per_edge
+        total += term
+    return total
 
 
 def class_membership(

@@ -107,13 +107,18 @@ def cmd_bound(args) -> int:
         params = BoundParams(len(h), h.rank(), args.k)
         payload = BoundReport(params, blocker_size_bound(params)).as_dict()
         ok = True
-    if args.json:
-        import json
+    # str() refuses an int of more than 4,300 digits, and a bound can have
+    # more; Decimal writes any int exactly
+    from decimal import Decimal
 
-        print(json.dumps(payload))
+    fields = [(key, str(value).lower() if isinstance(value, bool) else str(Decimal(value)))
+              for key, value in payload.items()]
+    if args.json:
+        # every value is an int or a bool, which JSON writes as printed here
+        print("{" + ", ".join(f'"{key}": {text}' for key, text in fields) + "}")
     else:
-        for key, value in payload.items():
-            print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
+        for key, text in fields:
+            print(f"{key}: {text}")
     return 0 if ok else 1
 
 

@@ -18,11 +18,11 @@ def pack_from(request, monkeypatch):
         monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)
 
 
-@pytest.fixture(params=[{"LATTICE_UP_TO": -1}, {}, {"LATTICE_SHIFT": 17}],
-                ids=["fold-only", "default", "lattice-always"])
+@pytest.fixture(params=[{"LATTICE_UP_TO": -1}, {}], ids=["fold-only", "default"])
 def engine(request, monkeypatch):
-    """Dualize by the fold alone, with the module's hand-over, or by the
-    subset lattice wherever it may answer (2^n >> 17 is 0 for n <= 16)."""
+    """Dualize by the fold alone, or with the module's rule, under which the
+    subset lattice answers wherever it may: on at most LATTICE_UP_TO
+    vertices, with a budget of at least C(n, n // 2)."""
     blocker_module = importlib.import_module("clutterkit.blocker")
     for name, value in request.param.items():
         monkeypatch.setattr(blocker_module, name, value)

@@ -319,7 +319,8 @@ def _sat16():
 
 
 class TestLatticeSwitch:
-    """Which clutters the fold hands over to the subset lattice."""
+    """The subset lattice answers every fold on at most LATTICE_UP_TO
+    vertices whose budget is at least C(n, n // 2), and no other."""
 
     def test_long_fold_on_fourteen_vertices(self, lattice_calls):
         got = blocker(DENSE14)
@@ -340,27 +341,32 @@ class TestLatticeSwitch:
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == []
 
-    @pytest.mark.parametrize("h", [staircase(7), kk2(7)], ids=["staircase", "kk2"])
-    def test_not_where_the_fold_finishes_first(self, h, lattice_calls):
-        assert len(h.vertices) == 14
-        assert set(blocker(h).edge_sets) == brute_minimal_transversals(h.edge_sets)
-        assert lattice_calls == []
+    @pytest.mark.parametrize("h, size", [(staircase(7), 8), (kk2(7), 128), (staircase(8), 9), (kk2(8), 256)],
+                             ids=["staircase-7", "kk2-7", "staircase-8", "kk2-8"])
+    def test_sparse_clutters_in_one_call(self, h, size, lattice_calls, monkeypatch):
+        # n / 2 edges: sparse folds, which the lattice answers as well
+        n = len(h.vertices)
+        got = blocker(h)
+        assert len(got) == size
+        assert lattice_calls == [n]
+        assert fk_is_blocker(h.edges, got.edges)
+        monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "LATTICE_UP_TO", -1)
+        assert blocker(h) == got
+        assert lattice_calls == [n]
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_at_once_with_as_many_edges_as_vertices(self, n, lattice_calls):
-        # the n-cycle: n edges on n vertices, whose fold alone tests fewer
-        # than 2^n >> LATTICE_SHIFT members
+        # the n-cycle: n edges on n vertices
         h = Clutter(_rotations(n, 0, 1))
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == [n]
 
-    def test_not_for_literal_folds(self, lattice_calls):
-        # clash pruning keeps the literal fold short however many clauses
+    def test_literal_folds_in_one_call(self, lattice_calls):
         f = _sat16()
         h = cnf_to_clutter(f)
         assert len(h.vertices) == 16 and len(h) >= 16
         assert solve_sat(f) == _first_consistent([h.edges], f.num_vars)
-        assert lattice_calls == []
+        assert lattice_calls == [16]
 
 
 class TestLatticeReadout:
@@ -484,6 +490,13 @@ class TestIndependentSetsFromTheFold:
 
 
 class TestPackedFold:
+    """The fold's packed and per-mover steps, with the lattice switched off
+    so that the cases on up to 16 vertices reach them."""
+
+    @pytest.fixture(autouse=True)
+    def fold_only(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "LATTICE_UP_TO", -1)
+
     def test_blocker_and_independent_sets_match_brute_force(self, pack_from):
         for h, want in _PACKED_FOLD_CASES:
             got = blocker(h)

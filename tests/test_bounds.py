@@ -69,6 +69,17 @@ class TestBoundValue:
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5, f"bound took {elapsed:.2f}s (limit 0.5s)"
 
+    def test_many_edges_of_large_rank(self):
+        # with the exponent cap at or past the edge count the sum is the
+        # binomial expansion of (1 + C(r, 2))^E, here of 153,747 bits
+        start = time.perf_counter()
+        assert blocker_size_bound(BoundParams(16_000, 40, 1)) == 781**16_000
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10, f"bound took {elapsed:.2f}s (limit 10s)"
+        # a cap of 2 * 7 * 8 = 112 terms, below the 5,000 edges
+        assert blocker_size_bound(BoundParams(5_000, 5, 2)) == sum(
+            math.comb(5_000, m) * 10**m for m in range(113))
+
     def test_equality_family(self):
         for k in range(1, 11):
             assert blocker_size_bound(BoundParams(k, 2, k)) == 2**k

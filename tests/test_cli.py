@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -254,6 +255,34 @@ def test_bound_without_verify(tmp_path, capsys):
     assert main(["bound", "--k", "3", str(p)]) == 0
     out = capsys.readouterr().out
     assert "bound: 8" in out and "observed" not in out
+
+
+def _decimal_value(digits):
+    """The int a string of decimal digits spells, read 1,000 digits at a
+    time, within the limit on int() of a str."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
+def test_bound_past_the_int_str_limit(tmp_path, capsys):
+    # 1,600 distinct 40-sets: the cap 77 * 2^38 passes the edge count, so
+    # the bound is (1 + C(40, 2))^1600, a number of 4,629 digits
+    rng = random.Random(7)
+    p = tmp_path / "wide.clt"
+    p.write_text("".join(" ".join(map(str, rng.sample(range(200), 40))) + "\n" for _ in range(1600)))
+    want = 781**1600
+    assert main(["bound", "--k", "1", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["edges: 1600", "r: 40", "k: 1"]
+    assert out[3].startswith("bound: ") and len(out[3]) - len("bound: ") == 4629
+    assert _decimal_value(out[3][len("bound: "):]) == want
+    assert main(["bound", "--k", "1", "--json", str(p)]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_int=str)
+    assert payload.keys() == {"edges", "r", "k", "bound"}
+    assert _decimal_value(payload["bound"]) == want
 
 
 def test_extract_invalid_matching_is_input_error(tmp_path, capsys):
