@@ -20,15 +20,15 @@ check is needed:
   in t', so b == b', then t <= t' and the antichain forces t == t'.
 
 With literals set, the fold also drops, as soon as it is built, every set
-holding both a vertex v and v ^ 1; solve_sat folds only the consistent
-sets this way, since the literals of variable i are 2i and 2i + 1.  Such
-v and v ^ 1 differ by one, and the fold gives the vertices bits in
-ascending order, so whenever both occur they sit on adjacent bits p and
-p + 1, and comparing each vertex with the next finds them.  One int,
-pairs, has bit p set for each such pair, and the vertices that clash
-with a vertex of a mask m are (m & pairs) << 1 | (m >> 1) & pairs.  The
-pruned fold yields exactly the consistent members of the blocker, in the
-same canonical order:
+holding both a vertex v and v ^ 1; first_consistent_transversal folds
+only the consistent sets this way for solve_sat, since the literals of
+variable i are 2i and 2i + 1.  Such v and v ^ 1 differ by one, and the
+fold gives the vertices bits in ascending order, so whenever both occur
+they sit on adjacent bits p and p + 1, and comparing each vertex with the
+next finds them.  One int, pairs, has bit p set for each such pair, and
+the vertices that clash with a vertex of a mask m are (m & pairs) << 1 |
+(m >> 1) & pairs.  The pruned fold yields exactly the consistent members
+of the blocker, in the same canonical order:
 
 - Every member T of the next family is a hitter t or an extension t | b
   of some t in the current one; either way t <= T.
@@ -88,14 +88,17 @@ fold holds is an antichain (a subset of the minimal transversals of the
 seen edges), so by Sperner's theorem (1928) it never holds more than
 C(n, n // 2) sets, and with that budget the fold could not have tripped.
 
-The fold hands its family over as bitmasks, and each consumer decodes
-only what it needs: blocker decodes the masks into its clutter,
-maximal_independent_sets decodes the complement of each mask within the
-vertex set, and solve_sat picks the canonically first consistent set off
-the masks and decodes only that one.  Masks are read four bits at a time
-on up to 16 vertices and eight above: each call builds one table per four
-(or eight) vertices, holding the sorted vertex tuple of every subset of
-them, and a mask decodes to the concatenation of its lookups.
+The fold hands its family over as bitmasks, and three consumers in this
+module read them, each decoding only what it needs: blocker decodes the
+masks into its clutter, maximal_independent_sets decodes the complement
+of each mask within the vertex set, and first_consistent_transversal
+picks the canonically first consistent set off the masks and decodes
+only that one, bit by bit.  No other module sees a mask: solve_sat gets
+the vertices of that one set.  _decode reads masks four bits at a time on
+up to 16 vertices and eight above: each call builds four 4-bit tables up
+to 16 vertices, three 8-bit tables up to 24 and one per eight vertices
+above, each holding the sorted vertex tuple of every subset of its bits,
+and a mask decodes to the concatenation of its lookups.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
@@ -115,17 +118,22 @@ DEFAULT_EDGE_BUDGET = 10**6
 
 # a fold step with at least this many movers tests them all at once; on
 # random rank-3 and rank-4 clutters packing is slower at 7 movers and
-# faster from 8 on, and on 3-CNF clutters from 6 on
+# faster from 8 on.  A formula on at most 8 variables has at most 16
+# literal vertices, so with default budgets the lattice answers it and no
+# step is packed.  solve_sat on 60 seeded 3-CNF formulas with round(4.2v)
+# clauses, best of 15 on one Xeon core, took 37.5, 54.3 and 60.8 ms at 9,
+# 10 and 12 variables, and never packing took 38.5, 55.8 and 75.2 ms
 PACK_FROM = 8
 
 # on at most LATTICE_UP_TO vertices the subset lattice answers every fold
-# whose budget it may take over.  Against the fold with the earlier m >= n
-# rule and members-tested cap, per clutter, it made random rank-3 and rank-4
-# clutters with 0.5n to 0.9n edges on 8 to 15 vertices up to 3.5x faster and
-# 3-CNF on 3 to 7 variables up to 2.2x.  It made the folds that finish
-# first slower: 0.5n edges on 16 vertices and 3-CNF on 8 variables up to
-# 1.5x, kk2(8) 1.6x, and staircase(6), (7) and (8) 1.3x, 2.7x and 6.6x
-# (30 to 198 us)
+# whose budget it may take over.  Against the fold alone (LATTICE_UP_TO =
+# -1), per clutter, best of 15 on one Xeon core, it made clutters with 0.9n
+# edges of rank 4 on 10 to 16 vertices 1.4x to 2.7x faster, 0.5n edges of
+# rank 3 on 10 to 14 vertices 1.3x to 1.6x, and 3-CNF with 4.2v clauses
+# on 4 and 6 variables 1.3x and 1.4x (even on 8).  It made the folds that
+# finish early slower, since a 16-vertex lattice costs about 200 us
+# whatever the clutter: 0.5n edges of rank 3 on 16 vertices 1.3x, kk2(8)
+# 1.2x, staircase(7) 2x and staircase(8) 4.5x (51 to 232 us)
 LATTICE_UP_TO = 16
 
 
@@ -155,11 +163,13 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     no vertex v together with v ^ 1 (the literals 2i and 2i + 1).
 
     Returns the vertices of h and one bitmask per transversal, in which bit
-    i stands for the i-th vertex.  The order of the masks is unspecified:
+    i stands for the i-th vertex.  Only the consumers in this module read
+    the masks, and none relies on their order, which is unspecified:
     blocker and maximal_independent_sets sort what they decode, and
-    solve_sat picks its set from the masks.  On at most LATTICE_UP_TO
-    vertices, where the fold could not trip edge_budget, _lattice returns
-    the same masks in its place.
+    first_consistent_transversal, the one caller with literals, picks its
+    set from the masks.  On at most LATTICE_UP_TO vertices, where the fold
+    could not trip edge_budget, _lattice returns the same masks in its
+    place.
     """
     verts = h.vertices
     n = len(verts)
@@ -296,27 +306,18 @@ def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
     # one table per w bits: entry j holds the vertices of the bits set in j;
     # bit i stands for verts[i] and verts is sorted, so each tuple is too.
     # Each call builds its tables, which up to 16 vertices is a large share
-    # of the call, so there w is 4, and above 16 it is 8.  No mask has a bit
-    # past the last vertex, so the last lookup needs no mask; up to 24
-    # vertices the lookups are unrolled.  With no vertices there is one
-    # table, holding only ().
+    # of the call, so there w is 4, and above 16 it is 8.  Up to 24 vertices
+    # the lookups are unrolled over four or three tables: a table past the
+    # last vertex holds only (), which every mask indexes with 0, and no
+    # mask has a bit past the last table, so its lookup needs no mask.
     n = len(verts)
-    w = 4 if n <= 16 else 8
+    w, span = (4, 16) if n <= 16 else (8, max(n, 24))
     tables = []
-    for k in range(0, max(n, 1), w):
+    for k in range(0, span, w):
         table: list[Edge] = [()]
         for v in verts[k:k + w]:
             table += [x + (v,) for x in table]
         tables.append(table)
-    if n <= 4:
-        a, = tables
-        return [a[m] for m in masks]
-    if n <= 8:
-        a, b = tables
-        return [a[m & 15] + b[m >> 4] for m in masks]
-    if n <= 12:
-        a, b, c = tables
-        return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8] for m in masks]
     if n <= 16:
         a, b, c, d = tables
         return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8 & 15] + d[m >> 12] for m in masks]
@@ -346,3 +347,28 @@ def maximal_independent_sets(
     verts, masks = _fold(h, edge_budget)
     full = (1 << len(verts)) - 1
     return _canonical(_decode(verts, [full ^ t for t in masks]))
+
+
+def first_consistent_transversal(
+    h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET
+) -> Edge | None:
+    """The canonically first minimal transversal of h that holds no vertex
+    v together with v ^ 1, or None if there is none.
+
+    This is the answer solve_sat reads off the literal clutter of a
+    formula.  The fold drops each clashing set as soon as it is built, so
+    edge_budget caps the consistent family, as in blocker.
+    """
+    verts, masks = _fold(h, edge_budget, literals=True)
+    if not masks:
+        return None
+    # the canonically first set: the fewest vertices, then lex-first; bit i
+    # stands for verts[i], so of two masks of one size the lex-first holds
+    # the lowest bit in which they differ
+    fewest = min(map(int.bit_count, masks))
+    best, *rest = [m for m in masks if m.bit_count() == fewest]
+    for m in rest:
+        d = m ^ best
+        if m & d & -d:
+            best = m
+    return tuple([v for i, v in enumerate(verts) if best >> i & 1])

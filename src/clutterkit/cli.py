@@ -97,6 +97,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _text(value: int | bool) -> str:
+    """An int or a bool as JSON writes it."""
+    # str() refuses an int of more than 4,300 digits, and a bound can have
+    # more; Decimal writes any int exactly
+    from decimal import Decimal
+
+    return str(value).lower() if isinstance(value, bool) else str(Decimal(value))
+
+
+def _print_json(payload: dict[str, int | bool]) -> None:
+    """payload as one JSON object, keys and separators as json.dumps writes them."""
+    print("{" + ", ".join(f'"{key}": {_text(value)}' for key, value in payload.items()) + "}")
+
+
 def cmd_bound(args) -> int:
     h = _load_clutter(args.file)
     if args.verify:
@@ -107,18 +121,11 @@ def cmd_bound(args) -> int:
         params = BoundParams(len(h), h.rank(), args.k)
         payload = BoundReport(params, blocker_size_bound(params)).as_dict()
         ok = True
-    # str() refuses an int of more than 4,300 digits, and a bound can have
-    # more; Decimal writes any int exactly
-    from decimal import Decimal
-
-    fields = [(key, str(value).lower() if isinstance(value, bool) else str(Decimal(value)))
-              for key, value in payload.items()]
     if args.json:
-        # every value is an int or a bool, which JSON writes as printed here
-        print("{" + ", ".join(f'"{key}": {text}' for key, text in fields) + "}")
+        _print_json(payload)
     else:
-        for key, text in fields:
-            print(f"{key}: {text}")
+        for key, value in payload.items():
+            print(f"{key}: {_text(value)}")
     return 0 if ok else 1
 
 
@@ -126,9 +133,7 @@ def cmd_membership(args) -> int:
     h = _load_clutter(args.file)
     member = class_membership(h, args.r, args.k, node_budget=args.budget)
     if args.json:
-        import json
-
-        print(json.dumps({"r": args.r, "k": args.k, "rank": h.rank(), "member": member}))
+        _print_json({"r": args.r, "k": args.k, "rank": h.rank(), "member": member})
     else:
         print("true" if member else "false")
     return 0 if member else 1

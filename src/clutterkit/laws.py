@@ -7,6 +7,7 @@ bottom, and that the blocker swaps each operation with its dual.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .blocker import blocker
 from .core import Clutter, ONE, ZERO, _Value
@@ -40,29 +41,50 @@ def _sample(rng: random.Random) -> Clutter:
     return random_clutter(n, rng.randint(1, MAX_EDGES), MAX_RANK, rng.getrandbits(32))
 
 
+# each law reads one sample: clutters f, g and h, their blockers bf, bg and
+# bh, two distinct vertices u and v, and two disjoint vertex lists s and t
+_LAWS: dict[str, Callable[..., bool]] = {
+    "deletion and contraction commute": lambda h, u, v, **_: (
+        h.delete(v).delete(u) == h.delete(u).delete(v)
+        and h.delete(v).contract(u) == h.contract(u).delete(v)
+        and h.contract(v).contract(u) == h.contract(u).contract(v)),
+    "bounded distributive lattice": lambda f, g, h, **_: (
+        f | g == g | f
+        and f & g == g & f
+        and (f | (g | h)) == ((f | g) | h)
+        and (f & (g & h)) == ((f & g) & h)
+        and (f | (f & g)) == f
+        and (f & (f | g)) == f
+        and (f | ZERO) == f
+        and (f & ONE) == f
+        and (f & (g | h)) == ((f & g) | (f & h))
+        and (f | (g & h)) == ((f | g) & (f | h))),
+    "top and bottom are prime": lambda f, g, **_: (
+        (f | g).is_one == (f.is_one or g.is_one)
+        and (f & g).is_zero == (f.is_zero or g.is_zero)),
+    "blocker is an involution": lambda h, bh, **_: blocker(bh) == h,
+    "blocker swaps deletion and contraction": lambda h, bh, v, **_: (
+        blocker(h.delete(v)) == bh.contract(v)
+        and blocker(h.contract(v)) == bh.delete(v)),
+    "blocker swaps join and meet": lambda f, g, bf, bg, **_: (
+        blocker(f | g) == bf & bg
+        and blocker(f & g) == bf | bg),
+    "blocker swaps the minor roles": lambda h, bh, s, t, **_: (
+        blocker(h.restrict(s, t)) == bh.restrict(t, s)),
+    "join distributes over single-vertex minors": lambda f, g, v, **_: (
+        (f | g).delete(v) == f.delete(v) | g.delete(v)
+        and (f | g).contract(v) == f.contract(v) | g.contract(v)),
+}
+
+
 def run_law_suite(samples: int = 500, seed: int = 0) -> list[LawResult]:
     """Run every law on `samples` random inputs; one result per law."""
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = random.Random(seed)
-    names = [
-        "deletion and contraction commute",
-        "bounded distributive lattice",
-        "top and bottom are prime",
-        "blocker is an involution",
-        "blocker swaps deletion and contraction",
-        "blocker swaps join and meet",
-        "blocker swaps the minor roles",
-        "join distributes over single-vertex minors",
-    ]
     failures: dict[str, str] = {}
-
-    def record(name: str, ok: bool, ctx: str):
-        if not ok and name not in failures:
-            failures[name] = ctx
-
     if blocker(ZERO) != ONE:
-        failures[names[3]] = "blocker of the edgeless clutter is not the unit"
+        failures["blocker is an involution"] = "blocker of the edgeless clutter is not the unit"
 
     for _ in range(samples):
         f = _sample(rng)
@@ -73,45 +95,10 @@ def run_law_suite(samples: int = 500, seed: int = 0) -> list[LawResult]:
         rng.shuffle(pool)
         cut = rng.randint(0, 3)
         s, t = pool[:cut], pool[cut : cut + rng.randint(0, 3)]
-        ctx = f"f={f!r} g={g!r} h={h!r} u={u} v={v} s={s} t={t}"
+        sample = dict(f=f, g=g, h=h, bf=blocker(f), bg=blocker(g), bh=blocker(h),
+                      u=u, v=v, s=s, t=t)
+        for name, law in _LAWS.items():
+            if not law(**sample):
+                failures.setdefault(name, f"f={f!r} g={g!r} h={h!r} u={u} v={v} s={s} t={t}")
 
-        record(names[0],
-               h.delete(v).delete(u) == h.delete(u).delete(v)
-               and h.delete(v).contract(u) == h.contract(u).delete(v)
-               and h.contract(v).contract(u) == h.contract(u).contract(v),
-               ctx)
-        record(names[1],
-               f | g == g | f
-               and f & g == g & f
-               and (f | (g | h)) == ((f | g) | h)
-               and (f & (g & h)) == ((f & g) & h)
-               and (f | (f & g)) == f
-               and (f & (f | g)) == f
-               and (f | ZERO) == f
-               and (f & ONE) == f
-               and (f & (g | h)) == ((f & g) | (f & h))
-               and (f | (g & h)) == ((f | g) & (f | h)),
-               ctx)
-        record(names[2],
-               ((f | g).is_one) == (f.is_one or g.is_one)
-               and ((f & g).is_zero) == (f.is_zero or g.is_zero),
-               ctx)
-        record(names[3], blocker(blocker(h)) == h, ctx)
-        record(names[4],
-               blocker(h.delete(v)) == blocker(h).contract(v)
-               and blocker(h.contract(v)) == blocker(h).delete(v),
-               ctx)
-        record(names[5],
-               blocker(f | g) == blocker(f) & blocker(g)
-               and blocker(f & g) == blocker(f) | blocker(g),
-               ctx)
-        record(names[6], blocker(h.restrict(s, t)) == blocker(h).restrict(t, s), ctx)
-        record(names[7],
-               (f | g).delete(v) == f.delete(v) | g.delete(v)
-               and (f | g).contract(v) == f.contract(v) | g.contract(v),
-               ctx)
-
-    return [
-        LawResult(name, name not in failures, samples, failures.get(name))
-        for name in names
-    ]
+    return [LawResult(name, name not in failures, samples, failures.get(name)) for name in _LAWS]

@@ -16,7 +16,7 @@ import warnings
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .blocker import DEFAULT_EDGE_BUDGET, _fold, blocker
+from .blocker import DEFAULT_EDGE_BUDGET, blocker, first_consistent_transversal
 from .core import Clutter, _Value
 from .errors import InfeasibleInstanceError
 
@@ -232,26 +232,18 @@ def solve_sat(
 
     A blocker set touching no complementary pair extends to a full
     assignment; variables it leaves unconstrained default to false.  The
-    fold drops every set holding a complementary pair as soon as it is
-    built, so edge_budget caps the consistent family, and the answer is
-    the canonically first consistent blocker set.  The returned
-    assignment is re-checked against the formula before return.
+    answer is the canonically first consistent blocker set, which
+    first_consistent_transversal picks off the fold's bitmasks in the
+    blocker module; this function sees only its vertices.  The fold drops
+    every set holding a complementary pair as soon as it is built, so
+    edge_budget caps the consistent family.  The returned assignment is
+    re-checked against the formula before return.
     """
-    variables = range(1, formula.num_vars + 1)
-    verts, consistent = _fold(cnf_to_clutter(formula), edge_budget, literals=True)
-    if not consistent:
+    first = first_consistent_transversal(cnf_to_clutter(formula), edge_budget=edge_budget)
+    if first is None:
         return None
-    # the canonically first set: the fewest vertices, then lex-first; bit i
-    # stands for verts[i], so of two masks of one size the lex-first holds
-    # the lowest bit in which they differ
-    fewest = min(map(int.bit_count, consistent))
-    best, *rest = [m for m in consistent if m.bit_count() == fewest]
-    for m in rest:
-        d = m ^ best
-        if m & d & -d:
-            best = m
-    first = {v for i, v in enumerate(verts) if best >> i & 1}
-    assignment = Assignment({i: (2 * i in first) for i in variables})
+    chosen = set(first)
+    assignment = Assignment({i: (2 * i in chosen) for i in range(1, formula.num_vars + 1)})
     if not satisfies(formula, assignment):
         raise RuntimeError("internal error: blocker scan produced a falsifying assignment")
     return assignment

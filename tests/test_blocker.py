@@ -489,6 +489,21 @@ class TestIndependentSetsFromTheFold:
                     dualize(h, edge_budget=peak - 1)
 
 
+@pytest.fixture
+def packed_steps(monkeypatch):
+    """The mover count of each step the fold packs."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    calls = []
+    extend_packed = blocker_module._extend_packed
+
+    def spy(family, movers, *args):
+        calls.append(len(movers))
+        return extend_packed(family, movers, *args)
+
+    monkeypatch.setattr(blocker_module, "_extend_packed", spy)
+    return calls
+
+
 class TestPackedFold:
     """The fold's packed and per-mover steps, with the lattice switched off
     so that the cases on up to 16 vertices reach them."""
@@ -513,6 +528,15 @@ class TestPackedFold:
             assert (a is not None) == truth_table_satisfiable(f)
             decided.add(a is not None)
         assert decided == {True, False}
+
+
+    def test_steps_with_enough_movers_are_packed(self, packed_steps):
+        # kk2(10) has 20 vertices, past the lattice; its disjoint edges make
+        # every set a mover, so step i moves 2^i sets
+        assert len(blocker(kk2(10))) == 1024
+        pack_from = importlib.import_module("clutterkit.blocker").PACK_FROM
+        assert packed_steps == [1 << i for i in range(10) if 1 << i >= pack_from]
+        assert packed_steps
 
 
 class TestDualityOracle:

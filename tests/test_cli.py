@@ -131,6 +131,22 @@ def test_membership_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["member"] is False
 
 
+@pytest.mark.parametrize("argv, code, want", [
+    (["bound", "--k", "3", "--verify", "--json"], 0,
+     {"edges": 3, "r": 2, "k": 3, "bound": 8, "observed": 8, "within": True}),
+    (["bound", "--k", "1", "--json"], 0, {"edges": 3, "r": 2, "k": 1, "bound": 4}),
+    (["membership", "--r", "2", "--k", "4", "--json"], 0,
+     {"r": 2, "k": 4, "rank": 2, "member": True}),
+    (["membership", "--r", "2", "--k", "3", "--json"], 1,
+     {"r": 2, "k": 3, "rank": 2, "member": False}),
+], ids=["bound-verify", "bound", "member", "not-member"])
+def test_json_output_is_what_json_dumps_writes(tmp_path, capsys, argv, code, want):
+    p = tmp_path / "m3.clt"
+    p.write_text("0 1\n2 3\n4 5\n")
+    assert main([*argv, str(p)]) == code
+    assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
 def test_solve_setcover_variants(tmp_path, capsys):
     p = tmp_path / "cover.txt"
     p.write_text("3 3\n1 2 1 2\n1 2 2 3\n10 2 1 3\n")
