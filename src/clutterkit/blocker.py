@@ -92,13 +92,14 @@ The fold hands its family over as bitmasks, and three consumers in this
 module read them, each decoding only what it needs: blocker decodes the
 masks into its clutter, maximal_independent_sets decodes the complement
 of each mask within the vertex set, and first_consistent_transversal
-picks the canonically first consistent set off the masks and decodes
-only that one, bit by bit.  No other module sees a mask: solve_sat gets
-the vertices of that one set.  _decode reads masks four bits at a time on
-up to 16 vertices and eight above: each call builds four 4-bit tables up
-to 16 vertices, three 8-bit tables up to 24 and one per eight vertices
-above, each holding the sorted vertex tuple of every subset of its bits,
-and a mask decodes to the concatenation of its lookups.
+keeps the masks with the fewest bits, decodes only those, bit by bit,
+and returns the least of their tuples: fewest vertices, then the least
+tuple.  No other module sees a mask: solve_sat gets the vertices of that
+one set.  _decode reads masks four bits at a time on up to 16 vertices
+and eight above: each call builds four 4-bit tables up to 16 vertices,
+three 8-bit tables up to 24 and one per eight vertices above, each
+holding the sorted vertex tuple of every subset of its bits, and a mask
+decodes to the concatenation of its lookups.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
@@ -116,13 +117,15 @@ from .errors import ResourceLimitError
 
 DEFAULT_EDGE_BUDGET = 10**6
 
-# a fold step with at least this many movers tests them all at once; on
-# random rank-3 and rank-4 clutters packing is slower at 7 movers and
-# faster from 8 on.  A formula on at most 8 variables has at most 16
-# literal vertices, so with default budgets the lattice answers it and no
-# step is packed.  solve_sat on 60 seeded 3-CNF formulas with round(4.2v)
-# clauses, best of 15 on one Xeon core, took 37.5, 54.3 and 60.8 ms at 9,
-# 10 and 12 variables, and never packing took 38.5, 55.8 and 75.2 ms
+# a fold step with at least this many movers tests them all at once.  With
+# default budgets the lattice answers every clutter on at most 16 vertices,
+# so the fold serves larger ones: kk2(k) from k = 9 and formulas from 9
+# variables (18 literal vertices).  Best of 3 x 5 on one Xeon core, at
+# PACK_FROM = 8 / every step packed / none: blocker and
+# maximal_independent_sets on kk2(9), kk2(10) and kk2(11) took 7.0 / 7.4 /
+# 17.1 ms; solve_sat on 40 seeded 3-CNF formulas with round(4.2v) clauses
+# took 14.1 / 27.6 / 13.7 ms at 9 variables, 33.5 / 50.1 / 37.7 at 12 and
+# 58.9 / 77.8 / 95.4 at 15
 PACK_FROM = 8
 
 # on at most LATTICE_UP_TO vertices the subset lattice answers every fold
@@ -352,8 +355,9 @@ def maximal_independent_sets(
 def first_consistent_transversal(
     h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET
 ) -> Edge | None:
-    """The canonically first minimal transversal of h that holds no vertex
-    v together with v ^ 1, or None if there is none.
+    """The minimal transversal of h that holds no vertex v together with
+    v ^ 1 and comes first canonically, with the fewest vertices, then the
+    least tuple; or None if there is none.
 
     This is the answer solve_sat reads off the literal clutter of a
     formula.  The fold drops each clashing set as soon as it is built, so
@@ -362,13 +366,6 @@ def first_consistent_transversal(
     verts, masks = _fold(h, edge_budget, literals=True)
     if not masks:
         return None
-    # the canonically first set: the fewest vertices, then lex-first; bit i
-    # stands for verts[i], so of two masks of one size the lex-first holds
-    # the lowest bit in which they differ
     fewest = min(map(int.bit_count, masks))
-    best, *rest = [m for m in masks if m.bit_count() == fewest]
-    for m in rest:
-        d = m ^ best
-        if m & d & -d:
-            best = m
-    return tuple([v for i, v in enumerate(verts) if best >> i & 1])
+    return min([tuple([v for i, v in enumerate(verts) if m >> i & 1])
+                for m in masks if m.bit_count() == fewest])

@@ -86,7 +86,7 @@ def cmd_semimatchings(args) -> int:
             print(format_semi_matching(m))
     else:
         # counted straight off the search: no list is built or sorted
-        print(sum(1 for _ in _search_pairs(h, args.budget, "semi-matching enumeration")))
+        print(sum(1 for _ in _search_pairs(h, args.budget)))
     return 0
 
 

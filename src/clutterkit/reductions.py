@@ -151,12 +151,12 @@ def setcover_to_clutter(inst: SetCoverInstance) -> Clutter:
     Raises InfeasibleInstanceError when some element is uncovered (an
     empty edge would conflate infeasibility with the ONE clutter).
     """
-    rows = []
-    for u in range(1, inst.universe_size + 1):
-        row = [i for i, s in enumerate(inst.sets) if u in s]
-        if not row:
-            raise InfeasibleInstanceError(f"element {u} is not covered by any set")
-        rows.append(row)
+    rows: list[list[int]] = [[] for _ in range(inst.universe_size)]
+    for i, s in enumerate(inst.sets):
+        for u in s:
+            rows[u - 1].append(i)
+    if [] in rows:
+        raise InfeasibleInstanceError(f"element {rows.index([]) + 1} is not covered by any set")
     return Clutter(rows)
 
 

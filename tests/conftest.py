@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
+from differential import ENGINES, PACKINGS
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 
-@pytest.fixture(params=[0, None, 10**9], ids=["all-packed", "default", "none-packed"])
+@pytest.fixture(params=list(PACKINGS.values()), ids=list(PACKINGS))
 def pack_from(request, monkeypatch):
     """Fold with every step packed, with the module's cutoff, or with none."""
     if request.param is not None:
@@ -18,7 +20,7 @@ def pack_from(request, monkeypatch):
         monkeypatch.setattr(blocker_module, "PACK_FROM", request.param)
 
 
-@pytest.fixture(params=[{"LATTICE_UP_TO": -1}, {}], ids=["fold-only", "default"])
+@pytest.fixture(params=list(ENGINES.values()), ids=list(ENGINES))
 def engine(request, monkeypatch):
     """Dualize by the fold alone, or with the module's rule, under which the
     subset lattice answers wherever it may: on at most LATTICE_UP_TO

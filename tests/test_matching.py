@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -16,6 +17,7 @@ from clutterkit import (
     ZERO,
     blocker,
     build_conflict_graph,
+    class_membership,
     enumerate_semi_matchings,
     expansion,
     extend_semi_matching,
@@ -28,6 +30,7 @@ from clutterkit import (
     kk2,
     matching_to_minor,
     staircase,
+    verify_bound,
 )
 
 from helpers import (
@@ -69,6 +72,14 @@ class TestSemiMatchingType:
         m = SemiMatching([((4, 5), (4, 5, 6)), ((1, 2), (1, 2, 3))])
         assert m.blocks == ((1, 2), (4, 5))
         assert list(m) == [((1, 2), (1, 2, 3)), ((4, 5), (4, 5, 6))]
+
+    def test_any_pair_order_gives_the_enumerated_value(self):
+        ms = enumerate_semi_matchings(staircase(5))
+        assert max(map(len, ms)) >= 3
+        for m in ms:
+            for pairs in itertools.permutations(m.pairs):
+                assert SemiMatching(pairs) == m
+                assert SemiMatching(pairs).pairs == m.pairs
 
     def test_rejects_wrong_pair_size(self):
         with pytest.raises(ValueError):
@@ -333,6 +344,17 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             enumerate_semi_matchings(kk2(10), budget=50)
+
+    @pytest.mark.parametrize("run, stage", [
+        (lambda: enumerate_semi_matchings(staircase(4), budget=5), "semi-matching enumeration"),
+        (lambda: find_kk2_minor(staircase(4), 2, node_budget=5), "matching-minor search"),
+        (lambda: class_membership(staircase(4), 5, 2, node_budget=5), "matching-minor search"),
+        (lambda: verify_bound(staircase(4), 1, node_budget=5), "matching-minor search"),
+    ], ids=["enumerate", "find_kk2_minor", "class_membership", "verify_bound"])
+    def test_budget_error_names_the_stage(self, run, stage):
+        with pytest.raises(ResourceLimitError) as info:
+            run()
+        assert str(info.value) == f"{stage} exceeded budget of 5 search steps"
 
     def test_matches_brute_force_and_first_minor_family(self):
         # the list must equal the unindexed oracle's (content, size-then-lex

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -59,6 +60,39 @@ class TestSetCoverMapping:
         inst = SetCoverInstance(3, (frozenset({1, 2}),))
         with pytest.raises(InfeasibleInstanceError):
             setcover_to_clutter(inst)
+
+    def test_equals_the_per_element_scan(self):
+        # each element's row lists the sets holding it, and the first
+        # uncovered element is the one named
+        def scan(inst):
+            rows = []
+            for u in range(1, inst.universe_size + 1):
+                row = [i for i, s in enumerate(inst.sets) if u in s]
+                if not row:
+                    return f"element {u} is not covered by any set"
+                rows.append(row)
+            return Clutter(rows)
+
+        rng = random.Random(151)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            inst = SetCoverInstance(n, [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                                        for _ in range(rng.randint(0, 6))])
+            try:
+                got = setcover_to_clutter(inst)
+            except InfeasibleInstanceError as e:
+                got = str(e)
+            assert got == scan(inst)
+
+    def test_reads_each_set_once(self):
+        # a ring of 20,000 elements and sets {j, j + 1}: a scan of every set
+        # per element takes about 17 s here, one pass over the sets 0.1 s
+        n = 20_000
+        inst = SetCoverInstance(n, [frozenset({j, j % n + 1}) for j in range(1, n + 1)])
+        start = time.perf_counter()
+        h = setcover_to_clutter(inst)
+        assert time.perf_counter() - start < 1.0
+        assert h == Clutter([(u - 2) % n, u - 1] for u in range(1, n + 1))
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):
