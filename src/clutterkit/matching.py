@@ -221,16 +221,16 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
     return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
 
 
-def _cover_tables(edges: Sequence[Edge], cand: Sequence[Pair]):
-    """Bit tables for the condition-4 carry test: (low, guard, covers, helds).
+def _cover_tables(edges: Sequence[Edge]):
+    """Bit tables for the condition-4 carry test: (low, guard, of_host, marks).
 
     Each of `edges` but the one-vertex ones owns a block of bits: one slot
     per vertex, then a guard bit.  `low` has the lowest bit of every block
-    and `guard` every guard bit.  For each candidate (L, S), `covers` has
-    the slots of the vertices of S and `helds` the guards of the edges
-    holding L.  Every edge of two or more vertices must be some
-    candidate's host, as it is in `_search_pairs`, the one caller, which
-    states the test and why it is exact.
+    and `guard` every guard bit.  `of_host` maps each edge of two or more
+    vertices to the slots of its vertices, and `marks` each vertex to its
+    slot and the guard in every block holding it, so marks[a] & marks[b]
+    is the guards of the edges holding {a, b}.  `_search_pairs`, the one
+    caller, states the test and why it is exact.
     """
     at_of: dict[int, list[int]] = {}
     lows: list[int] = []
@@ -254,12 +254,9 @@ def _cover_tables(edges: Sequence[Edge], cand: Sequence[Pair]):
         return int.from_bytes(buf, "little")
 
     guard = bits(tops)
-    # a vertex's mark has its slot and the guard in every block holding it,
-    # so marks[a] & marks[b] is the guards of the edges holding both
     marks = {v: bits(p) for v, p in at_of.items()}
     of_host = {e: reduce(or_, map(marks.get, e)) & ~guard for e in edges if len(e) > 1}
-    return (bits(lows), guard, [of_host[e] for _, e in cand],
-            [marks[a] & marks[b] for (a, b), _ in cand])
+    return bits(lows), guard, of_host, marks
 
 
 def _foreign_owners(matching: SemiMatching) -> tuple[dict[int, int], list[list[int]]]:
@@ -308,6 +305,22 @@ def is_expanded_minor_matching(h: Clutter, matching: SemiMatching) -> bool:
     return _meets_conditions(h, matching, True)
 
 
+def _has_partners(edges: Sequence[Edge]) -> bool:
+    """Whether two edges each have at least two vertices outside the other.
+
+    Edges come in order of size, so an edge has at least as many vertices
+    outside an earlier one as that one has outside it.
+    """
+    seen: list[frozenset[int]] = []
+    for e in edges:
+        if len(e) > 1:
+            for t in seen:
+                if len(t.difference(e)) > 1:
+                    return True
+            seen.append(frozenset(e))
+    return False
+
+
 def _search_pairs(
     h: Clutter, budget: int, minor_size: int | None = None
 ) -> Iterator[tuple[Pair, ...]]:
@@ -324,11 +337,23 @@ def _search_pairs(
     expanded minor matchings of that size are yielded and the search does
     not descend past them.
 
-    Condition 4 is one carry test over the tables of `_cover_tables`.
-    Let `covered` be the OR of the `covers` of the family's candidates,
-    the slots of the hosts' vertices, and `held` the OR of their `helds`,
-    the guards of the edges holding some L.  The family meets condition 4
-    exactly when
+    Two minor searches are settled by the edges alone, and are charged the
+    steps the search would take without building a candidate.  For
+    minor_size 0 the root is the only family, and it meets condition 4
+    unless h is ONE.  For minor_size 2 or more, call two edges S and T
+    partners when each has at least two vertices outside the other.
+    Candidates (L, S) and (L', T) meet 3b together only if L lies inside
+    S - T and L' inside T - S, so only if their hosts are partners.  When
+    no two edges are partners, as on a staircase, the search reaches the
+    root and the n one-candidate families, 1 + n steps, and yields
+    nothing.  The scan for partners looks at no more than the m(m-1)/2
+    pairs of edges, which the set-up charge of n(n-1)/2 pair tests covers.
+
+    Condition 4 is one carry test over the tables of `_cover_tables`.  For
+    a candidate (L, S), `covers` holds the slots of the vertices of S and
+    `helds` the guards of the edges holding L.  Let `covered` be the OR
+    of the `covers` of the family's candidates and `held` the OR of their
+    `helds`.  The family meets condition 4 exactly when
 
         (covered + low) & guard & ~held == 0.
 
@@ -342,13 +367,19 @@ def _search_pairs(
     one-vertex edge needs no block: h is an antichain, so no other edge,
     and so no host, holds its vertex, and the edge is never inside the
     union.  Leaving those edges out keeps the tables O(n^2) bits for n
-    candidates, the order of the compatibility masks.  The tables are
-    built at the first family checked, so a minor search that never
-    reaches minor_size builds none.  That is the common search: on a
-    staircase no two candidates meet 3b, so the exhaustive minor searches
-    there check no family, and in a round of the benchmark's `minor`
-    workload 98 of the 124 searches build no tables.  Each family then
-    costs one OR per pair and the test.
+    candidates, the order of the compatibility masks.
+
+    Each entry of the depth-first stack holds a family's state: its
+    untried children, `covered`, `held` and its tuple of pairs, which is
+    what the search yields.  Enumeration checks every family, so a child's
+    state is its parent's with one OR into each mask and one pair
+    appended.  A minor search checks only the families of minor_size, and
+    a family one short of that checks its children in place: it ORs its
+    own pairs' tables once and each child's on top, and pushes nothing.
+    The tables are built at the first family checked, so a minor search
+    that never reaches minor_size builds none; for three pairs on random
+    rank-3 clutters that is common, and there the tables can cost as much
+    as the search.
 
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility is settled, and one per family reached.
@@ -358,47 +389,71 @@ def _search_pairs(
     matching-minor search with minor_size, else semi-matching enumeration.
     """
     stage = "semi-matching enumeration" if minor_size is None else "matching-minor search"
+    limit = f"{stage} exceeded budget of {budget} search steps"
     edges = h.edges
     n = sum(len(e) * (len(e) - 1) // 2 for e in edges)
     used = n + n * (n - 1) // 2
     if used > budget:
-        raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
+        raise ResourceLimitError(limit)
+    if minor_size is not None and minor_size >= 2 and not _has_partners(edges):
+        if used + 1 + n > budget:
+            raise ResourceLimitError(limit)
+        return
+    if minor_size == 0:
+        if used + 1 > budget:
+            raise ResourceLimitError(limit)
+        if not h.is_one:
+            yield ()
+        return
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
     clash = _clash_masks(cand, minor_size is not None)
     full = (1 << n) - 1
     later = [(full ^ c) >> (i + 1) << (i + 1) for i, c in enumerate(clash)]
-
-    chosen: list[int] = []
-    rest: list[int] = []  # rest[d]: untried children of the family chosen[:d]
-    kids = full
+    enumerating = minor_size is None
     covers = None  # condition-4 tables, built at the first family checked
+
+    kids, covered, held, family = full, 0, 0, ()
+    stack: list[tuple[int, int, int, tuple[Pair, ...]]] = []  # the ancestors' states
     while True:
         used += 1
         if used > budget:
-            raise ResourceLimitError(f"{stage} exceeded budget of {budget} search steps")
-        at_size = len(chosen) == minor_size
-        if minor_size is None or at_size:
+            raise ResourceLimitError(limit)
+        last = not enumerating and kids and len(family) + 1 == minor_size
+        if enumerating or last:
             if covers is None:
-                low, guard, covers, helds = _cover_tables(edges, cand)
-            covered = held = 0
-            for i in chosen:
-                covered |= covers[i]
-                held |= helds[i]
-            if not (covered + low) & guard & ~held:
-                yield tuple(cand[i] for i in chosen)
-            if at_size:
-                kids = 0
+                low, guard, of_host, marks = _cover_tables(edges)
+                covers = [of_host[e] for _, e in cand]
+                helds = [marks[a] & marks[b] for (a, b), _ in cand]
+            if enumerating:
+                if not (covered + low) & guard & ~held:
+                    yield family
+            else:  # the children are the families of minor_size: check them here
+                covered = held = 0
+                for (a, b), e in family:
+                    covered |= of_host[e]
+                    held |= marks[a] & marks[b]
+                while kids:
+                    bit = kids & -kids
+                    kids ^= bit
+                    used += 1
+                    if used > budget:
+                        raise ResourceLimitError(limit)
+                    i = bit.bit_length() - 1
+                    if not ((covered | covers[i]) + low) & guard & ~(held | helds[i]):
+                        yield family + (cand[i],)
         while not kids:
-            if not chosen:
+            if not stack:
                 return
-            chosen.pop()
-            kids = rest.pop()
+            kids, covered, held, family = stack.pop()
         bit = kids & -kids
         kids ^= bit
-        rest.append(kids)
+        stack.append((kids, covered, held, family))
         i = bit.bit_length() - 1
-        chosen.append(i)
         kids &= later[i]
+        family += (cand[i],)
+        if enumerating:
+            covered |= covers[i]
+            held |= helds[i]
 
 
 def enumerate_semi_matchings(
@@ -412,9 +467,9 @@ def enumerate_semi_matchings(
     of candidates tested, and one per family reached.  Past it a
     ResourceLimitError is raised.
     """
-    out = [SemiMatching._from_canonical(f) for f in _search_pairs(h, budget)]
-    out.sort(key=len)  # stable: preorder is already lexicographic within a size
-    return out
+    # stable: preorder is already lexicographic within a size
+    return [SemiMatching._from_canonical(f)
+            for f in sorted(_search_pairs(h, budget), key=len)]
 
 
 def extend_semi_matching(
@@ -597,8 +652,12 @@ def find_kk2_minor(
     node_budget counts search steps: one per (pair, host edge) candidate
     built, one per pair of candidates tested, and one per family reached.
     The candidates and pair tests are charged before they are built, so an
-    over-budget clutter is refused before its set-up takes memory.  Past
-    node_budget steps a ResourceLimitError is raised.
+    over-budget clutter is refused before its set-up takes memory.  When
+    no two edges each have two vertices outside the other, as on a
+    staircase, no two candidates meet 3b, so for k >= 2 the answer is
+    None; it is charged the root and the one-candidate families the search
+    would reach, and no candidate is built.  Past node_budget steps a
+    ResourceLimitError is raised.
     """
     if k < 0:
         raise ValueError("matching size must be non-negative")

@@ -6,8 +6,10 @@ enumerate_semi_matchings on one seeded input, under one engine and one
 packing setting (ENGINES and PACKINGS below, which the engine and
 pack_from fixtures in conftest.py use too), at one budget: 10**6,
 C(n, n // 2), C(n, n // 2) - 1 or 60 for an input on n vertices.  The
-middle two sit on either side of the subset lattice's hand-over.  A
-record holds the answer as ints and tuples, or the exception's type and
+middle two sit on either side of the subset lattice's hand-over.  The
+pair search (find_kk2_minor, enumerate_semi_matchings) reads neither
+setting, so its records run once, under the default ones.  A record
+holds the answer as ints and tuples, or the exception's type and
 message.
 
     python tests/differential.py --digest         # sha256 of answers, of trips
@@ -100,7 +102,8 @@ def _pair_clutters(ck, reduced):
 
 
 def _calls(ck, reduced):
-    """(function, label, n, call) for every input: call(budget) is the answer."""
+    """(function, label, n, call) for every input of the blocker and the
+    solvers: call(budget) is the answer."""
     for label, h in _clutters(ck, reduced):
         n = len(h.vertices)
         yield "blocker", label, n, lambda b, h=h: ck.blocker(h, edge_budget=b).edges
@@ -124,6 +127,10 @@ def _calls(ck, reduced):
                 return names, (cost.numerator, cost.denominator)
 
             yield f"cover-{objective}", label, n, cover
+
+
+def _pair_calls(ck, reduced):
+    """(function, label, n, call) for every input of the pair search."""
     for label, h in _pair_clutters(ck, reduced):
         n = len(h.vertices)
         for k in (1, 2, 3):
@@ -135,6 +142,17 @@ def _calls(ck, reduced):
             yield f"minor(k={k})", label, n, minor
         yield "semimatchings", label, n, lambda b, h=h: tuple(
             m.pairs for m in ck.enumerate_semi_matchings(h, budget=b))
+
+
+def _outcomes(calls, engine, packing):
+    """Yield (key, outcome) for each call at each of its four budgets."""
+    for function, label, n, call in calls:
+        for budget in (10**6, comb(n, n // 2), comb(n, n // 2) - 1, 60):
+            try:
+                outcome = ("ok", call(budget))
+            except Exception as e:
+                outcome = ("raise", type(e).__name__, str(e))
+            yield (function, label, engine, packing, budget), outcome
 
 
 def records(reduced=False):
@@ -151,15 +169,10 @@ def records(reduced=False):
                 module.__dict__.update(saved, **overrides)
                 if pack_from is not None:
                     module.PACK_FROM = pack_from
-                for function, label, n, call in calls:
-                    for budget in (10**6, comb(n, n // 2), comb(n, n // 2) - 1, 60):
-                        try:
-                            outcome = ("ok", call(budget))
-                        except Exception as e:
-                            outcome = ("raise", type(e).__name__, str(e))
-                        yield (function, label, engine, packing, budget), outcome
+                yield from _outcomes(calls, engine, packing)
     finally:
         module.__dict__.update(saved)
+    yield from _outcomes(_pair_calls(ck, reduced), "default", "default")
 
 
 def summary(recs) -> tuple[int, int, str, str]:

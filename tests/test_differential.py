@@ -7,9 +7,9 @@ moves either names it in CHANGES.md.  `python tests/differential.py
 """
 from differential import records, summary
 
-ANSWERS = "0bf9997b17d466ecf18d2edf5ac63134f8210f4441880ce24c8b238e177190be"
-TRIPS = "39488ac2c2373434c1726d4b11cd91fb2e8c3d49f28e61f89b6c61031f6b7fd1"
+ANSWERS = "8205aa1ce71b8915c9f6027b617383500c7a27fbeecd1ad916dbe3c8401471aa"
+TRIPS = "0a01866c5c18aabd2c65f1e574eb8c4929f27bb3804e2efa6742ebc06dba3bab"
 
 
 def test_reduced_records_keep_their_digests():
-    assert summary(records(reduced=True)) == (7968, 1674, ANSWERS, TRIPS)
+    assert summary(records(reduced=True)) == (6288, 869, ANSWERS, TRIPS)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -54,6 +55,12 @@ C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 def pairs_of(h: Clutter) -> SemiMatching:
     """Each edge paired with itself; valid for matchings of disjoint pairs."""
     return SemiMatching((e, e) for e in h.edges)
+
+
+def has_partners(h: Clutter) -> bool:
+    """Whether two edges of h each have at least two vertices outside the other."""
+    return any(len(s - t) > 1 and len(t - s) > 1
+               for s, t in itertools.combinations(h.edge_sets, 2))
 
 
 def traced(run):
@@ -846,11 +853,37 @@ class TestFindMatchingMinor:
         # edges of exactly three or four vertices survive minimalization,
         # so these families are larger than the mixed-size samples above
         rng = random.Random(211)
-        found = 0
+        hs = []
         for _ in range(80):
             n = rng.randint(4, 8)
             r = rng.randint(3, min(4, n))
-            h = Clutter(rng.sample(range(1, n + 1), r) for _ in range(rng.randint(2, 8)))
+            hs.append(Clutter(rng.sample(range(1, n + 1), r) for _ in range(rng.randint(2, 8))))
+        # no two edges of these each have two vertices outside the other:
+        # chains {a_i} | B_i over nested B_i, and sunflowers with one-vertex
+        # petals; then staircases with one more edge that has such a pair
+        partnerless = []
+        for _ in range(10):
+            labels = rng.sample(range(7), 7)
+            m = rng.randint(2, 3)
+            sizes = sorted(rng.sample(range(1, 8 - m), m))
+            partnerless.append(Clutter([labels[i]] + labels[m:m + b] for i, b in enumerate(sizes)))
+            core = rng.randint(1, 3)
+            petals = rng.randint(2, 7 - core)
+            partnerless.append(Clutter(labels[:core] + [p] for p in labels[core:core + petals]))
+        for h in partnerless:
+            assert not has_partners(h)
+        partnered = []
+        for _ in range(20):
+            s = rng.randint(2, 3)
+            labels = rng.sample(range(7), 7)
+            extra = rng.sample(labels, rng.randint(2, 3))
+            h = Clutter([[labels[i - 1]] + labels[s:s + i] for i in range(1, s + 1)] + [extra])
+            if has_partners(h):
+                partnered.append(h)
+        assert len(partnered) >= 10
+        hs += partnerless + partnered
+        found = 0
+        for h in hs:
             for k in (2, 3):
                 w = find_kk2_minor(h, k)
                 assert (w is not None) == brute_has_matching_minor(h.edge_sets, k)
@@ -858,6 +891,39 @@ class TestFindMatchingMinor:
                     assert w.verify(h)
                     found += 1
         assert found >= 20
+
+    def test_partnerless_clutters_build_no_candidates(self, monkeypatch):
+        # with no two edges each holding two vertices outside the other, no
+        # two candidates meet 3b: the search must answer from the edges
+        # alone, charging the set-up, the root and the n one-candidate
+        # families it would have reached
+        def refuse(*args):
+            raise AssertionError("the pair search built its candidates")
+
+        matching = importlib.import_module("clutterkit.matching")
+        monkeypatch.setattr(matching, "_clash_masks", refuse)
+        monkeypatch.setattr(matching, "_cover_tables", refuse)
+        rng = random.Random(229)
+        hs = [staircase(n) for n in range(2, 13)]
+        for n in range(2, 13):
+            labels = rng.sample(range(100), 2 * n + 1)
+            hs.append(Clutter([labels[v] for v in e] for e in staircase(n).edges))
+        for core in range(1, 4):
+            for petals in range(2, 7):
+                hs.append(Clutter(list(range(core)) + [core + p] for p in range(petals)))
+        for h in hs:
+            assert not has_partners(h)
+            for k in (2, 3):
+                assert find_kk2_minor(h, k) is None
+        for n in range(2, 11):
+            c = sum(math.comb(len(e), 2) for e in staircase(n).edges)
+            steps = c + c * (c - 1) // 2 + c + 1
+            for k in (2, 3):
+                assert find_kk2_minor(staircase(n), k, node_budget=steps) is None
+                with pytest.raises(ResourceLimitError) as info:
+                    find_kk2_minor(staircase(n), k, node_budget=steps - 1)
+                assert str(info.value) == (
+                    f"matching-minor search exceeded budget of {steps - 1} search steps")
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
