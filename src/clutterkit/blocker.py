@@ -23,12 +23,12 @@ With literals set, the fold also drops, as soon as it is built, every set
 holding both a vertex v and v ^ 1; first_consistent_transversal folds
 only the consistent sets this way for solve_sat, since the literals of
 variable i are 2i and 2i + 1.  Such v and v ^ 1 differ by one, and the
-fold gives the vertices bits in ascending order, so whenever both occur
-they sit on adjacent bits p and p + 1, and comparing each vertex with the
-next finds them.  One int, pairs, has bit p set for each such pair, and
-the vertices that clash with a vertex of a mask m are (m & pairs) << 1 |
-(m >> 1) & pairs.  The pruned fold yields exactly the consistent members
-of the blocker, in the same canonical order:
+fold gives consecutive vertices adjacent bits (in descending order, see
+below), so whenever both occur they sit on adjacent bits p and p + 1, and
+comparing each vertex with the next finds them.  One int, pairs, has bit
+p set for each such pair, and the vertices that clash with a vertex of a
+mask m are (m & pairs) << 1 | (m >> 1) & pairs.  The pruned fold yields
+exactly the consistent members of the blocker:
 
 - Every member T of the next family is a hitter t or an extension t | b
   of some t in the current one; either way t <= T.
@@ -59,17 +59,17 @@ finds every mover t for which t | c is kept.  Smaller steps keep the
 per-mover scan, which costs less there.
 
 On few vertices the subset lattice answers faster than a long fold.
-With n vertices, a table of 2^n bits has bit S set when the subset S (bit
-i for the i-th vertex) has some property, and holds[i] is the table of
-the subsets holding vertex i.  A set is a non-transversal exactly when it
-lies inside the complement of some edge, so the non-transversals are the
-down-closure of those complements: set the bit of each complement, the
-fold's edge mask XOR 2^n - 1, then for each i OR in
-(miss & holds[i]) >> 2^i, which moves every set holding i to the set
+With n vertices, a table of 2^n bits has bit S set when the subset whose
+fold mask is S has some property, and holds[i] is the table of the
+subsets holding the vertex of bit i.  A set is a non-transversal exactly
+when it lies inside the complement of some edge, so the non-transversals
+are the down-closure of those complements: set the bit of each
+complement, the fold's edge mask XOR 2^n - 1, then for each i OR in
+(miss & holds[i]) >> 2^i, which moves every set holding bit i to the set
 without it.  The transversals T are the rest.  A transversal is minimal
 when no set one vertex smaller is a transversal, so the minimal ones are
-T minus the OR over i of (T << 2^i) & holds[i], the sets holding i whose
-set without i is in T.  A clashing pair on adjacent bits p and p + 1
+T minus the OR over i of (T << 2^i) & holds[i], the sets holding bit i
+whose set without it is in T.  A clashing pair on adjacent bits p and p + 1
 drops holds[p] & holds[p + 1] from T first; the kept sets are exactly the
 consistent minimal transversals, because every subset of a consistent
 set is consistent.  The set bits are read off a byte at a time: compress
@@ -88,18 +88,28 @@ fold holds is an antichain (a subset of the minimal transversals of the
 seen edges), so by Sperner's theorem (1928) it never holds more than
 C(n, n // 2) sets, and with that budget the fold could not have tripped.
 
-The fold hands its family over as bitmasks, and three consumers in this
-module read them, each decoding only what it needs: blocker decodes the
-masks into its clutter, maximal_independent_sets decodes the complement
-of each mask within the vertex set, and first_consistent_transversal
-keeps the masks with the fewest bits, decodes only those, bit by bit,
-and returns the least of their tuples: fewest vertices, then the least
-tuple.  No other module sees a mask: solve_sat gets the vertices of that
-one set.  _decode reads masks four bits at a time on up to 16 vertices
-and eight above: each call builds four 4-bit tables up to 16 vertices,
-three 8-bit tables up to 24 and one per eight vertices above, each
-holding the sorted vertex tuple of every subset of its bits, and a mask
-decodes to the concatenation of its lookups.
+The fold hands its family over as bitmasks, in which bit n - 1 - i stands
+for the i-th of the n sorted vertices, so the least vertex has the
+highest bit.  Within one size, int order is then canonical order
+reversed: where two masks of one size first differ from the top, their
+bit stands for the least vertex in just one of the two sets, both sorted
+tuples agree up to it, and the set holding it is the lexicographically
+smaller tuple and has the greater mask.  So sorting the masks in
+descending order, then stably by bit count, puts them in canonical order
+with two sorts of ints and no tuple comparison.  Three consumers in this
+module read the masks, each decoding only what it needs: blocker sorts
+the masks so and decodes them into its clutter, which
+Clutter._from_antichain wraps as they come; maximal_independent_sets
+does the same with the complement of each mask within the vertex set;
+and first_consistent_transversal takes the greatest of the masks with
+the fewest bits, the canonically first of the consistent sets, and
+decodes only that one, bit by bit.  No other module sees a mask:
+solve_sat gets the vertices of that one set.  _decode reads masks four
+bits at a time on up to 16 vertices and eight above: each call builds
+four 4-bit tables up to 16 vertices, three 8-bit tables up to 24 and one
+per eight vertices above, each holding the sorted vertex tuple of every
+subset of its bits, and a mask decodes to the concatenation of its
+lookups, from its high bits down.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
@@ -112,7 +122,7 @@ from math import comb
 from operator import or_
 from typing import Iterable
 
-from .core import Clutter, Edge, _canonical
+from .core import Clutter, Edge
 from .errors import ResourceLimitError
 
 DEFAULT_EDGE_BUDGET = 10**6
@@ -158,7 +168,8 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     at most edge_budget sets, or the one empty set it starts from.  Output
     is canonical and deterministic.
     """
-    return Clutter._from_antichain(_decode(*_fold(h, edge_budget)))
+    verts, masks = _fold(h, edge_budget)
+    return Clutter._from_antichain(_decode(verts, _in_canonical_order(masks)))
 
 
 def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, list[int]]:
@@ -166,20 +177,22 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     no vertex v together with v ^ 1 (the literals 2i and 2i + 1).
 
     Returns the vertices of h and one bitmask per transversal, in which bit
-    i stands for the i-th vertex.  Only the consumers in this module read
-    the masks, and none relies on their order, which is unspecified:
-    blocker and maximal_independent_sets sort what they decode, and
-    first_consistent_transversal, the one caller with literals, picks its
-    set from the masks.  On at most LATTICE_UP_TO vertices, where the fold
-    could not trip edge_budget, _lattice returns the same masks in its
-    place.
+    n - 1 - i stands for the i-th of the n vertices, so that among masks of
+    one size the greater stands for the canonically earlier set.  Only the
+    consumers in this module read the masks, and none relies on their
+    order, which is unspecified: blocker and maximal_independent_sets sort
+    the masks before they decode them, and first_consistent_transversal,
+    the one caller with literals, picks its set from the masks.  On at most
+    LATTICE_UP_TO vertices, where the fold could not trip edge_budget,
+    _lattice returns the same masks in its place.
     """
     verts = h.vertices
     n = len(verts)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
+    bit = {v: 1 << n - 1 - i for i, v in enumerate(verts)}
     masks = [sum(map(bit.__getitem__, e)) for e in h.edges]
-    # bit p set when verts[p] clashes with verts[p + 1]
-    pairs = sum(1 << p for p in range(n - 1) if verts[p] ^ 1 == verts[p + 1]) if literals else 0
+    # bit n - 2 - p set when verts[p] clashes with verts[p + 1]
+    pairs = sum(1 << n - 2 - p for p in range(n - 1)
+                if verts[p] ^ 1 == verts[p + 1]) if literals else 0
     # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
     # budget it cannot trip and the lattice may answer in its place
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
@@ -260,7 +273,7 @@ def _extend_packed(
 
 @cache
 def _holds(n: int) -> tuple[int, ...]:
-    """For each i < n, the 2^n-bit table of the subsets holding vertex i."""
+    """For each i < n, the 2^n-bit table of the subsets holding bit i."""
     full = (1 << (1 << n)) - 1
     # bit i of S repeats 2^i zeros then 2^i ones
     return tuple(((1 << w) - 1 << w) * (full // ((1 << 2 * w) - 1))
@@ -306,35 +319,46 @@ def _over_budget(edge_budget: int) -> ResourceLimitError:
 
 def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
     """Each mask as the sorted tuple of the vertices its bits stand for."""
-    # one table per w bits: entry j holds the vertices of the bits set in j;
-    # bit i stands for verts[i] and verts is sorted, so each tuple is too.
-    # Each call builds its tables, which up to 16 vertices is a large share
-    # of the call, so there w is 4, and above 16 it is 8.  Up to 24 vertices
-    # the lookups are unrolled over four or three tables: a table past the
-    # last vertex holds only (), which every mask indexes with 0, and no
-    # mask has a bit past the last table, so its lookup needs no mask.
+    # one table per w bits, from the low bits up: entry j holds the vertices
+    # of the bits set in j.  Bit i stands for rev[i], and rev descends, so
+    # prepending keeps each tuple sorted, and a mask's lookups concatenate
+    # from its high bits down.  Each call builds its tables, which up to 16
+    # vertices is a large share of the call, so there w is 4, and above 16
+    # it is 8.  Up to 24 vertices the lookups are unrolled over four or
+    # three tables: a table past the last vertex holds only (), which every
+    # mask indexes with 0, and no mask has a bit past the last table, so its
+    # lookup needs no mask.
     n = len(verts)
+    rev = verts[::-1]
     w, span = (4, 16) if n <= 16 else (8, max(n, 24))
     tables = []
     for k in range(0, span, w):
         table: list[Edge] = [()]
-        for v in verts[k:k + w]:
-            table += [x + (v,) for x in table]
+        for v in rev[k:k + w]:
+            table += [(v,) + x for x in table]
         tables.append(table)
     if n <= 16:
         a, b, c, d = tables
-        return [a[m & 15] + b[m >> 4 & 15] + c[m >> 8 & 15] + d[m >> 12] for m in masks]
+        return [d[m >> 12] + c[m >> 8 & 15] + b[m >> 4 & 15] + a[m & 15] for m in masks]
     if n <= 24:
         a, b, c = tables
-        return [a[m & 255] + b[m >> 8 & 255] + c[m >> 16] for m in masks]
+        return [c[m >> 16] + b[m >> 8 & 255] + a[m & 255] for m in masks]
     out = []
     for m in masks:
         t: Edge = ()
         for table in tables:
-            t += table[m & 255]
+            t = table[m & 255] + t
             m >>= 8
         out.append(t)
     return out
+
+
+def _in_canonical_order(masks: list[int]) -> list[int]:
+    """Sort masks, in place, into the canonical order of the sets they stand
+    for: by size, then the greater mask first."""
+    masks.sort(reverse=True)
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def maximal_independent_sets(
@@ -349,7 +373,7 @@ def maximal_independent_sets(
     """
     verts, masks = _fold(h, edge_budget)
     full = (1 << len(verts)) - 1
-    return _canonical(_decode(verts, [full ^ t for t in masks]))
+    return tuple(_decode(verts, _in_canonical_order([full ^ t for t in masks])))
 
 
 def first_consistent_transversal(
@@ -367,5 +391,6 @@ def first_consistent_transversal(
     if not masks:
         return None
     fewest = min(map(int.bit_count, masks))
-    return min([tuple([v for i, v in enumerate(verts) if m >> i & 1])
-                for m in masks if m.bit_count() == fewest])
+    first = max([m for m in masks if m.bit_count() == fewest])
+    top = len(verts) - 1
+    return tuple([v for i, v in enumerate(verts) if first >> top - i & 1])

@@ -18,6 +18,9 @@ from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
 
+# edge types that Clutter() reads twice, to check and to build, as given
+_REREADABLE = frozenset((list, tuple, frozenset))
+
 
 def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     # by size, then lexicographically: the sort by len is stable, and both
@@ -100,8 +103,11 @@ class Clutter(_Value):
     def __init__(self, edges: Iterable[Iterable[int]] = ()):
         pool = []
         for e in edges:
-            s = frozenset(e)
-            for v in s:
+            # each label is checked as given: in a frozenset, True or 2.0
+            # would already have collapsed into the int it equals
+            if e.__class__ not in _REREADABLE:
+                e = tuple(e)
+            for v in e:
                 # exact ints skip the isinstance tests; bool is an int
                 # subclass whose labels would not parse back
                 if (v.__class__ is not int
@@ -110,14 +116,17 @@ class Clutter(_Value):
                     raise ValueError(
                         f"vertex labels must be non-negative integers, got {v!r}"
                     )
-            pool.append(s)
+            pool.append(frozenset(e))
         object.__setattr__(self, "edges", _canonical(_minimal(pool)))
 
     @classmethod
     def _from_antichain(cls, edges: Iterable[Edge]) -> "Clutter":
-        """Wrap sorted tuples already known to be pairwise incomparable."""
+        """Wrap sorted tuples that are already in canonical order and known
+        to be pairwise incomparable; neither is checked.  The callers are
+        blocker, which decodes its masks in canonical order, and restrict,
+        whose survivors keep the order of the edges they are taken from."""
         c = cls.__new__(cls)
-        object.__setattr__(c, "edges", _canonical(edges))
+        object.__setattr__(c, "edges", tuple(edges))
         return c
 
     @property

@@ -247,6 +247,8 @@ def _cover_tables(edges: Sequence[Edge]):
         at = top + 1
 
     def bits(positions: list[int]) -> int:
+        if at < 512:  # a few machine words: summing the distinct bits costs least
+            return sum(map((1).__lshift__, positions))
         # one pass over a buffer: OR-ing bits into a growing int is quadratic
         buf = bytearray(at // 8 + 1)
         for p in positions:

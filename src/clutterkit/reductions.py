@@ -110,7 +110,11 @@ class CnfFormula(_Value):
             if not clause:
                 raise ValueError("clauses must be non-empty")
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                # exact ints skip the isinstance tests; bool is an int
+                # subclass, but True is no DIMACS literal
+                if lit.__class__ is not int and (isinstance(lit, bool) or not isinstance(lit, int)):
+                    raise ValueError(f"literals must be integers, got {lit!r}")
+                if lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"literal {lit!r} outside variables 1..{num_vars}")
         super().__init__(num_vars, clauses)
 

@@ -23,7 +23,14 @@ from clutterkit import (
     staircase,
 )
 
-from clutterkit.blocker import DEFAULT_EDGE_BUDGET, _decode, _fold, _lattice
+from clutterkit.blocker import (
+    DEFAULT_EDGE_BUDGET,
+    _decode,
+    _fold,
+    _lattice,
+    first_consistent_transversal,
+)
+from clutterkit.core import _canonical
 
 from helpers import (
     berge_fold_peak,
@@ -400,8 +407,10 @@ class TestLatticeReadout:
 
 
 def _decode_bit_by_bit(verts, masks):
-    """The reference decode: each mask tests every vertex bit."""
-    bits = [(1 << i, v) for i, v in enumerate(verts)]
+    """The reference decode: each mask tests every vertex bit, where bit
+    n - 1 - i stands for verts[i]."""
+    n = len(verts)
+    bits = [(1 << n - 1 - i, v) for i, v in enumerate(verts)]
     return [tuple([v for bit, v in bits if t & bit]) for t in masks]
 
 
@@ -414,6 +423,63 @@ class TestDecode:
             verts = tuple(sorted(rng.sample(range(5 * n), n)))
             masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]
             assert _decode(verts, masks) == _decode_bit_by_bit(verts, masks), n
+
+
+def _gapped_clutter(rng, n):
+    """A seeded clutter on exactly n vertices whose labels have gaps: runs of
+    2 to 4 shuffled labels, each with one more label drawn from them all."""
+    labels = rng.sample(range(3 * n), n)
+    while True:
+        starts = range(0, n, rng.randint(2, 4))
+        h = Clutter(labels[i:i + rng.randint(2, 4)] + rng.sample(labels, 1) for i in starts)
+        if len(h.vertices) == n:
+            return h
+
+
+class TestCanonicalOrder:
+    """blocker and maximal_independent_sets decode the fold's masks straight
+    into canonical order, and restrict keeps the order of its edges:
+    Clutter._from_antichain wraps both as given, without sorting."""
+
+    def test_decoded_families_and_restrictions_are_canonical(self, engine, pack_from):
+        rng = random.Random(101)
+        branches = set()
+        for n in (1, 3, 8, 13, 16, 17, 20, 24, 25, 28):
+            for _ in range(3):
+                h = _gapped_clutter(rng, n)
+                # the three decode branches: up to 16 vertices, up to 24, above
+                branches.add(0 if n <= 16 else 1 if n <= 24 else 2)
+                b = blocker(h)
+                indep = maximal_independent_sets(h)
+                assert b.edges == _canonical(b.edges)
+                assert indep == _canonical(indep)
+                for g in (h, b):
+                    d = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+                    edges = g.restrict(d, ()).edges
+                    assert edges == _canonical(edges)
+        for g in (ZERO, ONE, blocker(ZERO), blocker(ONE)):
+            assert g.edges == _canonical(g.edges)
+            assert maximal_independent_sets(g) == _canonical(maximal_independent_sets(g))
+        assert branches == {0, 1, 2}
+
+    def test_first_consistent_transversal_is_the_first_consistent_blocker_set(
+            self, engine, pack_from):
+        # the reference re-sorts the blocker with tuple comparisons
+        rng = random.Random(103)
+        decided = set()
+        for v in range(1, 13):
+            for _ in range(8):
+                f = CnfFormula(v, [
+                    tuple(x if rng.random() < 0.5 else -x
+                          for x in rng.sample(range(1, v + 1), rng.randint(1, min(3, v))))
+                    for _ in range(rng.randint(1, round(4.2 * v)))])
+                h = cnf_to_clutter(f)
+                want = next((t for t in _canonical(blocker(h).edges)
+                             if not any(2 * i in t and 2 * i + 1 in t for i in range(1, v + 1))),
+                            None)
+                assert first_consistent_transversal(h) == want
+                decided.add(want is not None)
+        assert decided == {True, False}
 
 
 class TestIsTransversal:

@@ -51,9 +51,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Clutter([[-1, 2]])
 
-    @pytest.mark.parametrize("edge", [[True, 2], [False], [1, "2"], [1.0]])
+    @pytest.mark.parametrize("edge", [[True, 2], [False], [1, "2"], [1.0],
+                                      [1, True], [0, False], [2, 2.0]])
     def test_non_integer_vertex_rejected(self, edge):
-        # bool is an int subclass, but `True 2` would not parse back
+        # bool is an int subclass, but `True 2` would not parse back; a label
+        # equal to an earlier int of its edge is rejected too
         with pytest.raises(ValueError):
             Clutter([edge])
 

@@ -1,6 +1,8 @@
+import functools
 import importlib
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -401,6 +403,38 @@ class TestEnumerate:
         for k in range(1, 6):
             h = kk2(k)
             assert len(blocker(h)) == len(enumerate_semi_matchings(h)) == 2**k
+
+
+def _reference_cover_tables(edges):
+    """The condition-4 tables as _cover_tables documents them, one bit at a
+    time: each edge of two or more vertices owns a slot per vertex, then a
+    guard bit."""
+    low = guard = at = 0
+    marks = {}
+    for e in edges:
+        if len(e) == 1:
+            continue
+        top = at + len(e)
+        low |= 1 << at
+        guard |= 1 << top
+        for i, v in enumerate(e, at):
+            marks[v] = marks.get(v, 0) | 1 << i | 1 << top
+        at = top + 1
+    of_host = {e: functools.reduce(operator.or_, map(marks.get, e)) & ~guard
+               for e in edges if len(e) > 1}
+    return low, guard, of_host, marks
+
+
+def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
+    # below 512 bits the tables sum their bits, from there on they set them
+    # in a buffer: 120 to 135 three-vertex edges take 480 to 540 bits, and
+    # the one-vertex edges own no block
+    cover_tables = importlib.import_module("clutterkit.matching")._cover_tables
+    rng = random.Random(71)
+    triples = list(itertools.combinations(range(12), 3))
+    for m in (120, 127, 128, 135):
+        h = Clutter(rng.sample(triples, m) + [(100 + i,) for i in range(rng.randint(0, 3))])
+        assert cover_tables(h.edges) == _reference_cover_tables(h.edges)
 
 
 class TestExtend:

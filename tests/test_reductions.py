@@ -281,6 +281,10 @@ class TestCnfMapping:
             CnfFormula(2, ((0,),))
         with pytest.raises(ValueError):
             CnfFormula(-1, ())
+        # bool and float literals, even beside the int they equal
+        for clause in ((True,), (1, True), (-1, False), (2, 2.0)):
+            with pytest.raises(ValueError):
+                CnfFormula(2, (clause,))
 
     def test_formula_is_frozen(self):
         f = CnfFormula(2, ((1, 2),))
