@@ -8,7 +8,8 @@ from differential import ENGINES, PACKINGS
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 if SRC not in sys.path:
-    sys.path.insert(0, SRC)
+    # last, so that PYTHONPATH=<other tree>/src tests that tree's code
+    sys.path.append(SRC)
 
 
 @pytest.fixture(params=list(PACKINGS.values()), ids=list(PACKINGS))

@@ -136,6 +136,10 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             verify_bound(Clutter([[1], [2]]), 1)
 
+    def test_edgeless_clutter_rejected(self):
+        with pytest.raises(ValueError, match="the bound is undefined for the edgeless clutter"):
+            verify_bound(ZERO, 0)
+
     def test_negative_k_rejected_before_the_search(self):
         # NotInClassError is a ValueError too, so check the exact type
         for h in (C6, kk2(2), staircase(3)):

@@ -120,6 +120,13 @@ def test_bound_not_in_class_is_usage_error(tmp_path, capsys):
     assert main(["bound", "--k", "1", "--verify", str(p)]) == 2
 
 
+def test_bound_on_the_edgeless_clutter_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "zero.clt"
+    p.write_text("")
+    assert main(["bound", "--k", "0", "--verify", str(p)]) == 2
+    assert capsys.readouterr().err == "error: the bound is undefined for the edgeless clutter\n"
+
+
 def test_membership_exit_codes(tmp_path, capsys):
     stair = tmp_path / "stair.clt"
     stair.write_text("1 3\n2 3 4\n")

@@ -426,14 +426,23 @@ def _reference_cover_tables(edges):
 
 
 def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
-    # below 512 bits the tables sum their bits, from there on they set them
-    # in a buffer: 120 to 135 three-vertex edges take 480 to 540 bits, and
-    # the one-vertex edges own no block
+    # the sizes straddle the 512-bit switch between summing bits and setting
+    # them in a buffer that the tables once had: 120 to 135 three-vertex
+    # edges take 480 to 540 bits, and the one-vertex edges own no block.
+    # Then larger shapes: a rank-3 fan {0, 2i+1, 2i+2} of 400 edges (1,600
+    # bits), a star of 1,400 edges, and rank 4 with 200 edges on 60 vertices
     cover_tables = importlib.import_module("clutterkit.matching")._cover_tables
     rng = random.Random(71)
     triples = list(itertools.combinations(range(12), 3))
     for m in (120, 127, 128, 135):
         h = Clutter(rng.sample(triples, m) + [(100 + i,) for i in range(rng.randint(0, 3))])
+        assert cover_tables(h.edges) == _reference_cover_tables(h.edges)
+    quads = set()
+    while len(quads) < 200:
+        quads.add(tuple(sorted(rng.sample(range(60), 4))))
+    for h in (Clutter([0, 2 * i + 1, 2 * i + 2] for i in range(400)),
+              Clutter([0, i] for i in range(1, 1401)),
+              Clutter(quads)):
         assert cover_tables(h.edges) == _reference_cover_tables(h.edges)
 
 
@@ -862,6 +871,15 @@ class TestFindMatchingMinor:
         assert find_kk2_minor(C6, 0) is not None
         assert find_kk2_minor(ONE, 0) is None
         assert find_kk2_minor(ZERO, 0) is not None
+
+    def test_zero_pairs_charge_the_root(self):
+        # staircase(4) has 20 candidates, so its set-up is 20 + 190 = 210
+        # steps; the root, the one family of no pairs, is one more
+        with pytest.raises(ResourceLimitError) as info:
+            find_kk2_minor(staircase(4), 0, node_budget=210)
+        assert str(info.value) == "matching-minor search exceeded budget of 210 search steps"
+        w = find_kk2_minor(staircase(4), 0, node_budget=211)
+        assert w is not None and w.matching == ()
 
     def test_negative_size_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
