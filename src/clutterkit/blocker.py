@@ -55,8 +55,15 @@ bits marks the fields where it is 0: the borrow of a nonzero field stops
 at its own spare bit and clears it.  For a vertex c of the new edge, the
 private vertices of the seen edges that miss c, ORed together, equal t
 exactly when every u in t keeps such an edge, so one more spare-bit test
-finds every mover t for which t | c is kept.  Smaller steps keep the
-per-mover scan, which costs less there.
+finds every mover t for which t | c is kept.  Those private fields are
+ORed as they are made, one int for each part mask & ~f of the new edge
+that a seen edge f misses, and the fields for c are the OR of the ints
+whose part holds c: OR does not depend on grouping.  No part is empty,
+since no seen edge holds the new one, so a step keeps at most
+min(|seen|, 2^|e| - 1) such ints, 2^r - 1 for a clutter of rank r, each
+the size of the packed movers, beside those and a few temporaries of
+their size.  Smaller steps keep the per-mover scan, which costs less
+there.
 
 On few vertices the subset lattice answers faster than a long fold.
 With n vertices, a table of 2^n bits has bit S set when the subset whose
@@ -241,31 +248,30 @@ def _extend_packed(
     """Append to family every kept extension of the movers by a vertex of mask.
 
     The movers are packed into one int, one field of nbytes bytes each, so
-    each seen edge costs a fixed handful of big-int operations.
+    each seen edge costs a fixed handful of big-int operations.  The scratch
+    beside them, the private fields keyed by the part of mask each seen edge
+    misses, holds at most min(len(seen), 2^|mask| - 1) ints of that size.
     """
     count = len(movers)
     top = 8 * nbytes - 1
     fam = int.from_bytes(b"".join([t.to_bytes(nbytes, "little") for t in movers]), "little")
     low = int.from_bytes((b"\1" + bytes(nbytes - 1)) * count, "little")
     guard = low << top
-    privs = []
+    privs: dict[int, int] = {}  # mask & ~f -> the private fields of such f, ORed
     for f in seen:
         v = fam & f * low  # t & f in every field, never 0
         single = (guard - (v & (v - low))) & guard  # top bit set where t & f is one vertex
-        privs.append(v & (single - (single >> top)))
+        privs[mask & ~f] = privs.get(mask & ~f, 0) | v & (single - (single >> top))
     rest = mask
     while rest:
         c = rest & -rest
         rest ^= c
         # a field of x is 0 exactly when every vertex of t keeps a private
         # edge missing c and no vertex of t clashes with c
-        x = fam ^ reduce(or_, compress(privs, [not f & c for f in seen]), 0)
+        x = fam ^ reduce(or_, [p for missed, p in privs.items() if missed & c], 0)
         x |= fam & ((c & pairs) << 1 | (c >> 1) & pairs) * low
         ok = (guard - x) & guard
-        hits = ok.bit_count()
-        if not hits:
-            continue
-        if len(family) + hits > edge_budget:
+        if len(family) + ok.bit_count() > edge_budget:
             raise _over_budget(edge_budget)
         flags = (ok >> top).to_bytes(count * nbytes, "little")[::nbytes]
         family.extend([t | c for t in compress(movers, flags)])

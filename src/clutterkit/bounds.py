@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker
-from .core import Clutter, _Value
+from .core import Clutter, _Value, _check_int
 from .errors import NotInClassError
 from .matching import DEFAULT_NODE_BUDGET, find_kk2_minor
 
@@ -29,6 +29,9 @@ class BoundParams(_Value):
     k: int
 
     def __init__(self, edge_count: int, r: int, k: int):
+        _check_int(edge_count, "edge count")
+        _check_int(r, "rank bound")
+        _check_int(k, "matching bound")
         if edge_count < 0:
             raise ValueError("edge count must be non-negative")
         if r < 2:
@@ -89,7 +92,14 @@ def blocker_size_bound(params: BoundParams) -> int:
 def class_membership(
     h: Clutter, r: int, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
-    """True iff h has rank at most r and no matching minor of k pairs."""
+    """True iff h has rank at most r and no matching minor of k pairs.
+
+    A negative r or k raises ValueError whatever the rank of h.
+    """
+    if r < 0:
+        raise ValueError("rank bound must be non-negative")
+    if k < 0:
+        raise ValueError("matching size must be non-negative")
     if h.is_zero:
         raise ValueError("class membership is undefined for the edgeless clutter")
     if h.rank() > r:

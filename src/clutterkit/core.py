@@ -22,6 +22,13 @@ Edge = tuple[int, ...]
 _REREADABLE = frozenset((list, tuple, frozenset))
 
 
+def _check_int(value: object, what: str) -> None:
+    """Raise ValueError unless value is an int other than a bool."""
+    # exact ints skip the isinstance tests; bool is an int subclass
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     # by size, then lexicographically: the sort by len is stable, and both
     # sorts compare in C

@@ -28,7 +28,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .core import Clutter, Edge, _Value
+from .core import Clutter, Edge, _Value, _check_int
 from .errors import ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -107,6 +107,7 @@ class ConflictGraph(_Value):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        _check_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         edges = tuple(edges)

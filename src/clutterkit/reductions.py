@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker, first_consistent_transversal
-from .core import Clutter, _Value
+from .core import _REREADABLE, Clutter, _Value, _check_int
 from .errors import InfeasibleInstanceError
 
 if TYPE_CHECKING:
@@ -41,13 +41,18 @@ class SetCoverInstance(_Value):
         weights: tuple[Fraction, ...] | None = None,
         names: tuple[str, ...] | None = None,
     ):
+        _check_int(universe_size, "universe size")
         if universe_size < 0:
             raise ValueError("universe size must be non-negative")
-        sets = tuple(frozenset(s) for s in sets)
+        # each element is checked as given: in a frozenset, True would
+        # already have collapsed into 1
+        sets = [s if s.__class__ in _REREADABLE else tuple(s) for s in sets]
         for s in sets:
             for u in s:
-                if not isinstance(u, int) or not 1 <= u <= universe_size:
+                _check_int(u, "element")
+                if not 1 <= u <= universe_size:
                     raise ValueError(f"element {u!r} outside universe 1..{universe_size}")
+        sets = tuple(map(frozenset, sets))
         if weights is not None:
             from fractions import Fraction
 
@@ -103,6 +108,7 @@ class CnfFormula(_Value):
     clauses: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        _check_int(num_vars, "variable count")
         if num_vars < 0:
             raise ValueError("variable count must be non-negative")
         clauses = tuple(tuple(c) for c in clauses)

@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -246,6 +247,23 @@ class TestBlocker:
             tracemalloc.stop()
         assert len(got) == 2**16
         assert peak < 16 * 10**6  # bytes; 14.2 MB when first measured
+
+    def test_memory_of_the_packed_scratch(self):
+        # kk2(16) above never has more than 16 seen edges; here late packed
+        # steps see up to 47.  Their scratch of private fields is one packed
+        # int per part of the new edge that a seen edge misses, at most 7
+        # for rank 3.  The peak was 1.69x the family (1.52 MiB) when first
+        # measured; one int per seen edge makes it 3.13x (2.80 MiB)
+        rng = random.Random(1)
+        h = Clutter([tuple(sorted(rng.sample(range(1, 33), 3))) for _ in range(48)])
+        tracemalloc.start()
+        try:
+            _, family = _fold(h, DEFAULT_EDGE_BUDGET)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 23_852
+        assert peak < 2.4 * (sys.getsizeof(family) + sum(map(sys.getsizeof, family)))
 
 
 def _rotations(n, *offsets):

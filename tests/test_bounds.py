@@ -107,6 +107,15 @@ class TestClassMembership:
         with pytest.raises(ValueError):
             class_membership(ZERO, 3, 2)
 
+    @pytest.mark.parametrize("edges, r, k, message", [
+        ([[1, 2]], -1, 2, "rank bound must be non-negative"),
+        ([[1, 2, 3]], 2, -1, "matching size must be non-negative"),  # rank above r
+        ([[1, 2]], 2, -1, "matching size must be non-negative"),
+    ], ids=["negative-r", "negative-k-past-the-rank", "negative-k"])
+    def test_negative_arguments_rejected_whatever_the_rank(self, edges, r, k, message):
+        with pytest.raises(ValueError, match=message):
+            class_membership(Clutter(edges), r, k)
+
 
 class TestVerifyBound:
     def test_three_pair_matching_is_tight(self):

@@ -138,6 +138,18 @@ def test_membership_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["member"] is False
 
 
+@pytest.mark.parametrize("text, r, k, message", [
+    ("1 2\n", "-1", "2", "rank bound must be non-negative"),
+    ("1 2 3\n", "2", "-1", "matching size must be non-negative"),  # rank above --r
+    ("1 2\n", "2", "-1", "matching size must be non-negative"),
+], ids=["negative-r", "negative-k-past-the-rank", "negative-k"])
+def test_negative_membership_arguments_are_input_errors(tmp_path, capsys, text, r, k, message):
+    p = tmp_path / "h.clt"
+    p.write_text(text)
+    assert main(["membership", "--r", r, "--k", k, str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, code, want", [
     (["bound", "--k", "3", "--verify", "--json"], 0,
      {"edges": 3, "r": 2, "k": 3, "bound": 8, "observed": 8, "within": True}),

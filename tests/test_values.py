@@ -57,6 +57,19 @@ REJECTED = [
     (ConflictGraph, {"n": 2, "edges": ((0, 2),)}),
     (SetCoverInstance, {"universe_size": 2, "sets": (frozenset({3}),)}),
     (CnfFormula, {"num_vars": 1, "clauses": ((2,),)}),
+    # elements are checked as given, before a frozenset folds True into 1
+    (SetCoverInstance, {"universe_size": 2, "sets": ([1, True], [2])}),
+    (SetCoverInstance, {"universe_size": 2, "sets": ({True}, {2})}),
+    # counts are ints, not floats or bools
+    (CnfFormula, {"num_vars": 2.5, "clauses": ((1,),)}),
+    (CnfFormula, {"num_vars": True, "clauses": ((1,),)}),
+    (SetCoverInstance, {"universe_size": 2.5, "sets": ({1},)}),
+    (SetCoverInstance, {"universe_size": True, "sets": ({1},)}),
+    (BoundParams, {"edge_count": 3, "r": 2.5, "k": 1}),
+    (BoundParams, {"edge_count": True, "r": 2, "k": 1}),
+    (BoundParams, {"edge_count": 3, "r": 2, "k": True}),
+    (ConflictGraph, {"n": 2.5, "edges": ()}),
+    (ConflictGraph, {"n": True, "edges": ()}),
 ]
 
 cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
