@@ -20,9 +20,9 @@ check is needed:
   in t', so b == b', then t <= t' and the antichain forces t == t'.
 
 With literals set, the fold also drops, as soon as it is built, every set
-holding both a vertex v and v ^ 1; first_consistent_transversal folds
-only the consistent sets this way for solve_sat, since the literals of
-variable i are 2i and 2i + 1.  Such v and v ^ 1 differ by one, and the
+holding both a vertex v and v ^ 1; cheapest_transversal folds only the
+consistent sets this way for solve_sat, since the literals of variable i
+are 2i and 2i + 1.  Such v and v ^ 1 differ by one, and the
 fold gives consecutive vertices adjacent bits (in descending order, see
 below), so whenever both occur they sit on adjacent bits p and p + 1, and
 comparing each vertex with the next finds them.  One int, pairs, has bit
@@ -83,13 +83,15 @@ set is consistent.  The set bits are read off a byte at a time: compress
 over a cached tuple of the byte offsets picks out the nonzero bytes in C,
 so only those cost Python work and no call makes an int per byte.  Each
 table is 2^n bits, so at most 8 KB with n <= LATTICE_UP_TO = 16; the
-cached holds tables take n of them for each n used, and the cached
-offsets one int per byte of each table size used.
+cached holds tables take n of them for each n used, the cached layers
+(the subsets of each size, below) n + 1, and the cached offsets one int
+per byte of each table size used.
 
 The lattice takes a few table operations per vertex, where the fold
-tests family members one by one, so _fold decides once, before its first
-step: on at most LATTICE_UP_TO vertices, with edge_budget >= C(n, n // 2),
-the lattice answers, and otherwise the fold runs to the end.  That bound
+tests family members one by one, so _lattice_answers decides once, for
+_fold and cheapest_transversal alike, before the first step: on at most
+LATTICE_UP_TO vertices, with edge_budget >= C(n, n // 2), the lattice
+answers, and otherwise the fold runs to the end.  That bound
 keeps every answer and budget trip point the fold's: every family the
 fold holds is an antichain (a subset of the minimal transversals of the
 seen edges), so by Sperner's theorem (1928) it never holds more than
@@ -104,14 +106,24 @@ tuples agree up to it, and the set holding it is the lexicographically
 smaller tuple and has the greater mask.  So sorting the masks in
 descending order, then stably by bit count, puts them in canonical order
 with two sorts of ints and no tuple comparison.  Three consumers in this
-module read the masks, each decoding only what it needs: blocker sorts
+module read the masks, each decoding only what it needs.  blocker sorts
 the masks so and decodes them into its clutter, which
 Clutter._from_antichain wraps as they come; maximal_independent_sets
-does the same with the complement of each mask within the vertex set;
-and first_consistent_transversal takes the greatest of the masks with
-the fewest bits, the canonically first of the consistent sets, and
-decodes only that one, bit by bit.  No other module sees a mask:
-solve_sat gets the vertices of that one set.  _decode reads masks four
+does the same with the complement of each mask within the vertex set.
+cheapest_transversal wants one set, the canonically first of least cost:
+it keeps the masks of least cost, summing integer weights through one
+256-entry table per eight bits, then takes the greatest of those with
+the fewest bits, and decodes only that one, bit by bit.  Where the
+lattice answers and there are no weights, it reads no mask out at all.
+A transversal with the fewest vertices is minimal, since a smaller
+transversal inside it would have fewer; with literals, a consistent one
+is too, since the sets inside a consistent set are consistent.  So the
+table of transversals ANDed with the cached layer of k-bit subsets, for
+k from 0 up, is first nonzero at the fewest bits, and its highest bit
+is the answer: no minimality step, no readout and no sort.  No other
+module sees a mask: solve_sat and solve_setcover get the vertices of
+that one set, and the oracle objective of solve_setcover scans the
+blocker.  _decode reads masks four
 bits at a time on up to 16 vertices and eight above: each call builds
 four 4-bit tables up to 16 vertices, three 8-bit tables up to 24 and one
 per eight vertices above, each holding the sorted vertex tuple of every
@@ -127,7 +139,7 @@ from functools import cache, reduce
 from itertools import compress
 from math import comb
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Clutter, Edge
 from .errors import ResourceLimitError
@@ -188,22 +200,38 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     one size the greater stands for the canonically earlier set.  Only the
     consumers in this module read the masks, and none relies on their
     order, which is unspecified: blocker and maximal_independent_sets sort
-    the masks before they decode them, and first_consistent_transversal,
-    the one caller with literals, picks its set from the masks.  On at most
-    LATTICE_UP_TO vertices, where the fold could not trip edge_budget,
-    _lattice returns the same masks in its place.
+    the masks before they decode them.  Where _lattice_answers says so,
+    _lattice returns the same masks in the Berge fold's place.
     """
+    verts, masks, pairs = _edge_masks(h, literals)
+    n = len(verts)
+    if _lattice_answers(n, edge_budget):
+        return verts, _lattice(n, masks, pairs)
+    return verts, _berge(n, masks, pairs, edge_budget)
+
+
+def _edge_masks(h: Clutter, literals: bool) -> tuple[Edge, list[int], int]:
+    """The vertices of h, the mask of each edge, and the clash mask: with
+    literals, bit n - 2 - p set when verts[p] clashes with verts[p + 1]."""
     verts = h.vertices
     n = len(verts)
     bit = {v: 1 << n - 1 - i for i, v in enumerate(verts)}
     masks = [sum(map(bit.__getitem__, e)) for e in h.edges]
-    # bit n - 2 - p set when verts[p] clashes with verts[p + 1]
     pairs = sum(1 << n - 2 - p for p in range(n - 1)
                 if verts[p] ^ 1 == verts[p + 1]) if literals else 0
+    return verts, masks, pairs
+
+
+def _lattice_answers(n: int, edge_budget: int) -> bool:
+    """Whether the subset lattice answers in the fold's place on n vertices."""
     # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
     # budget it cannot trip and the lattice may answer in its place
-    if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
-        return verts, _lattice(n, masks, pairs)
+    return n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2)
+
+
+def _berge(n: int, masks: list[int], pairs: int, edge_budget: int) -> list[int]:
+    """The masks of the minimal transversals of the edge masks, by Berge's
+    fold, less every set that holds both bits of a clash in pairs."""
     nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
     family = [0]
     seen: list[int] = []
@@ -233,7 +261,7 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
                     free ^= b
                     family.append(t | b)
         seen.append(mask)
-    return verts, family
+    return family
 
 
 def _extend_packed(
@@ -295,9 +323,25 @@ def _offsets(size: int) -> tuple[int, ...]:
 _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
+@cache
+def _layers(n: int) -> tuple[int, ...]:
+    """For each k <= n, the 2^n-bit table of the subsets of k bits."""
+    layers = [1]
+    for i in range(n):
+        # the subsets holding bit i are the others moved up by 2^i
+        layers = [low | high << (1 << i) for low, high in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
+
+
 def _lattice(n: int, masks: list[int], pairs: int) -> list[int]:
     """The masks _fold returns for the edge masks of a clutter on n vertices
     and the clash mask pairs, read off 2^n-bit tables of the subsets."""
+    return _minimal_masks(n, _transversals(n, masks, pairs))
+
+
+def _transversals(n: int, masks: list[int], pairs: int) -> int:
+    """The 2^n-bit table of the transversals of the edge masks that hold
+    both bits of no clash in pairs."""
     holds = _holds(n)
     top = (1 << n) - 1
     buf = bytearray(max(1, (1 << n) >> 3))  # n < 3: one byte
@@ -311,11 +355,16 @@ def _lattice(n: int, masks: list[int], pairs: int) -> list[int]:
         p = (pairs & -pairs).bit_length() - 1
         pairs &= pairs - 1
         t ^= t & holds[p] & holds[p + 1]
+    return t
+
+
+def _minimal_masks(n: int, t: int) -> list[int]:
+    """The masks of the minimal sets of a 2^n-bit table of transversals."""
     up = 0
-    for i, held in enumerate(holds):
+    for i, held in enumerate(_holds(n)):
         up |= (t << (1 << i)) & held
     t ^= t & up
-    data = t.to_bytes(len(buf), "little")
+    data = t.to_bytes(max(1, (1 << n) >> 3), "little")
     return [8 * j + i for j in compress(_offsets(len(data)), data) for i in _BITS[data[j]]]
 
 
@@ -382,21 +431,59 @@ def maximal_independent_sets(
     return tuple(_decode(verts, _in_canonical_order([full ^ t for t in masks])))
 
 
-def first_consistent_transversal(
-    h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET
+def cheapest_transversal(
+    h: Clutter,
+    weights: Sequence[int] | None = None,
+    *,
+    literals: bool = False,
+    edge_budget: int = DEFAULT_EDGE_BUDGET,
 ) -> Edge | None:
-    """The minimal transversal of h that holds no vertex v together with
-    v ^ 1 and comes first canonically, with the fewest vertices, then the
-    least tuple; or None if there is none.
+    """The minimal transversal of h with the least cost, then the fewest
+    vertices, then the least tuple; or None if there is none.
 
-    This is the answer solve_sat reads off the literal clutter of a
-    formula.  The fold drops each clashing set as soon as it is built, so
-    edge_budget caps the consistent family, as in blocker.
+    A set costs the sum of weights[v] over its vertices v, non-negative
+    ints; with weights None every set costs 0.  With literals, only sets
+    that hold no vertex v together with v ^ 1 count, and the fold drops
+    every other set as soon as it is built.  edge_budget caps the fold as
+    in blocker, and the answer and its budget trips are those of a scan of
+    the blocker (of its consistent sets, with literals).
     """
-    verts, masks = _fold(h, edge_budget, literals=True)
-    if not masks:
+    verts, masks, pairs = _edge_masks(h, literals)
+    n = len(verts)
+    if not _lattice_answers(n, edge_budget):
+        family = _berge(n, masks, pairs, edge_budget)
+    elif weights is None:
+        # a transversal with the fewest vertices is minimal, so the greatest
+        # set of the first layer that holds any is the answer
+        table = _transversals(n, masks, pairs)
+        family = []
+        for layer in _layers(n):
+            if hit := table & layer:
+                family = [hit.bit_length() - 1]
+                break
+    else:
+        family = _lattice(n, masks, pairs)
+    if not family:
         return None
-    fewest = min(map(int.bit_count, masks))
-    first = max([m for m in masks if m.bit_count() == fewest])
-    top = len(verts) - 1
+    if weights is not None:
+        family = _least_cost(verts, family, weights)
+    fewest = min(map(int.bit_count, family))
+    first = max([m for m in family if m.bit_count() == fewest])
+    top = n - 1
     return tuple([v for i, v in enumerate(verts) if first >> top - i & 1])
+
+
+def _least_cost(verts: Edge, masks: list[int], weights: Sequence[int]) -> list[int]:
+    """The masks of least cost, where bit n - 1 - i costs weights[verts[i]]."""
+    costs = [0] * len(masks)
+    rev = verts[::-1]
+    # eight bits at a time, from the low bits up: entry j of the table sums
+    # the weights of the bits set in j
+    for k in range(0, len(rev), 8):
+        table = [0]
+        for v in rev[k:k + 8]:
+            table += [x + weights[v] for x in table]
+        costs = [c + table[m >> k & 255] for c, m in zip(costs, masks)]
+    least = min(costs)
+    return [m for m, c in zip(masks, costs) if c == least]
+

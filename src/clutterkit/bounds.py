@@ -94,8 +94,11 @@ def class_membership(
 ) -> bool:
     """True iff h has rank at most r and no matching minor of k pairs.
 
-    A negative r or k raises ValueError whatever the rank of h.
+    An r or k that is not a non-negative int raises ValueError whatever
+    the rank of h.
     """
+    _check_int(r, "rank bound")
+    _check_int(k, "matching size")
     if r < 0:
         raise ValueError("rank bound must be non-negative")
     if k < 0:
@@ -118,9 +121,11 @@ def verify_bound(
     blocker size.
 
     Requires h to have no matching minor of k+1 pairs (checked; raises
-    NotInClassError otherwise) and rank at least 2.  A report with
-    within_bound false would indicate an implementation bug.
+    NotInClassError otherwise) and rank at least 2; a k that is not a
+    non-negative int raises ValueError.  A report with within_bound false
+    would indicate an implementation bug.
     """
+    _check_int(k, "matching bound")
     if k < 0:
         raise ValueError("matching bound must be non-negative")
     if h.is_zero:

@@ -43,7 +43,7 @@ def _minimal(sets: Iterable[frozenset]) -> list[Edge]:
     for s in sorted(set(sets), key=len):
         if len(s) != size:
             size, smaller = len(s), kept.copy()
-        if not any(t <= s for t in smaller):
+        if not (smaller and any(t <= s for t in smaller)):
             kept.append(s)
     return [tuple(sorted(s)) for s in kept]
 

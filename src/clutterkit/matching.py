@@ -655,8 +655,10 @@ def find_kk2_minor(
     staircase, no two candidates meet 3b, so for k >= 2 the answer is
     None; it is charged the root and the one-candidate families the search
     would reach, and no candidate is built.  Past node_budget steps a
-    ResourceLimitError is raised.
+    ResourceLimitError is raised.  A k that is not a non-negative int
+    raises ValueError.
     """
+    _check_int(k, "matching size")
     if k < 0:
         raise ValueError("matching size must be non-negative")
     for pairs in _search_pairs(h, node_budget, k):

@@ -2,8 +2,8 @@
 
 A covering instance maps to a clutter by transposing incidence: one edge
 per universe element, listing the sets that cover it.  Minimal covers are
-then exactly the blocker sets, so any monotone objective is minimized by
-scanning them.  A CNF formula maps to a clutter with one vertex per
+then exactly the blocker sets, so any monotone objective is minimized at
+one of them.  A CNF formula maps to a clutter with one vertex per
 literal and one edge per clause; the formula is satisfiable exactly when
 some blocker set avoids every complementary literal pair, that is, when
 the Berge fold that drops each set holding such a pair ends non-empty.
@@ -16,7 +16,7 @@ import warnings
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .blocker import DEFAULT_EDGE_BUDGET, blocker, first_consistent_transversal
+from .blocker import DEFAULT_EDGE_BUDGET, blocker, cheapest_transversal
 from .core import _REREADABLE, Clutter, _Value, _check_int
 from .errors import InfeasibleInstanceError
 
@@ -56,7 +56,12 @@ class SetCoverInstance(_Value):
         if weights is not None:
             from fractions import Fraction
 
-            weights = tuple(Fraction(w) for w in weights)
+            weights = tuple(weights)
+            for w in weights:
+                # True would pass as Fraction(1), as it would pass as an element
+                if isinstance(w, bool):
+                    raise ValueError(f"weights must be numbers, got {w!r}")
+            weights = tuple(map(Fraction, weights))
             if len(weights) != len(sets):
                 raise ValueError("one weight per set is required")
             if any(w < 0 for w in weights):
@@ -177,7 +182,7 @@ def solve_setcover(
     oracle: MonotoneOracle | Callable[[frozenset], object] | None = None,
     edge_budget: int = DEFAULT_EDGE_BUDGET,
 ):
-    """Minimum cover under a monotone objective, by blocker scan.
+    """Minimum cover under a monotone objective, read off the blocker.
 
     objective is one of "cardinality", "weighted" (requires instance
     weights) or "oracle" (requires an oracle over name sets); an oracle
@@ -185,7 +190,10 @@ def solve_setcover(
     every objective here is monotone, the optimum over all covers is
     attained at a minimal cover, i.e. at a blocker set.  Returns
     (sorted tuple of set names, cost); ties go to the canonically first
-    blocker set.  The oracle is called once per distinct name set.
+    blocker set.  cheapest_transversal picks the cardinality and weighted
+    answers in the blocker module, with the weights scaled to ints, and
+    decodes only that one set; the oracle objective scans every blocker
+    set and calls the oracle once per distinct name set.
     """
     if objective not in ("cardinality", "weighted", "oracle"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -199,26 +207,29 @@ def solve_setcover(
     elif oracle is not None:
         raise ValueError(f"the {objective} objective takes no oracle")
 
-    covers = blocker(setcover_to_clutter(inst), edge_budget=edge_budget).edges
+    h = setcover_to_clutter(inst)
     if objective == "cardinality":
-        costs = [len(t) for t in covers]
+        cover = cheapest_transversal(h, edge_budget=edge_budget)
+        cost = len(cover)
     elif objective == "weighted":
         from fractions import Fraction
         from math import lcm
 
         # exact integer sums: every weight times the lcm of the denominators
         scale = lcm(*(w.denominator for w in inst.weights))
-        scaled = [int(w * scale) for w in inst.weights]
-        costs = [sum([scaled[i] for i in t]) for t in covers]
+        scaled = [w.numerator * (scale // w.denominator) for w in inst.weights]
+        cover = cheapest_transversal(h, scaled, edge_budget=edge_budget)
+        cost = Fraction(sum([scaled[i] for i in cover]), scale)
     else:
+        covers = blocker(h, edge_budget=edge_budget).edges
         name_sets = [frozenset(inst.name_of(i) for i in t) for t in covers]
         oracle.spot_check(name_sets, random.Random(0))
         costs = [oracle(names) for names in name_sets]
-    # every element is covered, so covers holds at least one set; min keeps
-    # the first of equal costs
-    best = min(range(len(covers)), key=costs.__getitem__)
-    cost = Fraction(costs[best], scale) if objective == "weighted" else costs[best]
-    return tuple(sorted(inst.name_of(i) for i in covers[best])), cost
+        # min keeps the first of equal costs
+        best = min(range(len(covers)), key=costs.__getitem__)
+        cover, cost = covers[best], costs[best]
+    # every element is covered, so some cover exists
+    return tuple(sorted(inst.name_of(i) for i in cover)), cost
 
 
 def _literal_vertex(lit: int) -> int:
@@ -243,13 +254,13 @@ def solve_sat(
     A blocker set touching no complementary pair extends to a full
     assignment; variables it leaves unconstrained default to false.  The
     answer is the canonically first consistent blocker set, which
-    first_consistent_transversal picks off the fold's bitmasks in the
+    cheapest_transversal, with literals and no weights, picks in the
     blocker module; this function sees only its vertices.  The fold drops
     every set holding a complementary pair as soon as it is built, so
     edge_budget caps the consistent family.  The returned assignment is
     re-checked against the formula before return.
     """
-    first = first_consistent_transversal(cnf_to_clutter(formula), edge_budget=edge_budget)
+    first = cheapest_transversal(cnf_to_clutter(formula), literals=True, edge_budget=edge_budget)
     if first is None:
         return None
     chosen = set(first)

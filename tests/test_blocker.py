@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -29,7 +30,8 @@ from clutterkit.blocker import (
     _decode,
     _fold,
     _lattice,
-    first_consistent_transversal,
+    _layers,
+    cheapest_transversal,
 )
 from clutterkit.core import _canonical
 
@@ -322,16 +324,17 @@ class TestEngines:
 
 @pytest.fixture
 def lattice_calls(monkeypatch):
-    """The vertex count of each _lattice call the fold makes."""
+    """The vertex count of each table of transversals the subset lattice
+    builds, for the fold and for the one-answer pick alike."""
     blocker_module = importlib.import_module("clutterkit.blocker")
     calls = []
-    lattice = blocker_module._lattice
+    transversals = blocker_module._transversals
 
     def spy(n, masks, pairs):
         calls.append(n)
-        return lattice(n, masks, pairs)
+        return transversals(n, masks, pairs)
 
-    monkeypatch.setattr(blocker_module, "_lattice", spy)
+    monkeypatch.setattr(blocker_module, "_transversals", spy)
     return calls
 
 
@@ -424,6 +427,85 @@ class TestLatticeReadout:
         assert lattice_calls == [16] * 10
 
 
+class TestLayers:
+    def test_matches_the_brute_force_layers(self):
+        for n in range(11):
+            want = [0] * (n + 1)
+            for s in range(1 << n):
+                want[s.bit_count()] |= 1 << s
+            assert _layers(n) == tuple(want)
+
+    def test_layers_partition_the_table_on_sixteen_vertices(self):
+        layers = _layers(16)
+        full = (1 << (1 << 16)) - 1
+        assert [layer.bit_count() for layer in layers] == [comb(16, k) for k in range(17)]
+        # the sum equals the OR only when no two layers share a bit
+        assert functools.reduce(int.__or__, layers) == sum(layers) == full
+
+
+@pytest.fixture
+def minimal_steps(monkeypatch):
+    """The vertex count of each minimality step and byte readout that the
+    subset lattice runs on a table of transversals."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    calls = []
+    minimal_masks = blocker_module._minimal_masks
+
+    def spy(n, table):
+        calls.append(n)
+        return minimal_masks(n, table)
+
+    monkeypatch.setattr(blocker_module, "_minimal_masks", spy)
+    return calls
+
+
+def _brute_cheapest(h, weights, literals):
+    """The least (cost, size, tuple) of the minimal transversals of h that,
+    with literals, hold no v together with v ^ 1; or None."""
+    pool = [tuple(sorted(t)) for t in brute_minimal_transversals(h.edge_sets)
+            if not literals or not any(v ^ 1 in t for v in t)]
+    costs = {t: sum(weights[v] for v in t) if weights is not None else 0 for t in pool}
+    return min(pool, key=lambda t: (costs[t], len(t), t), default=None)
+
+
+class TestCheapestTransversal:
+    def test_matches_the_brute_force_pick(self, engine, pack_from):
+        rng = random.Random(191)
+        tied = 0
+        for _ in range(80):
+            h = random_clutter_sample(rng, max_vertices=9, max_edges=8)
+            # small weights, zeros among them, so that costs often tie
+            weights = [rng.choice((0, 1, 1, 2, 3)) for _ in range(10)]
+            for w, literals in itertools.product((None, weights), (False, True)):
+                want = _brute_cheapest(h, w, literals)
+                assert cheapest_transversal(h, w, literals=literals) == want
+            pool = brute_minimal_transversals(h.edge_sets)
+            costs = [sum(weights[v] for v in t) for t in pool]
+            tied += costs.count(min(costs, default=None)) > 1
+        assert tied > 10
+
+    def test_lattice_pick_runs_no_minimality_step(self, lattice_calls, minimal_steps):
+        h = cnf_to_clutter(_sat16())
+        assert cheapest_transversal(h, literals=True) == _brute_cheapest(h, None, True)
+        assert cheapest_transversal(DENSE14) == _brute_cheapest(DENSE14, None, False)
+        assert lattice_calls == [16, 14]
+        assert minimal_steps == []
+        # the weighted pick reads the minimal sets out, once
+        weights = list(range(14))
+        assert cheapest_transversal(DENSE14, weights) == _brute_cheapest(DENSE14, weights, False)
+        assert lattice_calls == [16, 14, 14]
+        assert minimal_steps == [14]
+
+    def test_fold_and_lattice_agree_past_the_sperner_bound(self):
+        # C(14, 7) = 3432: one fewer keeps the fold, which could trip
+        weights = [i % 3 for i in range(14)]
+        for w in (None, weights):
+            assert (cheapest_transversal(DENSE14, w, edge_budget=3431)
+                    == cheapest_transversal(DENSE14, w, edge_budget=3432))
+        with pytest.raises(ResourceLimitError):
+            cheapest_transversal(DENSE14, edge_budget=60)
+
+
 def _decode_bit_by_bit(verts, masks):
     """The reference decode: each mask tests every vertex bit, where bit
     n - 1 - i stands for verts[i]."""
@@ -495,7 +577,7 @@ class TestCanonicalOrder:
                 want = next((t for t in _canonical(blocker(h).edges)
                              if not any(2 * i in t and 2 * i + 1 in t for i in range(1, v + 1))),
                             None)
-                assert first_consistent_transversal(h) == want
+                assert cheapest_transversal(h, literals=True) == want
                 decided.add(want is not None)
         assert decided == {True, False}
 

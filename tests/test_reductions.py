@@ -229,6 +229,26 @@ class TestSolveSetCover:
             tied += costs.count(costs[first]) > 1
         assert tied > 20
 
+    def test_equals_a_re_sort_of_the_blocker(self, engine, pack_from):
+        # the reference sorts the blocker sets by (size, tuple) itself and
+        # sums Fraction costs; tied and zero weights make the order decide
+        rng = random.Random(193)
+        pool = (0, 0, 1, 2, Fraction(1, 2), Fraction(3, 2))
+        tied = zero = 0
+        for _ in range(60):
+            drawn = random_cover_instance(rng, max_elements=10, max_sets=12)
+            weights = tuple(rng.choice(pool) for _ in drawn.sets)
+            inst = SetCoverInstance(drawn.universe_size, drawn.sets, weights)
+            covers = sorted(blocker(setcover_to_clutter(inst)).edges, key=lambda t: (len(t), t))
+            for objective, cost_of in (("cardinality", len),
+                                       ("weighted", lambda t: sum((weights[i] for i in t), Fraction(0)))):
+                costs = [cost_of(t) for t in covers]
+                best = min(costs)
+                assert solve_setcover(inst, objective) == (covers[costs.index(best)], best)
+                tied += costs.count(best) > 1
+            zero += best == 0
+        assert tied > 40 and zero > 20
+
     def test_monotonicity_spot_check_warns(self):
         bad = MonotoneOracle(lambda s: -len(s))
         with warnings.catch_warnings(record=True) as caught:

@@ -17,6 +17,10 @@ from clutterkit import (
     MonotoneOracle,
     SemiMatching,
     SetCoverInstance,
+    class_membership,
+    find_kk2_minor,
+    staircase,
+    verify_bound,
 )
 
 # class, keyword arguments in constructor order, and the repr they give
@@ -49,7 +53,7 @@ CASES = [
      "Assignment(values=mappingproxy({1: True, 2: False}))"),
 ]
 
-# keyword arguments each validating constructor rejects
+# keyword arguments each validating constructor, or function, rejects
 REJECTED = [
     (Clutter, {"edges": ((-1,),)}),
     (SemiMatching, {"pairs": (((1, 9), (1, 2)),)}),
@@ -70,6 +74,18 @@ REJECTED = [
     (BoundParams, {"edge_count": 3, "r": 2, "k": True}),
     (ConflictGraph, {"n": 2.5, "edges": ()}),
     (ConflictGraph, {"n": True, "edges": ()}),
+    # weights are numbers, not bools
+    (SetCoverInstance, {"universe_size": 1, "sets": ({1},), "weights": (True,)}),
+    (SetCoverInstance, {"universe_size": 2, "sets": ({1}, {2}), "weights": (1, False)}),
+    # matching sizes and rank bounds are ints, not fractions or bools
+    (find_kk2_minor, {"h": staircase(4), "k": 1.5}),
+    (find_kk2_minor, {"h": staircase(4), "k": True}),
+    (class_membership, {"h": staircase(4), "r": 5, "k": 1.5}),
+    (class_membership, {"h": staircase(4), "r": 5, "k": True}),
+    (class_membership, {"h": staircase(4), "r": 5.5, "k": 1}),
+    (class_membership, {"h": staircase(4), "r": True, "k": 1}),
+    (verify_bound, {"h": staircase(4), "k": 1.5}),
+    (verify_bound, {"h": staircase(4), "k": True}),
 ]
 
 cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
