@@ -16,7 +16,6 @@ from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membersh
 from .core import Clutter
 from .errors import ParseError, ResourceLimitError
 from .formats import (
-    _rational,
     format_semi_matching,
     parse_clutter,
     parse_dimacs,
@@ -33,7 +32,7 @@ from .matching import (
     extract_minor_matching,
     find_kk2_minor,
 )
-from .reductions import solve_sat, solve_setcover
+from .reductions import _rational, solve_sat, solve_setcover
 
 
 def _read_text(path: str) -> str:

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .core import Clutter, ONE
 from .errors import ParseError
 from .matching import SemiMatching
-from .reductions import CnfFormula, SetCoverInstance
+from .reductions import CnfFormula, SetCoverInstance, _rational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,22 +31,6 @@ def _ints(tokens: Iterable[str], lineno: int) -> list[int]:
         except ValueError:
             raise ParseError(f"expected an integer, got {tok!r}", lineno)
     return values
-
-
-def _rational(token: str, lineno: int | None) -> Fraction:
-    """The token as a Fraction, or a ParseError on the line for anything
-    Fraction refuses, a zero denominator included, and for an exponent past
-    4300 in magnitude."""
-    from fractions import Fraction
-
-    try:
-        # Fraction expands an exponent as 10 ** exp, whose cost grows with
-        # exp; 4300 is the number of digits int() accepts
-        if abs(int(token.lower().partition("e")[2] or 0)) <= 4300:
-            return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{token!r} is not a rational", lineno)
-    raise ParseError(f"the exponent of {token!r} is past 4300 in magnitude", lineno)
 
 
 def parse_clutter(text: str) -> Clutter:

@@ -365,19 +365,21 @@ def _search_pairs(
 
     Each entry of the depth-first stack holds a family's state: its
     untried children, `covered`, `held` and its tuple of pairs, which is
-    what the search yields.  Enumeration checks every family, so a child's
-    state is its parent's with one OR into each mask and one pair
-    appended.  A minor search checks only the families of minor_size, and
-    a family one short of that checks its children in place: it ORs its
-    own pairs' tables once and each child's on top, and pushes nothing.
-    The tables are built at the first family checked, so a minor search
-    that never reaches minor_size builds none.  For three or four pairs on
-    random rank-3 clutters that is most searches, and there the tables
-    would cost a third of the search on average and up to 1.5 times it.
-    Building them eagerly and pushing every family of minor_size made
-    four-pair searches on such clutters 12-49% slower, and OR-ing each
-    last-level family's tables afresh made three-pair searches up to 16%
-    slower.
+    what the search yields.  The tables are built with the candidates, and
+    in both modes a child's state is its parent's with one OR into each
+    mask and one pair appended.  Enumeration checks every family.  A minor
+    search checks only the families of minor_size, and a family one short
+    of that checks its children in place, each against the family's state
+    OR-ed with the child's tables, and pushes nothing.  The up-front build
+    is paid also by a minor search that stops before any family one short
+    of minor_size.  On random_clutter(n, m, 3, s) with (n, m) from (12, 12)
+    to (16, 20) and s < 6, three- and four-pair searches of 70-400 us ran
+    20-57% slower than with the tables built at the first family checked
+    (Python 3.11, one 2-vCPU machine); the benchmark's workloads make no
+    such search.  On denser clutters of exactly three vertices per edge,
+    16 edges on 12 vertices and 24 on 16, the same searches ran within 3%
+    either way, and four pairs on 24 edges 11% faster, since no family's
+    state is recomputed.
 
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility is settled, and one per family reached.
@@ -407,8 +409,9 @@ def _search_pairs(
     clash = _clash_masks(cand, minor_size is not None)
     full = (1 << n) - 1
     later = [(full ^ c) >> (i + 1) << (i + 1) for i, c in enumerate(clash)]
-    enumerating = minor_size is None
-    covers = None  # condition-4 tables, built at the first family checked
+    low, guard, of_host, marks = _cover_tables(edges)
+    covers = [of_host[e] for _, e in cand]
+    helds = [marks[a] & marks[b] for (a, b), _ in cand]
 
     kids, covered, held, family = full, 0, 0, ()
     stack: list[tuple[int, int, int, tuple[Pair, ...]]] = []  # the ancestors' states
@@ -416,29 +419,20 @@ def _search_pairs(
         used += 1
         if used > budget:
             raise ResourceLimitError(limit)
-        last = not enumerating and kids and len(family) + 1 == minor_size
-        if enumerating or last:
-            if covers is None:
-                low, guard, of_host, marks = _cover_tables(edges)
-                covers = [of_host[e] for _, e in cand]
-                helds = [marks[a] & marks[b] for (a, b), _ in cand]
-            if enumerating:
-                if not (covered + low) & guard & ~held:
-                    yield family
-            else:  # the children are the families of minor_size: check them here
-                covered = held = 0
-                for (a, b), e in family:
-                    covered |= of_host[e]
-                    held |= marks[a] & marks[b]
-                while kids:
-                    bit = kids & -kids
-                    kids ^= bit
-                    used += 1
-                    if used > budget:
-                        raise ResourceLimitError(limit)
-                    i = bit.bit_length() - 1
-                    if not ((covered | covers[i]) + low) & guard & ~(held | helds[i]):
-                        yield family + (cand[i],)
+        if minor_size is None:
+            if not (covered + low) & guard & ~held:
+                yield family
+        elif kids and len(family) + 1 == minor_size:
+            # the children are the families of minor_size: check them here
+            while kids:
+                bit = kids & -kids
+                kids ^= bit
+                used += 1
+                if used > budget:
+                    raise ResourceLimitError(limit)
+                i = bit.bit_length() - 1
+                if not ((covered | covers[i]) + low) & guard & ~(held | helds[i]):
+                    yield family + (cand[i],)
         while not kids:
             if not stack:
                 return
@@ -449,9 +443,8 @@ def _search_pairs(
         i = bit.bit_length() - 1
         kids &= later[i]
         family += (cand[i],)
-        if enumerating:
-            covered |= covers[i]
-            held |= helds[i]
+        covered |= covers[i]
+        held |= helds[i]
 
 
 def enumerate_semi_matchings(

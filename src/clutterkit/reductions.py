@@ -18,10 +18,26 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker, cheapest_transversal
 from .core import _REREADABLE, Clutter, _Value, _check_int
-from .errors import InfeasibleInstanceError
+from .errors import InfeasibleInstanceError, ParseError
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+def _rational(token: str, lineno: int | None) -> Fraction:
+    """The token as a Fraction, or a ParseError on the line for anything
+    Fraction refuses, a zero denominator included, and for an exponent past
+    4300 in magnitude."""
+    from fractions import Fraction
+
+    try:
+        # Fraction expands an exponent as 10 ** exp, whose cost grows with
+        # exp; 4300 is the number of digits int() accepts
+        if abs(int(token.lower().partition("e")[2] or 0)) <= 4300:
+            return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{token!r} is not a rational", lineno)
+    raise ParseError(f"the exponent of {token!r} is past 4300 in magnitude", lineno)
 
 
 class SetCoverInstance(_Value):
@@ -56,12 +72,16 @@ class SetCoverInstance(_Value):
         if weights is not None:
             from fractions import Fraction
 
-            weights = tuple(weights)
+            exact = []
             for w in weights:
                 # True would pass as Fraction(1), as it would pass as an element
                 if isinstance(w, bool):
                     raise ValueError(f"weights must be numbers, got {w!r}")
-            weights = tuple(map(Fraction, weights))
+                # any other weight, a str or a Decimal say, is read from its
+                # str() as a file weight is, under the same exponent guard
+                exact.append(Fraction(w) if isinstance(w, (int, float, Fraction))
+                             else _rational(str(w), None))
+            weights = tuple(exact)
             if len(weights) != len(sets):
                 raise ValueError("one weight per set is required")
             if any(w < 0 for w in weights):

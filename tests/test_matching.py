@@ -32,6 +32,7 @@ from clutterkit import (
     is_semi_matching,
     kk2,
     matching_to_minor,
+    random_clutter,
     staircase,
     verify_bound,
 )
@@ -976,6 +977,55 @@ class TestFindMatchingMinor:
                     find_kk2_minor(staircase(n), k, node_budget=steps - 1)
                 assert str(info.value) == (
                     f"matching-minor search exceeded budget of {steps - 1} search steps")
+
+    def test_condition_4_tables_are_built_once_with_the_candidates(self, monkeypatch):
+        # every search that builds its candidates builds the condition-4
+        # tables with them, once, also one that stops before any family one
+        # short of its size; none rebuilds them per family
+        matching = importlib.import_module("clutterkit.matching")
+        calls = []
+
+        def spy(name):
+            real = getattr(matching, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(matching, name, counted)
+
+        spy("_clash_masks")
+        spy("_cover_tables")
+        searches = []
+        for n, m in ((12, 12), (14, 16), (16, 20)):
+            for seed in range(6):
+                h = random_clutter(n, m, 3, seed)
+                searches += [functools.partial(find_kk2_minor, h, k) for k in range(1, 5)]
+        searches += [functools.partial(enumerate_semi_matchings, staircase(n))
+                     for n in range(2, 7)]
+        built = 0
+        for search in searches:
+            calls.clear()
+            search()
+            assert calls in ([], ["_clash_masks", "_cover_tables"])
+            built += bool(calls)
+        assert built == 59  # 54 of the 72 minor searches, and the 5 enumerations
+
+    @pytest.mark.parametrize("h, steps, pairs", [
+        (C6, 39, None),
+        (Clutter([[0, 1, 2], [3, 4, 5], [6, 7, 8]]), 49, ((0, 1), (3, 4), (6, 7))),
+        (kk2(3), 10, ((0, 1), (2, 3), (4, 5))),
+    ])
+    def test_three_pair_search_charges_the_last_level_exactly(self, h, steps, pairs):
+        # the families one short of three pairs check their children in
+        # place, one step per child: the search ends within `steps` and
+        # trips one below
+        w = find_kk2_minor(h, 3, node_budget=steps)
+        assert (w and w.matching) == pairs
+        with pytest.raises(ResourceLimitError) as info:
+            find_kk2_minor(h, 3, node_budget=steps - 1)
+        assert str(info.value) == (
+            f"matching-minor search exceeded budget of {steps - 1} search steps")
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):

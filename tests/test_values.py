@@ -3,6 +3,8 @@ import copy
 import pickle
 from fractions import Fraction
 
+from decimal import Decimal
+
 import pytest
 
 from clutterkit import (
@@ -19,6 +21,9 @@ from clutterkit import (
     SetCoverInstance,
     class_membership,
     find_kk2_minor,
+    kk2,
+    random_clutter,
+    run_law_suite,
     staircase,
     verify_bound,
 )
@@ -86,6 +91,18 @@ REJECTED = [
     (class_membership, {"h": staircase(4), "r": True, "k": 1}),
     (verify_bound, {"h": staircase(4), "k": 1.5}),
     (verify_bound, {"h": staircase(4), "k": True}),
+    # a library weight is read like a file weight: no exponent past 4300
+    (SetCoverInstance, {"universe_size": 1, "sets": ({1},), "weights": ("1e1000000",)}),
+    (SetCoverInstance, {"universe_size": 1, "sets": ({1},), "weights": (Decimal("1e1000000"),)}),
+    # generator and law-suite counts are ints, not fractions or bools
+    (kk2, {"k": 2.5}),
+    (kk2, {"k": True}),
+    (staircase, {"n": 2.5}),
+    (staircase, {"n": True}),
+    (random_clutter, {"n": 10.5, "m": 3, "r": 2, "seed": 0}),
+    (random_clutter, {"n": True, "m": 1, "r": 1, "seed": 0}),
+    (run_law_suite, {"samples": 2.5}),
+    (run_law_suite, {"samples": True}),
 ]
 
 cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
