@@ -54,14 +54,18 @@ class _Value:
     A subclass names its fields in `__slots__`, in the order its
     constructor takes them.  Its `__init__` checks the arguments and passes
     the field values, in that order, to `_Value.__init__`, which sets each
-    slot once.  (Hot constructors of one-field values set their slot with
-    `object.__setattr__` instead.)  Equality (same type, equal fields),
-    hash, `repr` (`Name(field=value, ...)`) and pickling go by the field
-    values, so a value with an unhashable field is unhashable.  Pickle and
-    copy rebuild a value through its constructor with the fields as
-    positional arguments, so each stored field must be a valid argument.
-    Setting or deleting an attribute raises AttributeError, and instances
-    have no `__dict__`.
+    slot once.  Every slot is set through its member descriptor, as in
+    `Clutter.edges.__set__(c, edges)`, which writes the slot without going
+    through the refusing `__setattr__`.  The hot one-field values bind that
+    setter once at module level (`_set_edges`, `matching._set_pairs`), and
+    their unchecked wrappers pair it with `object.__new__`, so a wrapped
+    value runs no `__init__`.  Equality (same type, equal fields), hash,
+    `repr` (`Name(field=value, ...)`) and pickling go by the field values,
+    so a value with an unhashable field is unhashable.  Pickle and copy
+    rebuild a value through its constructor with the fields as positional
+    arguments, so each stored field must be a valid argument.  Setting or
+    deleting an attribute raises AttributeError, and instances have no
+    `__dict__`.
     """
 
     __slots__ = ()
@@ -69,10 +73,12 @@ class _Value:
     def __init_subclass__(cls) -> None:
         # the fields as one key for equality and hashing; a lone field is its own key
         cls._key = attrgetter(*cls.__slots__)
+        # each slot's member-descriptor setter, in field order
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *fields: object):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, fields, strict=True):
+            set_field(self, value)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -124,7 +130,7 @@ class Clutter(_Value):
                         f"vertex labels must be non-negative integers, got {v!r}"
                     )
             pool.append(frozenset(e))
-        object.__setattr__(self, "edges", _canonical(_minimal(pool)))
+        _set_edges(self, _canonical(_minimal(pool)))
 
     @classmethod
     def _from_antichain(cls, edges: Iterable[Edge]) -> "Clutter":
@@ -132,8 +138,8 @@ class Clutter(_Value):
         to be pairwise incomparable; neither is checked.  The callers are
         blocker, which decodes its masks in canonical order, and restrict,
         whose survivors keep the order of the edges they are taken from."""
-        c = cls.__new__(cls)
-        object.__setattr__(c, "edges", tuple(edges))
+        c = object.__new__(cls)
+        _set_edges(c, tuple(edges))
         return c
 
     @property
@@ -220,6 +226,8 @@ class Clutter(_Value):
             return False
         return i < len(edges) and edges[i] == key
 
+
+_set_edges = Clutter.edges.__set__
 
 ZERO = Clutter()
 ONE = Clutter([()])

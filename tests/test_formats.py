@@ -114,6 +114,15 @@ class TestMatchingFormat:
         with pytest.raises(ParseError):
             parse_semi_matching("1,2 1,2,3")
 
+    def test_negative_label_names_its_line(self):
+        # refused as parse_clutter refuses it, so every parsed matching
+        # formats back to text that parses
+        with pytest.raises(ParseError) as err:
+            parse_semi_matching("# one pair\n-1,2:-1,2,3\n")
+        assert err.value.line == 2
+        with pytest.raises(ParseError):
+            parse_semi_matching("1,2:1,2,-3")
+
 
 class TestDimacs:
     def test_basic(self):

@@ -978,6 +978,30 @@ class TestFindMatchingMinor:
                 assert str(info.value) == (
                     f"matching-minor search exceeded budget of {steps - 1} search steps")
 
+    def test_partner_scan_agrees_with_the_brute_force_pairs(self):
+        # the scan compares each edge only with the earlier ones, one way,
+        # and skips one-vertex edges; the oracle tests every pair both ways
+        matching = importlib.import_module("clutterkit.matching")
+        rng = random.Random(233)
+        hs = [ONE, ZERO]
+        hs += [random_clutter_sample(rng, max_vertices=9, max_edges=8, max_rank=5,
+                                     allow_bounds=False) for _ in range(400)]
+        for n in range(1, 12):
+            labels = rng.sample(range(100), 2 * n + 1)
+            hs.append(Clutter([labels[v] for v in e] for e in staircase(n).edges))
+        # sunflowers: one- and two-vertex petals around a core of 0-3 vertices
+        for core in range(4):
+            for size in (1, 2):
+                for petals in range(1, 6):
+                    hs.append(Clutter(list(range(core)) + [10 + size * p + i for i in range(size)]
+                                      for p in range(petals)))
+        mixed = [h for h in hs if len({len(e) for e in h.edges}) > 1
+                 and any(len(e) == 1 for e in h.edges)]
+        assert len(mixed) >= 30
+        got = [matching._has_partners(h.edges) for h in hs]
+        assert got == [has_partners(h) for h in hs]
+        assert 50 <= sum(got) <= len(hs) - 50
+
     def test_condition_4_tables_are_built_once_with_the_candidates(self, monkeypatch):
         # every search that builds its candidates builds the condition-4
         # tables with them, once, also one that stops before any family one

@@ -17,9 +17,14 @@ from clutterkit import (
     LawResult,
     MinorWitness,
     MonotoneOracle,
+    ONE,
     SemiMatching,
     SetCoverInstance,
+    ZERO,
+    blocker,
     class_membership,
+    enumerate_semi_matchings,
+    extract_minor_matching,
     find_kk2_minor,
     kk2,
     random_clutter,
@@ -103,6 +108,16 @@ REJECTED = [
     (random_clutter, {"n": True, "m": 1, "r": 1, "seed": 0}),
     (run_law_suite, {"samples": 2.5}),
     (run_law_suite, {"samples": True}),
+    # semi-matching labels are checked as given, as Clutter() checks them:
+    # none of these formats to text that parse_semi_matching reads back
+    (SemiMatching, {"pairs": (((True, 2), (True, 2, 3)),)}),
+    (SemiMatching, {"pairs": (((1, 2), (1, 2, 3.0)),)}),
+    (SemiMatching, {"pairs": (((1.0, 2), (1, 2)),)}),
+    (SemiMatching, {"pairs": ((("a", 2), ("a", 2)),)}),
+    (SemiMatching, {"pairs": (((-1, 2), (-1, 2, 3)),)}),
+    # conflict-graph endpoints are ints, not bools
+    (ConflictGraph, {"n": 2, "edges": ((True, 0),)}),
+    (ConflictGraph, {"n": 2, "edges": ((0, 1.0),)}),
 ]
 
 cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
@@ -161,6 +176,49 @@ def test_pickle_and_deepcopy_round_trip(cls, kwargs):
 @pytest.mark.parametrize("cls, kwargs, text", CASES, ids=[cls.__name__ for cls, *_ in CASES])
 def test_repr_names_every_field(cls, kwargs, text):
     assert repr(cls(**kwargs)) == text
+
+
+def _wrapped_values():
+    """Values that the library builds without their constructor: the
+    unchecked wrappers of SemiMatching and Clutter, and a witness built
+    from a wrapped matching."""
+    tri = Clutter([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    stair = staircase(4)
+    return {
+        "enumerate_semi_matchings": enumerate_semi_matchings(stair)
+        + enumerate_semi_matchings(tri),
+        "find_kk2_minor": [find_kk2_minor(h, k) for h, k in
+                           ((tri, 2), (tri, 3), (kk2(3), 2), (Clutter([[1, 2]]), 1),
+                            (stair, 0))],
+        "extract_minor_matching": [extract_minor_matching(h, m) for h in (stair, tri)
+                                   for m in enumerate_semi_matchings(h)],
+        "blocker": [blocker(h) for h in (stair, tri, kk2(3), ONE, ZERO)],
+        # deletions, and contractions of vertices no surviving edge holds,
+        # keep the survivors as they are
+        "restrict": [h.restrict(d, c) for h in (stair, tri)
+                     for d, c in (((0,), ()), ((1,), (0,)), ((), ()), ((0, 1), (99,)))],
+    }
+
+
+@pytest.mark.parametrize("source", list(_wrapped_values()))
+def test_wrapped_values_behave_like_constructed_ones(source):
+    values = _wrapped_values()[source]
+    assert values and all(v is not None for v in values)
+    for v in values:
+        cls = type(v)
+        rebuilt = cls(*(getattr(v, name) for name in cls.__slots__))
+        assert v == rebuilt and hash(v) == hash(rebuilt) and repr(v) == repr(rebuilt)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert not hasattr(v, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert type(clone) is cls
+            assert clone == v and hash(clone) == hash(v)
 
 
 def test_values_of_different_types_differ():
