@@ -173,7 +173,7 @@ def cmd_solve_sat(args) -> int:
         print("UNSATISFIABLE")
         return 1
     print("SATISFIABLE")
-    print("v", " ".join(map(str, assignment.as_literals())), "0")
+    print("v", *assignment.as_literals(), "0")
     return 0
 
 

@@ -341,23 +341,29 @@ def _search_pairs(
     candidates compatible with it: those outside its `_clash_masks` mask
     for conditions 2 and 3a or, when minor_size is given, for 3b.  A
     family grows only by candidates in the AND of its members' masks,
-    taken in index order, so families are reached in depth-first preorder,
-    which within one size is lexicographic.  Each family reached is yielded
-    when it also satisfies condition 4.  With minor_size given, only the
-    expanded minor matchings of that size are yielded and the search does
-    not descend past them.
+    taken in index order, so families are made in depth-first preorder,
+    which within one size is lexicographic.
 
-    Two minor searches are settled by the edges alone, and are charged the
-    steps the search would take without building a candidate.  For
-    minor_size 0 the root is the only family, and it meets condition 4
-    unless h is ONE.  For minor_size 2 or more, call two edges S and T
-    partners when each has at least two vertices outside the other.
-    Candidates (L, S) and (L', T) meet 3b together only if L lies inside
-    S - T and L' inside T - S, so only if their hosts are partners.  When
-    no two edges are partners, as on a staircase, the search reaches the
-    root and the n one-candidate families, 1 + n steps, and yields
-    nothing.  The scan for partners looks at no more than the m(m-1)/2
-    pairs of edges, which the set-up charge of n(n-1)/2 pair tests covers.
+    One rule drives the search.  Each family is charged one step when it
+    is made from its parent, and yielded then if it qualifies: if it meets
+    condition 4 while enumerating, and if it has minor_size pairs and
+    meets condition 4 in a minor search.  The search goes on to make its
+    children only if it has a later compatible candidate and, in a minor
+    search, fewer than minor_size pairs.  The root, the family of no
+    pairs, is charged with the set-up and yielded there, while enumerating
+    and for minor_size 0 alike, unless h is ONE: condition 4 fails for it
+    exactly when h holds the empty edge.
+
+    A minor search for two or more pairs can be settled by the edges
+    alone.  Call two edges S and T partners when each has at least two
+    vertices outside the other.  Candidates (L, S) and (L', T) meet 3b
+    together only if L lies inside S - T and L' inside T - S, so only if
+    their hosts are partners.  When no two edges are partners, as on a
+    staircase, the search would make the n one-candidate families and
+    yield nothing, so it is charged those n steps past the root, and no
+    candidate is built.  The scan for partners looks at no more than the
+    m(m-1)/2 pairs of edges, which the set-up charge of n(n-1)/2 pair
+    tests covers.
 
     Condition 4 is one carry test over the tables of `_cover_tables`.  For
     a candidate (L, S), `covers` holds the slots of the vertices of S and
@@ -379,26 +385,16 @@ def _search_pairs(
     union.  Leaving those edges out keeps the tables O(n^2) bits for n
     candidates, the order of the compatibility masks.
 
-    Each entry of the depth-first stack holds a family's state: its
-    untried children, `covered`, `held` and its tuple of pairs, which is
-    what the search yields.  The tables are built with the candidates, and
-    in both modes a child's state is its parent's with one OR into each
-    mask and one pair appended.  Enumeration checks every family.  A minor
-    search checks only the families of minor_size, and a family one short
-    of that checks its children in place, each against the family's state
-    OR-ed with the child's tables, and pushes nothing.  The up-front build
-    is paid also by a minor search that stops before any family one short
-    of minor_size.  On random_clutter(n, m, 3, s) with (n, m) from (12, 12)
-    to (16, 20) and s < 6, three- and four-pair searches of 70-400 us ran
-    20-57% slower than with the tables built at the first family checked
-    (Python 3.11, one 2-vCPU machine); the benchmark's workloads make no
-    such search.  On denser clutters of exactly three vertices per edge,
-    16 edges on 12 vertices and 24 on 16, the same searches ran within 3%
-    either way, and four pairs on 24 edges 11% faster, since no family's
-    state is recomputed.
+    A family's state is its untried children, `covered`, `held` and its
+    tuple of pairs, which is what the search yields.  The search holds the
+    state of the family whose children it is making, and a stack of its
+    ancestors' states; a family is pushed only when the search goes down
+    into one of its children.  The tables are built with the candidates,
+    and a child's state is its parent's with one OR into each mask and
+    one pair appended.
 
     `budget` counts search steps: one per candidate built, one per pair of
-    candidates whose compatibility is settled, and one per family reached.
+    candidates whose compatibility is settled, and one per family made.
     Every step is charged before its work is done, so a clutter whose
     set-up alone is over budget trips before any candidate is built.  Past
     `budget` steps a ResourceLimitError naming the stage is raised: the
@@ -408,18 +404,14 @@ def _search_pairs(
     limit = f"{stage} exceeded budget of {budget} search steps"
     edges = h.edges
     n = sum(len(e) * (len(e) - 1) // 2 for e in edges)
-    used = n + n * (n - 1) // 2
+    used = n + n * (n - 1) // 2 + 1  # the set-up and the root
     if used > budget:
         raise ResourceLimitError(limit)
+    if not minor_size and not h.is_one:  # enumerating, or minor_size 0
+        yield ()
     if minor_size is not None and minor_size >= 2 and not _has_partners(edges):
-        if used + 1 + n > budget:
+        if used + n > budget:
             raise ResourceLimitError(limit)
-        return
-    if minor_size == 0:
-        if used + 1 > budget:
-            raise ResourceLimitError(limit)
-        if not h.is_one:
-            yield ()
         return
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
     clash = _clash_masks(cand, minor_size is not None)
@@ -429,38 +421,29 @@ def _search_pairs(
     covers = [of_host[e] for _, e in cand]
     helds = [marks[a] & marks[b] for (a, b), _ in cand]
 
-    kids, covered, held, family = full, 0, 0, ()
-    stack: list[tuple[int, int, int, tuple[Pair, ...]]] = []  # the ancestors' states
+    kids, covered, held, family = full if minor_size != 0 else 0, 0, 0, ()
+    stack: list[tuple[int, int, int, tuple[Pair, ...]]] = []
     while True:
-        used += 1
-        if used > budget:
-            raise ResourceLimitError(limit)
-        if minor_size is None:
-            if not (covered + low) & guard & ~held:
-                yield family
-        elif kids and len(family) + 1 == minor_size:
-            # the children are the families of minor_size: check them here
-            while kids:
-                bit = kids & -kids
-                kids ^= bit
-                used += 1
-                if used > budget:
-                    raise ResourceLimitError(limit)
-                i = bit.bit_length() - 1
-                if not ((covered | covers[i]) + low) & guard & ~(held | helds[i]):
-                    yield family + (cand[i],)
         while not kids:
             if not stack:
                 return
             kids, covered, held, family = stack.pop()
         bit = kids & -kids
         kids ^= bit
-        stack.append((kids, covered, held, family))
+        used += 1
+        if used > budget:
+            raise ResourceLimitError(limit)
         i = bit.bit_length() - 1
-        kids &= later[i]
-        family += (cand[i],)
-        covered |= covers[i]
-        held |= helds[i]
+        size = len(family) + 1
+        child_covered = covered | covers[i]
+        child_held = held | helds[i]
+        if ((minor_size is None or size == minor_size)
+                and not (child_covered + low) & guard & ~child_held):
+            yield family + (cand[i],)
+        grandkids = kids & later[i]
+        if grandkids and (minor_size is None or size < minor_size):
+            stack.append((kids, covered, held, family))
+            kids, covered, held, family = grandkids, child_covered, child_held, family + (cand[i],)
 
 
 def enumerate_semi_matchings(

@@ -221,6 +221,11 @@ def test_solve_sat(tmp_path, capsys):
     unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert main(["solve-sat", str(unsat)]) == 1
     assert capsys.readouterr().out == "UNSATISFIABLE\n"
+    # no variables: the value line holds only its terminator
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 0 0\n")
+    assert main(["solve-sat", str(empty)]) == 0
+    assert capsys.readouterr().out == "SATISFIABLE\nv 0\n"
 
 
 def test_gen_families(capsys):

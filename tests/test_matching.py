@@ -1041,15 +1041,70 @@ class TestFindMatchingMinor:
         (kk2(3), 10, ((0, 1), (2, 3), (4, 5))),
     ])
     def test_three_pair_search_charges_the_last_level_exactly(self, h, steps, pairs):
-        # the families one short of three pairs check their children in
-        # place, one step per child: the search ends within `steps` and
-        # trips one below
+        # every family is charged one step when it is made, the three-pair
+        # families of the last level included: the search ends within
+        # `steps` and trips one below
         w = find_kk2_minor(h, 3, node_budget=steps)
         assert (w and w.matching) == pairs
         with pytest.raises(ResourceLimitError) as info:
             find_kk2_minor(h, 3, node_budget=steps - 1)
         assert str(info.value) == (
             f"matching-minor search exceeded budget of {steps - 1} search steps")
+
+    def test_exhaustive_searches_charge_the_set_up_and_each_family_made(self):
+        # a search that runs to its end is charged its n candidates, their
+        # n(n-1)/2 pair tests and one step per family it makes.  Enumeration
+        # makes every family, the root included, whose candidates meet 2
+        # and 3a pairwise; a k-pair minor search every family of at most k
+        # candidates meeting 3b pairwise, which is the root and the n
+        # singles when no two edges are partners.  Each answers at that
+        # budget and trips one below.
+        def families(cands, most, compatible):
+            return sum(all(compatible(c, d) for c, d in itertools.combinations(f, 2))
+                       for r in range(most + 1) for f in itertools.combinations(cands, r))
+
+        def meet_2_and_3a(c, d):
+            (l, s), (m, t) = c, d
+            return not l & m and not l <= t and not m <= s
+
+        def meet_3b(c, d):
+            (l, s), (m, t) = c, d
+            return not l & t and not m & s
+
+        def charged(run, steps, stage):
+            got = run(steps)
+            with pytest.raises(ResourceLimitError) as info:
+                run(steps - 1)
+            assert str(info.value) == f"{stage} exceeded budget of {steps - 1} search steps"
+            return got
+
+        rng = random.Random(241)
+        hs = []
+        for _ in range(150):
+            hs.append(random_clutter_sample(rng, max_vertices=7, max_edges=6))
+            # edges of one size survive minimalization, giving larger families
+            n = rng.randint(4, 7)
+            r = rng.randint(2, min(4, n))
+            hs.append(Clutter(rng.sample(range(n), r) for _ in range(rng.randint(2, 6))))
+        exhausted = 0
+        for h in hs:
+            cands = [(frozenset(l), frozenset(e))
+                     for e in h.edges for l in itertools.combinations(e, 2)]
+            n = len(cands)
+            set_up = n + n * (n - 1) // 2
+            steps = set_up + families(cands, len(h.vertices) // 2, meet_2_and_3a)
+            got = charged(lambda b: enumerate_semi_matchings(h, budget=b), steps,
+                          "semi-matching enumeration")
+            assert got == enumerate_semi_matchings(h)
+            for k in range(4):
+                if find_kk2_minor(h, k) is None:
+                    f = families(cands, k, meet_3b)
+                    if k and not has_partners(h):
+                        assert f == 1 + n
+                    assert charged(lambda b: find_kk2_minor(h, k, node_budget=b),
+                                   set_up + f, "matching-minor search") is None
+                    exhausted += 1
+        assert exhausted >= 300
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
