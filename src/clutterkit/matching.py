@@ -24,9 +24,7 @@ when some edge inside the union holds no L_i.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Clutter, Edge, _Value, _check_int
 from .errors import ResourceLimitError
@@ -203,11 +201,16 @@ def _expansion_sources(
     return sources
 
 
-def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
+def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
     """For each candidate (L, S), the bitmask over candidate indices of
     those that break conditions 2 or 3a with it or, when `minor` is set,
     3b (L_i meets S_j or L_j meets S_i, which implies 2 and 3a).  Each
     mask holds its own candidate's bit.
+
+    One pass over the candidates and one over their hosts build the
+    per-vertex masks: in_l[v] holds the candidates whose L holds v, and
+    in_s[v] those whose S holds v.  What is returned is clash(i), which
+    builds candidate i's mask from them when it is called.
     """
     in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
     of_host: dict[Edge, int] = {}  # edge -> candidates with that S
@@ -217,34 +220,45 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> list[int]:
         in_l[b] = in_l.get(b, 0) | bit
         of_host[e] = of_host.get(e, 0) | bit
     in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
-    meets: dict[Edge, int] = {}  # edge -> candidates whose L meets it
-    inside: dict[Edge, int] = {}  # edge -> candidates whose L lies inside it
     for e, mask in of_host.items():
-        once = twice = 0
         for v in e:
             in_s[v] = in_s.get(v, 0) | mask
-            m = in_l.get(v, 0)
-            twice |= once & m
-            once |= m
-        meets[e], inside[e] = once, twice
-    if minor:  # 3b fails when L_i meets S_j or L_j meets S_i
-        return [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
-    # 2 fails when L_i meets L_j, and 3a when either L lies inside the other's S
-    return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
+    # every vertex of a host lies in some L inside it, so in_l has it
+    if minor:
+        def clash(i: int) -> int:
+            # 3b fails when L_i meets S_j or L_j meets S_i
+            (a, b), e = cand[i]
+            mask = in_s[a] | in_s[b]
+            for v in e:
+                mask |= in_l[v]
+            return mask
+    else:
+        def clash(i: int) -> int:
+            # 2 fails when L_i meets L_j, and 3a when either L lies inside
+            # the other's S: L_j lies inside S_i when it meets S_i twice
+            (a, b), e = cand[i]
+            once = twice = 0
+            for v in e:
+                m = in_l[v]
+                twice |= once & m
+                once |= m
+            return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
+    return clash
 
 
 def _cover_tables(edges: Sequence[Edge]):
-    """Bit tables for the condition-4 carry test: (low, guard, of_host, marks).
+    """Bit tables for the condition-4 carry test: (low, guard, entries).
 
     Each of `edges` but the one-vertex ones owns a block of bits: one slot
     per vertex, then a guard bit.  `low` has the lowest bit of every block
-    and `guard` every guard bit.  `of_host` maps each edge of two or more
-    vertices to the slots of its vertices, and `marks` each vertex to its
-    slot and the guard in every block holding it, so marks[a] & marks[b]
-    is the guards of the edges holding {a, b}.  `_search_pairs`, the one
+    and `guard` every guard bit.  The marks of a vertex are its slot and
+    the guard in every block holding it, so the marks of a AND those of b
+    are the guards of the edges holding {a, b}.  entries((L, S)) returns
+    the pair (cover, held) of a candidate: the slots of the vertices of S,
+    and the guards of the edges holding L.  `_search_pairs`, the one
     caller, states the test and why it is exact.
 
-    One pass over the edges ORs each bit into place.  A vertex in d edges
+    One pass over the edges ORs each mark into place.  A vertex in d edges
     has its mark copied d times, which is quadratic on a star, yet that
     cost less than gathering each table's positions first at every size
     measured, up to a star of 14,000 edges.
@@ -260,8 +274,16 @@ def _cover_tables(edges: Sequence[Edge]):
         for i, v in enumerate(e, at):
             marks[v] = marks.get(v, 0) | 1 << i | 1 << top
         at = top + 1
-    of_host = {e: reduce(or_, map(marks.get, e)) & ~guard for e in edges if len(e) > 1}
-    return low, guard, of_host, marks
+    slots = ~guard
+
+    def entries(candidate: Pair) -> tuple[int, int]:
+        (a, b), e = candidate
+        cover = 0
+        for v in e:
+            cover |= marks[v]
+        return cover & slots, marks[a] & marks[b]
+
+    return low, guard, entries
 
 
 def _foreign_owners(matching: SemiMatching) -> tuple[dict[int, int], list[list[int]]]:
@@ -337,10 +359,10 @@ def _search_pairs(
     """Depth-first search for the semi-matchings of h, as tuples of pairs.
 
     The candidates are (L, S) for every two-vertex subset L of every edge
-    S, in sorted order.  Each candidate holds a bitmask of the later
+    S, in sorted order.  Each candidate's row is the bitmask of the
     candidates compatible with it: those outside its `_clash_masks` mask
     for conditions 2 and 3a or, when minor_size is given, for 3b.  A
-    family grows only by candidates in the AND of its members' masks,
+    family grows only by later candidates in the AND of its members' rows,
     taken in index order, so families are made in depth-first preorder,
     which within one size is lexicographic.
 
@@ -365,11 +387,11 @@ def _search_pairs(
     m(m-1)/2 pairs of edges, which the set-up charge of n(n-1)/2 pair
     tests covers.
 
-    Condition 4 is one carry test over the tables of `_cover_tables`.  For
-    a candidate (L, S), `covers` holds the slots of the vertices of S and
-    `helds` the guards of the edges holding L.  Let `covered` be the OR
-    of the `covers` of the family's candidates and `held` the OR of their
-    `helds`.  The family meets condition 4 exactly when
+    Condition 4 is one carry test over the tables of `_cover_tables`.  A
+    candidate (L, S) has a cover, the slots of the vertices of S, and a
+    held, the guards of the edges holding L.  Let `covered` be the OR of
+    the covers of the family's candidates and `held` the OR of their
+    helds.  The family meets condition 4 exactly when
 
         (covered + low) & guard & ~held == 0.
 
@@ -382,23 +404,37 @@ def _search_pairs(
     guard alone, which the addition always sets, so ONE fails.  A
     one-vertex edge needs no block: h is an antichain, so no other edge,
     and so no host, holds its vertex, and the edge is never inside the
-    union.  Leaving those edges out keeps the tables O(n^2) bits for n
-    candidates, the order of the compatibility masks.
+    union.  Leaving those edges out keeps the tables from growing with
+    them.
 
     A family's state is its untried children, `covered`, `held` and its
     tuple of pairs, which is what the search yields.  The search holds the
     state of the family whose children it is making, and a stack of its
     ancestors' states; a family is pushed only when the search goes down
-    into one of its children.  The tables are built with the candidates,
-    and a child's state is its parent's with one OR into each mask and
-    one pair appended.
+    into one of its children.  A child's untried children are those of its
+    parent that come after its last candidate, ANDed with that
+    candidate's row, so no row needs the earlier candidates cleared; its
+    masks are its parent's with one OR each, and its tuple its parent's
+    with one pair appended.
+
+    The rest is built where the search first needs it.  Once per search,
+    with the sorted candidates: the per-vertex masks of `_clash_masks` and
+    the `low`, `guard` and marks of `_cover_tables`, in one pass over the
+    candidates and one over the edges.  At most once per candidate: its
+    cover and held when the first family holding it is made, and its row
+    when a family ending in it may grow, that is when it has untried
+    children and, in a minor search, fewer than minor_size pairs.  So a
+    one-pair minor search builds no row, and a search that stops early
+    builds only the rows of the families it went on from.
 
     `budget` counts search steps: one per candidate built, one per pair of
-    candidates whose compatibility is settled, and one per family made.
-    Every step is charged before its work is done, so a clutter whose
-    set-up alone is over budget trips before any candidate is built.  Past
-    `budget` steps a ResourceLimitError naming the stage is raised: the
-    matching-minor search with minor_size, else semi-matching enumeration.
+    candidates whose compatibility may be settled, and one per family
+    made.  The pair tests are charged n(n-1)/2 up front, which bounds the
+    ones the rows settle.  Every step is charged before its work is done,
+    so a clutter whose set-up alone is over budget trips before any
+    candidate is built.  Past `budget` steps a ResourceLimitError naming
+    the stage is raised: the matching-minor search with minor_size, else
+    semi-matching enumeration.
     """
     stage = "semi-matching enumeration" if minor_size is None else "matching-minor search"
     limit = f"{stage} exceeded budget of {budget} search steps"
@@ -415,11 +451,10 @@ def _search_pairs(
         return
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
     clash = _clash_masks(cand, minor_size is not None)
+    low, guard, entries = _cover_tables(edges)
     full = (1 << n) - 1
-    later = [(full ^ c) >> (i + 1) << (i + 1) for i, c in enumerate(clash)]
-    low, guard, of_host, marks = _cover_tables(edges)
-    covers = [of_host[e] for _, e in cand]
-    helds = [marks[a] & marks[b] for (a, b), _ in cand]
+    rows: list[int | None] = [None] * n
+    cover_held: list[tuple[int, int] | None] = [None] * n
 
     kids, covered, held, family = full if minor_size != 0 else 0, 0, 0, ()
     stack: list[tuple[int, int, int, tuple[Pair, ...]]] = []
@@ -434,16 +469,23 @@ def _search_pairs(
         if used > budget:
             raise ResourceLimitError(limit)
         i = bit.bit_length() - 1
-        size = len(family) + 1
-        child_covered = covered | covers[i]
-        child_held = held | helds[i]
-        if ((minor_size is None or size == minor_size)
+        entry = cover_held[i]
+        if entry is None:  # the first family holding candidate i
+            cover_held[i] = entry = entries(cand[i])
+        cover, hold = entry
+        child_covered = covered | cover
+        child_held = held | hold
+        if ((minor_size is None or len(family) + 1 == minor_size)
                 and not (child_covered + low) & guard & ~child_held):
             yield family + (cand[i],)
-        grandkids = kids & later[i]
-        if grandkids and (minor_size is None or size < minor_size):
-            stack.append((kids, covered, held, family))
-            kids, covered, held, family = grandkids, child_covered, child_held, family + (cand[i],)
+        if kids and (minor_size is None or len(family) + 1 < minor_size):
+            row = rows[i]
+            if row is None:
+                rows[i] = row = full ^ clash(i)
+            grandkids = kids & row
+            if grandkids:
+                stack.append((kids, covered, held, family))
+                kids, covered, held, family = grandkids, child_covered, child_held, family + (cand[i],)
 
 
 def enumerate_semi_matchings(

@@ -33,6 +33,12 @@ def random_clutter_sample(rng: random.Random, max_vertices=8, max_edges=6, max_r
     return Clutter(edges)
 
 
+def exact_clutter(rng: random.Random, n: int, m: int, r: int) -> Clutter:
+    """m edges of exactly r vertices, each a sample of 0..n-1, minimalized
+    (which here only drops repeats)."""
+    return Clutter(sorted(rng.sample(range(n), r)) for _ in range(m))
+
+
 def brute_minimal_transversals(edge_sets) -> set[frozenset]:
     """All minimal transversals by enumerating every subset of the union."""
     edges = [frozenset(e) for e in edge_sets]

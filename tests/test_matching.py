@@ -41,6 +41,7 @@ from helpers import (
     brute_has_matching_minor,
     brute_minor_contains,
     brute_semi_matchings,
+    exact_clutter,
     fs_conflict_edges,
     fs_expansion,
     fs_is_expanded_minor_matching,
@@ -426,6 +427,16 @@ def _reference_cover_tables(edges):
     return low, guard, of_host, marks
 
 
+def _entries_meet_the_reference(h, entries):
+    """Whether each candidate's (cover, held) from `entries` is the one the
+    reference tables give, and a one-vertex L = (v, v) gives the marks of
+    every vertex v of a host whole."""
+    _, _, of_host, marks = _reference_cover_tables(h.edges)
+    return (all(entries((l, e)) == (of_host[e], marks[l[0]] & marks[l[1]])
+                for e in h.edges for l in itertools.combinations(e, 2))
+            and all(entries(((v, v), e))[1] == marks[v] for e in h.edges if len(e) > 1 for v in e))
+
+
 def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
     # the sizes straddle the 512-bit switch between summing bits and setting
     # them in a buffer that the tables once had: 120 to 135 three-vertex
@@ -435,16 +446,144 @@ def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
     cover_tables = importlib.import_module("clutterkit.matching")._cover_tables
     rng = random.Random(71)
     triples = list(itertools.combinations(range(12), 3))
+    hs = []
     for m in (120, 127, 128, 135):
-        h = Clutter(rng.sample(triples, m) + [(100 + i,) for i in range(rng.randint(0, 3))])
-        assert cover_tables(h.edges) == _reference_cover_tables(h.edges)
+        hs.append(Clutter(rng.sample(triples, m) + [(100 + i,) for i in range(rng.randint(0, 3))]))
     quads = set()
     while len(quads) < 200:
         quads.add(tuple(sorted(rng.sample(range(60), 4))))
-    for h in (Clutter([0, 2 * i + 1, 2 * i + 2] for i in range(400)),
-              Clutter([0, i] for i in range(1, 1401)),
-              Clutter(quads)):
-        assert cover_tables(h.edges) == _reference_cover_tables(h.edges)
+    hs += [Clutter([0, 2 * i + 1, 2 * i + 2] for i in range(400)),
+           Clutter([0, i] for i in range(1, 1401)),
+           Clutter(quads)]
+    for h in hs:
+        low, guard, entries = cover_tables(h.edges)
+        assert (low, guard) == _reference_cover_tables(h.edges)[:2]
+        assert _entries_meet_the_reference(h, entries)
+
+
+def _eager_clash_masks(cand, minor):
+    """Every candidate's clash mask at once, as the pair search once built
+    them before making its first family: per-edge masks of the candidates
+    whose L meets the edge or lies inside it, ORed with per-vertex ones."""
+    in_l, of_host = {}, {}
+    for i, ((a, b), e) in enumerate(cand):
+        in_l[a] = in_l.get(a, 0) | 1 << i
+        in_l[b] = in_l.get(b, 0) | 1 << i
+        of_host[e] = of_host.get(e, 0) | 1 << i
+    in_s, meets, inside = {}, {}, {}
+    for e, mask in of_host.items():
+        once = twice = 0
+        for v in e:
+            in_s[v] = in_s.get(v, 0) | mask
+            m = in_l.get(v, 0)
+            twice |= once & m
+            once |= m
+        meets[e], inside[e] = once, twice
+    if minor:
+        return [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
+    return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
+
+
+def _brute_clash_mask(cand, i, minor):
+    """Candidate i's clash mask, one pair of candidates at a time: j is in
+    it when j is i or the two break 3b or, when `minor` is unset, 2 or 3a."""
+    (l, s) = map(frozenset, cand[i])
+    mask = 0
+    for j, (m, t) in enumerate(cand):
+        m, t = frozenset(m), frozenset(t)
+        if minor:
+            clash = bool(l & t or m & s)
+        else:
+            clash = bool(l & m) or l <= t or m <= s
+        mask |= (j == i or clash) << j
+    return mask
+
+
+def _lazy_build_inputs():
+    """Seeded random clutters with one-vertex edges and mixed sizes,
+    staircases, sunflowers, ONE and ZERO."""
+    rng = random.Random(251)
+    hs = [ONE, ZERO] + [staircase(n) for n in range(2, 8)]
+    hs += [random_clutter_sample(rng, max_vertices=9, max_edges=8, max_rank=5) for _ in range(120)]
+    for core in range(4):
+        for size in (1, 2, 3):
+            for petals in range(1, 5):
+                hs.append(Clutter(list(range(core)) + [10 + size * p + i for i in range(size)]
+                                  for p in range(petals)))
+    assert sum(len({len(e) for e in h.edges}) > 1 and any(len(e) == 1 for e in h.edges)
+               for h in hs) >= 20
+    return hs
+
+
+def _spied_builders(monkeypatch, log):
+    """Wrap the search's two builders so that every row mask and every
+    (cover, held) entry it builds is logged as (kind, candidate, value)."""
+    matching = importlib.import_module("clutterkit.matching")
+    clash_masks, cover_tables = matching._clash_masks, matching._cover_tables
+
+    def spied_clash_masks(cand, minor):
+        clash = clash_masks(cand, minor)
+
+        def logged(i):
+            mask = clash(i)
+            log.append(("row", cand[i], mask))
+            return mask
+
+        return logged
+
+    def spied_cover_tables(edges):
+        low, guard, entries = cover_tables(edges)
+
+        def logged(candidate):
+            entry = entries(candidate)
+            log.append(("entry", candidate, entry))
+            return entry
+
+        return low, guard, logged
+
+    monkeypatch.setattr(matching, "_clash_masks", spied_clash_masks)
+    monkeypatch.setattr(matching, "_cover_tables", spied_cover_tables)
+
+
+def test_rows_and_entries_built_lazily_meet_their_definitions(monkeypatch):
+    # each builder, called for every candidate, against a pair-by-pair
+    # brute force, the masks the search once built up front, and the
+    # reference tables; then every row and entry that real searches build,
+    # each at most once per candidate
+    matching = importlib.import_module("clutterkit.matching")
+    hs = _lazy_build_inputs()
+    for h in hs:
+        cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+        for minor in (False, True):
+            clash = matching._clash_masks(cand, minor)
+            got = [clash(i) for i in range(len(cand))]
+            assert got == _eager_clash_masks(cand, minor)
+            assert got == [_brute_clash_mask(cand, i, minor) for i in range(len(cand))]
+        low, guard, entries = matching._cover_tables(h.edges)
+        assert (low, guard) == _reference_cover_tables(h.edges)[:2]
+        assert _entries_meet_the_reference(h, entries)
+    log = []
+    _spied_builders(monkeypatch, log)
+    built = 0
+    for h in hs:
+        cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+        _, _, of_host, marks = _reference_cover_tables(h.edges)
+        for search, minor in ((lambda: enumerate_semi_matchings(h), False),
+                              (lambda: find_kk2_minor(h, 2), True),
+                              (lambda: find_kk2_minor(h, 3), True)):
+            log.clear()
+            search()
+            for kind in ("row", "entry"):
+                keys = [key for k, key, _ in log if k == kind]
+                assert len(keys) == len(set(keys))
+            for kind, (l, e), value in log:
+                i = cand.index((l, e))
+                if kind == "row":
+                    assert value == _brute_clash_mask(cand, i, minor)
+                else:
+                    assert value == (of_host[e], marks[l[0]] & marks[l[1]])
+            built += len(log)
+    assert built >= 2000
 
 
 class TestExtend:
@@ -1034,6 +1173,47 @@ class TestFindMatchingMinor:
             assert calls in ([], ["_clash_masks", "_cover_tables"])
             built += bool(calls)
         assert built == 59  # 54 of the 72 minor searches, and the 5 enumerations
+
+    def test_an_early_exit_builds_little(self, monkeypatch):
+        # a one-pair search answers with the least candidate and builds no
+        # row; a two-pair search that answers with a family whose first
+        # candidate is f has made the one-candidate families up to f, and
+        # builds a row only for those, each at most once
+        rng = random.Random(257)
+        hs = [Clutter(rng.sample(range(10), 3) for _ in range(12)) for _ in range(40)]
+        hs += [C6, kk2(2), kk2(4)] + [staircase(n) for n in range(2, 6)]
+        search_pairs = importlib.import_module("clutterkit.matching")._search_pairs
+        expected = [(h, find_kk2_minor(h, 2), next(search_pairs(h, 10**6, 2), None)) for h in hs]
+        log = []
+        _spied_builders(monkeypatch, log)
+        found = 0
+        for h, want, family in expected:
+            cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+            log.clear()
+            w = find_kk2_minor(h, 1)
+            l, s = cand[0]
+            assert w == MinorWitness(tuple(sorted(set(h.vertices) - set(s))),
+                                     tuple(sorted(set(s) - set(l))), (l,))
+            assert [k for k, _, _ in log] == ["entry"]
+            log.clear()
+            assert find_kk2_minor(h, 2) == want
+            rows = [cand.index(key) for k, key, _ in log if k == "row"]
+            assert len(rows) == len(set(rows))
+            if want is not None:
+                found += 1
+                assert all(i <= cand.index(family[0]) for i in rows)
+        assert found >= 30
+
+    def test_an_early_exit_takes_a_third_of_the_eager_memory(self):
+        # 1,500 edges of three vertices out of 400 give 4,500 candidates.
+        # Building every row and condition-4 entry before the first family
+        # peaked at 9.5 MiB (Python 3.11.7); a two-pair search that finds
+        # its minor at once must stay under a third of that
+        h = exact_clutter(random.Random(0), 400, 1500, 3)
+        assert len(h.edges) == 1500
+        w, peak = traced(lambda: find_kk2_minor(h, 2, node_budget=10**8))
+        assert w is not None and w.verify(h)
+        assert peak < 9.5 * 2**20 / 3
 
     @pytest.mark.parametrize("h, steps, pairs", [
         (C6, 39, None),
