@@ -123,19 +123,31 @@ k from 0 up, is first nonzero at the fewest bits, and its highest bit
 is the answer: no minimality step, no readout and no sort.  No other
 module sees a mask: solve_sat and solve_setcover get the vertices of
 that one set, and the oracle objective of solve_setcover scans the
-blocker.  _decode reads masks four
-bits at a time on up to 16 vertices and eight above: each call builds
-four 4-bit tables up to 16 vertices, three 8-bit tables up to 24 and one
-per eight vertices above, each holding the sorted vertex tuple of every
-subset of its bits, and a mask decodes to the concatenation of its
-lookups, from its high bits down.
+blocker.
+
+_decode reads each mask through tables of at most 8 bits, each holding
+the sorted vertex tuple of every subset of its bits, and a mask decodes
+to the concatenation of its lookups, from its high bits down.  The
+tables split the bits as evenly as they can: one table up to 4
+vertices, two up to 16 (32 + 32 entries at n = 10, 128 + 128 at 14,
+256 + 256 at 16), three up to 24 (7, 7 and 6 bits at 20) and one per 8
+bits above.  So a mask costs one lookup up to 4 vertices, two lookups
+and one concatenation on 5 to 16, three lookups on 17 to 24, and a loop
+over the tables above.  Even widths keep building them cheap: two
+tables of n / 2 bits hold 2^(n / 2 + 1) entries, where 8-bit tables cut
+from the low bits up would hold 256 + 2^(n - 8).  _decode_tables builds
+them, cached by the sorted vertex tuple in an lru_cache of
+DECODE_TABLES_KEPT entries, so that repeated calls on one vertex set
+decode without building any.  By sys.getsizeof an entry holds 19 KiB
+at 14 vertices, 40 KiB at 16, 24 KiB at 20 and 60 KiB at 24, and
+about 2.5 KiB per vertex above.
 
 Blocking is an involution, swaps deletion with contraction and join with
 meet; the property suite in the test tree exercises all of these.
 """
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import compress
 from math import comb
 from operator import or_
@@ -167,6 +179,12 @@ PACK_FROM = 8
 # whatever the clutter: 0.5n edges of rank 3 on 16 vertices 1.3x, kk2(8)
 # 1.2x, staircase(7) 2x and staircase(8) 4.5x (51 to 232 us)
 LATTICE_UP_TO = 16
+
+# _decode keeps its tables for this many vertex tuples, each of 1 to 60 KiB
+# up to 24 vertices.  One round of the benchmark's dualize workload decodes
+# on at most 9 vertex tuples; its cli-mix round on 67, all of at most 10
+# vertices, where a rebuild costs a few us
+DECODE_TABLES_KEPT = 16
 
 
 def is_transversal(h: Clutter, t: Iterable[int]) -> bool:
@@ -372,38 +390,56 @@ def _over_budget(edge_budget: int) -> ResourceLimitError:
     return ResourceLimitError(f"blocker intermediate family exceeded {edge_budget} sets")
 
 
-def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
-    """Each mask as the sorted tuple of the vertices its bits stand for."""
-    # one table per w bits, from the low bits up: entry j holds the vertices
-    # of the bits set in j.  Bit i stands for rev[i], and rev descends, so
-    # prepending keeps each tuple sorted, and a mask's lookups concatenate
-    # from its high bits down.  Each call builds its tables, which up to 16
-    # vertices is a large share of the call, so there w is 4, and above 16
-    # it is 8.  Up to 24 vertices the lookups are unrolled over four or
-    # three tables: a table past the last vertex holds only (), which every
-    # mask indexes with 0, and no mask has a bit past the last table, so its
-    # lookup needs no mask.
+@lru_cache(maxsize=DECODE_TABLES_KEPT)
+def _decode_tables(verts: Edge) -> tuple[tuple[Edge, ...], ...]:
+    """The tables _decode reads masks over verts with, from the low bits up:
+    entry j of a table holds the sorted vertices of the bits set in j.
+    Tuples, since the cache hands them to every caller."""
+    # one table up to 4 vertices, two up to 16, then one per 8 bits, of
+    # widths as even as possible.  Bit i stands for rev[i], and rev
+    # descends, so prepending keeps each tuple sorted
     n = len(verts)
     rev = verts[::-1]
-    w, span = (4, 16) if n <= 16 else (8, max(n, 24))
+    count = 1 if n <= 4 else max(2, -(-n // 8))
     tables = []
-    for k in range(0, span, w):
+    k = 0
+    for j in range(count):
+        w = n // count + (j < n % count)
         table: list[Edge] = [()]
         for v in rev[k:k + w]:
             table += [(v,) + x for x in table]
-        tables.append(table)
-    if n <= 16:
-        a, b, c, d = tables
-        return [d[m >> 12] + c[m >> 8 & 15] + b[m >> 4 & 15] + a[m & 15] for m in masks]
-    if n <= 24:
+        tables.append(tuple(table))
+        k += w
+    return tuple(tables)
+
+
+def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
+    """Each mask as the sorted tuple of the vertices its bits stand for."""
+    # a mask's lookups concatenate from its high bits down: one lookup up to
+    # 4 vertices, two up to 16 and three up to 24, unrolled, and a loop over
+    # the tables above.  No mask has a bit past the last table, so its
+    # lookup needs no mask
+    tables = _decode_tables(verts)
+    if len(tables) == 1:
+        return list(map(tables[0].__getitem__, masks))
+    if len(tables) == 2:
+        a, b = tables
+        low = len(a) - 1
+        s = low.bit_length()
+        return [b[m >> s] + a[m & low] for m in masks]
+    if len(tables) == 3:
         a, b, c = tables
-        return [c[m >> 16] + b[m >> 8 & 255] + a[m & 255] for m in masks]
+        low, mid = len(a) - 1, len(b) - 1
+        s = low.bit_length()
+        t = s + mid.bit_length()
+        return [c[m >> t] + b[m >> s & mid] + a[m & low] for m in masks]
+    cuts = [(table, len(table) - 1, (len(table) - 1).bit_length()) for table in tables]
     out = []
     for m in masks:
         t: Edge = ()
-        for table in tables:
-            t = table[m & 255] + t
-            m >>= 8
+        for table, low, s in cuts:
+            t = table[m & low] + t
+            m >>= s
         out.append(t)
     return out
 

@@ -207,25 +207,17 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
     3b (L_i meets S_j or L_j meets S_i, which implies 2 and 3a).  Each
     mask holds its own candidate's bit.
 
-    One pass over the candidates and one over their hosts build the
-    per-vertex masks: in_l[v] holds the candidates whose L holds v, and
-    in_s[v] those whose S holds v.  What is returned is clash(i), which
-    builds candidate i's mask from them when it is called.
+    What is returned is clash(i), which builds candidate i's mask when it
+    is called, from the per-vertex masks of `_vertex_masks`; the first
+    call builds those, so a search that builds no row builds none.
     """
-    in_l: dict[int, int] = {}  # vertex -> candidates whose L holds it
-    of_host: dict[Edge, int] = {}  # edge -> candidates with that S
-    for i, ((a, b), e) in enumerate(cand):
-        bit = 1 << i
-        in_l[a] = in_l.get(a, 0) | bit
-        in_l[b] = in_l.get(b, 0) | bit
-        of_host[e] = of_host.get(e, 0) | bit
-    in_s: dict[int, int] = {}  # vertex -> candidates whose S holds it
-    for e, mask in of_host.items():
-        for v in e:
-            in_s[v] = in_s.get(v, 0) | mask
-    # every vertex of a host lies in some L inside it, so in_l has it
+    in_l: dict[int, int] | None = None
+    in_s: dict[int, int] = {}
     if minor:
         def clash(i: int) -> int:
+            nonlocal in_l, in_s
+            if in_l is None:
+                in_l, in_s = _vertex_masks(cand)
             # 3b fails when L_i meets S_j or L_j meets S_i
             (a, b), e = cand[i]
             mask = in_s[a] | in_s[b]
@@ -234,6 +226,9 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
             return mask
     else:
         def clash(i: int) -> int:
+            nonlocal in_l, in_s
+            if in_l is None:
+                in_l, in_s = _vertex_masks(cand)
             # 2 fails when L_i meets L_j, and 3a when either L lies inside
             # the other's S: L_j lies inside S_i when it meets S_i twice
             (a, b), e = cand[i]
@@ -244,6 +239,25 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
                 once |= m
             return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
     return clash
+
+
+def _vertex_masks(cand: Sequence[Pair]) -> tuple[dict[int, int], dict[int, int]]:
+    """(in_l, in_s): in_l[v] holds the candidates whose L holds v, and
+    in_s[v] those whose S holds v, in one pass over the candidates and one
+    over their hosts."""
+    in_l: dict[int, int] = {}
+    of_host: dict[Edge, int] = {}  # edge -> candidates with that S
+    for i, ((a, b), e) in enumerate(cand):
+        bit = 1 << i
+        in_l[a] = in_l.get(a, 0) | bit
+        in_l[b] = in_l.get(b, 0) | bit
+        of_host[e] = of_host.get(e, 0) | bit
+    in_s: dict[int, int] = {}
+    for e, mask in of_host.items():
+        for v in e:
+            in_s[v] = in_s.get(v, 0) | mask
+    # every vertex of a host lies in some L inside it, so in_l has it
+    return in_l, in_s
 
 
 def _cover_tables(edges: Sequence[Edge]):
@@ -418,14 +432,16 @@ def _search_pairs(
     with one pair appended.
 
     The rest is built where the search first needs it.  Once per search,
-    with the sorted candidates: the per-vertex masks of `_clash_masks` and
-    the `low`, `guard` and marks of `_cover_tables`, in one pass over the
-    candidates and one over the edges.  At most once per candidate: its
+    with the sorted candidates: the `low`, `guard` and marks of
+    `_cover_tables`, in one pass over the edges.  With the first row: the
+    per-vertex masks of `_vertex_masks`, in one pass over the candidates
+    and one over their hosts.  At most once per candidate: its
     cover and held when the first family holding it is made, and its row
     when a family ending in it may grow, that is when it has untried
     children and, in a minor search, fewer than minor_size pairs.  So a
-    one-pair minor search builds no row, and a search that stops early
-    builds only the rows of the families it went on from.
+    one-pair minor search builds no row and no per-vertex mask, and a
+    search that stops early builds only the rows of the families it went
+    on from.
 
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility may be settled, and one per family

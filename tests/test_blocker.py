@@ -26,8 +26,10 @@ from clutterkit import (
 )
 
 from clutterkit.blocker import (
+    DECODE_TABLES_KEPT,
     DEFAULT_EDGE_BUDGET,
     _decode,
+    _decode_tables,
     _fold,
     _lattice,
     _layers,
@@ -523,6 +525,51 @@ class TestDecode:
             verts = tuple(sorted(rng.sample(range(5 * n), n)))
             masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]
             assert _decode(verts, masks) == _decode_bit_by_bit(verts, masks), n
+
+    def test_tables_follow_the_vertices_not_their_count(self):
+        # two vertex tuples of one length, in turn: tables cached by n
+        # would decode the second with the first one's vertices
+        rng = random.Random(89)
+        for n in (3, 10, 16, 20, 30):
+            a = tuple(range(n))
+            b = tuple(sorted(rng.sample(range(100, 100 + 4 * n), n)))
+            masks = [rng.getrandbits(n) for _ in range(20)]
+            for verts in (a, b, a, b):
+                assert _decode(verts, masks) == _decode_bit_by_bit(verts, masks), n
+
+    def test_the_cache_holds_at_most_its_maxsize(self):
+        # three times as many vertex tuples as the cache keeps, twice over,
+        # so that evicted tuples come back
+        rng = random.Random(97)
+        tuples = [tuple(sorted(rng.sample(range(200), 5 + k % 20)))
+                  for k in range(3 * DECODE_TABLES_KEPT)]
+        assert _decode_tables.cache_info().maxsize == DECODE_TABLES_KEPT
+        for verts in tuples + tuples:
+            masks = [rng.getrandbits(len(verts)) for _ in range(10)]
+            assert _decode(verts, masks) == _decode_bit_by_bit(verts, masks)
+            assert _decode_tables.cache_info().currsize <= DECODE_TABLES_KEPT
+
+    def test_a_mutated_answer_leaves_the_cache_alone(self):
+        # one table, two, three and more
+        for n in (3, 12, 20, 30):
+            verts = tuple(range(0, 2 * n, 2))
+            masks = [(1 << n) - 1, 0, 5]
+            want = _decode_bit_by_bit(verts, masks)
+            got = _decode(verts, masks)
+            got[0] = ()
+            got.append((-1,))
+            assert _decode(verts, masks) == want
+            tables = _decode_tables(verts)
+            assert type(tables) is tuple and all(type(t) is tuple for t in tables)
+
+    def test_the_fewest_tables_of_even_widths(self):
+        # one table up to 4 vertices, two up to 16, then one per 8 bits,
+        # each of at most 8 bits and no two more than a bit apart
+        for n in range(65):
+            widths = [len(t).bit_length() - 1 for t in _decode_tables(tuple(range(n)))]
+            assert sum(widths) == n and max(widths) - min(widths) <= 1, n
+            assert len(widths) == (1 if n <= 4 else max(2, -(-n // 8))), n
+        assert [len(t) for t in _decode_tables(tuple(range(20)))] == [128, 128, 64]
 
 
 def _gapped_clutter(rng, n):

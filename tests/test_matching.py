@@ -1204,6 +1204,25 @@ class TestFindMatchingMinor:
                 assert all(i <= cand.index(family[0]) for i in rows)
         assert found >= 30
 
+    def test_a_one_pair_search_builds_no_vertex_masks(self, monkeypatch):
+        # only a row reads the per-vertex masks, and a two-pair search
+        # builds them once, with its first row
+        matching = importlib.import_module("clutterkit.matching")
+        vertex_masks = matching._vertex_masks
+        calls = []
+
+        def spied_vertex_masks(cand):
+            calls.append(len(cand))
+            return vertex_masks(cand)
+
+        monkeypatch.setattr(matching, "_vertex_masks", spied_vertex_masks)
+        h = exact_clutter(random.Random(0), 400, 1500, 3)
+        w = find_kk2_minor(h, 1, node_budget=10**8)
+        assert w is not None and w.verify(h)
+        assert calls == []
+        assert find_kk2_minor(h, 2, node_budget=10**8) is not None
+        assert calls == [3 * len(h.edges)]
+
     def test_an_early_exit_takes_a_third_of_the_eager_memory(self):
         # 1,500 edges of three vertices out of 400 give 4,500 candidates.
         # Building every row and condition-4 entry before the first family
