@@ -19,6 +19,29 @@ check is needed:
 - Extensions t | b and t' | b' are comparable only when equal: b is not
   in t', so b == b', then t <= t' and the antichain forces t == t'.
 
+The fold takes the singleton edges first, then the others by least
+vertex, greatest first (colex order over the vertices in descending
+order), and otherwise keeps canonical order.  The paper bounds |b(H)| on
+clutters of rank r with no (k + 1)K2 minor, a class closed under
+deletion, so this order keeps every family at the end of a group of one
+least vertex under that bound on the class:
+
+- No other edge of a clutter holds the vertex of a singleton edge.  So
+  after every edge whose least vertex is at least x, the fold has seen
+  exactly the edges that miss D, the vertices below x that are not
+  singleton edges, and its family is the blocker of the deletion minor
+  of H by D.
+- The blocker of the singleton edges of a vertex set S and of edges E'
+  that miss S is {S | T : T in b(E')}, so folding the singletons first
+  keeps every later family the size it would have without them.
+
+Canonical order has no such cap: on a clique of k vertices with a
+pendant edge at each, which has k + 1 minimal transversals, its families
+reach 2^k sets, while in this order they never pass k + 1.
+Berge's method is not output-polynomial in general (Takata, SIAM J.
+Discrete Math. 21, 2007).  The answer does not depend on the order; only
+where a budget trips does.
+
 With literals set, the fold also drops, as soon as it is built, every set
 holding both a vertex v and v ^ 1; cheapest_transversal folds only the
 consistent sets this way for solve_sat, since the literals of variable i
@@ -161,12 +184,14 @@ DEFAULT_EDGE_BUDGET = 10**6
 # a fold step with at least this many movers tests them all at once.  With
 # default budgets the lattice answers every clutter on at most 16 vertices,
 # so the fold serves larger ones: kk2(k) from k = 9 and formulas from 9
-# variables (18 literal vertices).  Best of 3 x 5 on one Xeon core, at
-# PACK_FROM = 8 / every step packed / none: blocker and
-# maximal_independent_sets on kk2(9), kk2(10) and kk2(11) took 7.0 / 7.4 /
-# 17.1 ms; solve_sat on 40 seeded 3-CNF formulas with round(4.2v) clauses
-# took 14.1 / 27.6 / 13.7 ms at 9 variables, 33.5 / 50.1 / 37.7 at 12 and
-# 58.9 / 77.8 / 95.4 at 15
+# variables (18 literal vertices).  Best of 3 x 5 on one pinned Xeon
+# vCPU, folding in the order of _berge, at PACK_FROM = 8 / every step
+# packed / none: blocker and maximal_independent_sets on kk2(9), kk2(10)
+# and kk2(11) took 4.5 / 4.6 / 16.4 ms; solve_sat on 40 seeded 3-CNF
+# formulas with round(4.2v) clauses took 11.7 / 25.3 / 11.2 ms at 9
+# variables, 25.4 / 42.8 / 25.5 at 12 and 45.1 / 62.0 / 53.8 at 15.  Over
+# two such sweeps, 16 read from 4% faster to 8% slower than 8 on the
+# formulas, and 4 from 5% faster to 13% slower
 PACK_FROM = 8
 
 # on at most LATTICE_UP_TO vertices the subset lattice answers every fold
@@ -249,11 +274,20 @@ def _lattice_answers(n: int, edge_budget: int) -> bool:
 
 def _berge(n: int, masks: list[int], pairs: int, edge_budget: int) -> list[int]:
     """The masks of the minimal transversals of the edge masks, by Berge's
-    fold, less every set that holds both bits of a clash in pairs."""
+    fold, less every set that holds both bits of a clash in pairs.
+
+    The fold takes the singleton edges first, then the others by least
+    vertex, greatest first, so that each group of edges with one least
+    vertex ends on the blocker of a deletion minor (see the module
+    docstring); ties keep the order of masks.  The answer does not depend
+    on the order, but where the budget trips does.
+    """
     nbytes = n // 8 + 1  # one packed field: the vertex bits and a spare top bit
     family = [0]
     seen: list[int] = []
-    for mask in masks:
+    # the least vertex has the highest bit; a singleton (or the empty edge)
+    # sorts before every edge of two or more bits
+    for mask in sorted(masks, key=lambda m: m.bit_length() if m & (m - 1) else 0):
         movers = [t for t in family if not t & mask]
         family = [t for t in family if t & mask]
         if len(movers) >= PACK_FROM:

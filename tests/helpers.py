@@ -115,8 +115,8 @@ def berge_fold_peak(edges, clashes=()) -> int:
     new edge, extending the others by each vertex of it, and dropping any
     set with a proper subset in the new family.  Then it drops every set
     that holds both vertices of a pair in clashes.  The intermediate
-    families depend on the order, so pass the edges in canonical order to
-    match the package's fold.
+    families depend on the order, so pass the edges in fold_order to match
+    the package's fold.
     """
     family = {frozenset()}
     peak = 0
@@ -127,6 +127,22 @@ def berge_fold_peak(edges, clashes=()) -> int:
         family = {t for t in family if not any(a in t and b in t for a, b in clashes)}
         peak = max(peak, len(family))
     return peak
+
+
+def fold_order(edges) -> list:
+    """The edges in the order the package's Berge fold takes them: every
+    edge of at most one vertex first, then the others by least vertex,
+    greatest first; ties keep the order given."""
+    return sorted(edges, key=lambda e: (len(e) > 1, -min(e) if len(e) > 1 else 0))
+
+
+def matched_clique(k: int) -> Clutter:
+    """The edges {i, k + i} for i < k and every pair {k + i, k + j}: a
+    clique on k..2k-1 with a pendant edge at each vertex.  It has rank 2
+    and no 2K2 minor, and its blocker has k + 1 sets: the whole clique,
+    and for each i the clique less k + i, with i."""
+    return Clutter([[i, k + i] for i in range(k)]
+                   + [[k + i, k + j] for i in range(k) for j in range(i + 1, k)])
 
 
 def _brute_minimal_sets(sets) -> set[frozenset]:

@@ -28,8 +28,10 @@ from clutterkit import (
 from clutterkit.blocker import (
     DECODE_TABLES_KEPT,
     DEFAULT_EDGE_BUDGET,
+    _berge,
     _decode,
     _decode_tables,
+    _edge_masks,
     _fold,
     _lattice,
     _layers,
@@ -41,7 +43,9 @@ from helpers import (
     berge_fold_peak,
     brute_minimal_transversals,
     canonical_edges,
+    exact_clutter,
     fk_is_blocker,
+    fold_order,
     random_clutter_sample,
     truth_table_satisfiable,
 )
@@ -140,9 +144,24 @@ def _fk_verdict(h, candidate):
     return fk_is_blocker(h.edges, candidate)
 
 
+def _singleton_fold_cases():
+    """Seeded clutters of rank 2 to 4 on 20 to 30 vertices, past the reach
+    of brute force, most of them with singleton edges on vertices of their
+    own."""
+    rng = random.Random(89)
+    cases = []
+    for n, rank, count, singles in [(20, 3, 30, 0), (21, 4, 24, 1), (24, 3, 30, 3),
+                                    (26, 2, 34, 1), (28, 2, 34, 3), (30, 2, 40, 2)]:
+        verts = rng.sample(range(60), n)
+        edges = _spanning_edges(rng, verts[singles:], rank, count)
+        cases.append(Clutter(edges + [[v] for v in verts[:singles]]))
+    return cases
+
+
 _PACKED_FOLD_CASES = _packed_fold_cases()
 _PACKED_SAT_CASES = _packed_sat_cases()
 _WIDE_FOLD_CASES = _wide_fold_cases()
+_SINGLETON_FOLD_CASES = _singleton_fold_cases()
 
 
 class TestBlocker:
@@ -207,7 +226,7 @@ class TestBlocker:
         for _ in range(40):
             h = random_clutter_sample(rng, max_vertices=10, max_edges=10,
                                       allow_bounds=False)
-            self._assert_budget_trips_past_peak(h, berge_fold_peak(h.edges))
+            self._assert_budget_trips_past_peak(h, berge_fold_peak(fold_order(h.edges)))
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_budget_caps_the_peak_family_on_matchings(self, k):
@@ -227,7 +246,7 @@ class TestBlocker:
             rank = rng.choice((3, 4))
             n = rng.randint(14, 24)
             h = Clutter(rng.sample(range(n), rank) for _ in range(rng.randint(n // 2, 2 * n // 3)))
-            self._assert_budget_trips_past_peak(h, berge_fold_peak(h.edges))
+            self._assert_budget_trips_past_peak(h, berge_fold_peak(fold_order(h.edges)))
 
     def test_sat_budget_trips_inside_packed_steps(self, pack_from):
         rng = random.Random(71)
@@ -237,7 +256,7 @@ class TestBlocker:
                 tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
                 for _ in range(rng.randint(n, round(4.2 * n)))))
             clashes = [(2 * i, 2 * i + 1) for i in range(1, n + 1)]
-            peak = berge_fold_peak(cnf_to_clutter(f).edges, clashes)
+            peak = berge_fold_peak(fold_order(cnf_to_clutter(f).edges), clashes)
             assert solve_sat(f, edge_budget=peak) == solve_sat(f)
             with pytest.raises(ResourceLimitError):
                 solve_sat(f, edge_budget=peak - 1)
@@ -322,6 +341,12 @@ class TestEngines:
     def test_solve_sat_returns_the_first_consistent_blocker_set(self, engine):
         for f, want in _PACKED_SAT_CASES:
             assert solve_sat(f) == want
+
+    def test_wide_clutters_with_singletons_match_the_duality_oracle(self, engine):
+        assert [len(h.vertices) for h in _SINGLETON_FOLD_CASES] == [20, 21, 24, 26, 28, 30]
+        for h in _SINGLETON_FOLD_CASES:
+            b = blocker(h)
+            assert _fk_verdict(h, b.edges)
 
 
 @pytest.fixture
@@ -519,7 +544,7 @@ def _decode_bit_by_bit(verts, masks):
 class TestDecode:
     def test_matches_the_bit_by_bit_decode(self):
         # 0 to 40 vertices: no table, a partial last table, the unrolled
-        # lookups up to 16 vertices and the loop above them
+        # lookups up to 24 vertices and the loop above them
         rng = random.Random(83)
         for n in range(41):
             verts = tuple(sorted(rng.sample(range(5 * n), n)))
@@ -695,7 +720,7 @@ class TestIndependentSetsFromTheFold:
         clutters += [random_clutter_sample(rng, max_vertices=10, max_edges=10,
                                            allow_bounds=False) for _ in range(40)]
         for h in clutters:
-            peak = berge_fold_peak(h.edges)
+            peak = berge_fold_peak(fold_order(h.edges))
             for dualize in (blocker, maximal_independent_sets):
                 assert dualize(h, edge_budget=peak) == dualize(h)
                 with pytest.raises(ResourceLimitError):
@@ -750,6 +775,73 @@ class TestPackedFold:
         pack_from = importlib.import_module("clutterkit.blocker").PACK_FROM
         assert packed_steps == [1 << i for i in range(10) if 1 << i >= pack_from]
         assert packed_steps
+
+
+@pytest.fixture
+def fold_steps(monkeypatch):
+    """Each step of the fold as its edge mask and the family before it:
+    with every step packed, _extend_packed sees them all."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    monkeypatch.setattr(blocker_module, "PACK_FROM", 0)
+    steps = []
+    extend_packed = blocker_module._extend_packed
+
+    def spy(family, movers, mask, *args):
+        steps.append((mask, family + movers))
+        return extend_packed(family, movers, mask, *args)
+
+    monkeypatch.setattr(blocker_module, "_extend_packed", spy)
+    return steps
+
+
+def _group_end_cases():
+    """(clutter, literals): seeded clutters of up to 12 vertices, many with
+    singleton edges; exact rank-3 and rank-4 clutters on 17 to 24 vertices;
+    and the clause clutters of 3-CNF formulas, whose literal vertices 2i
+    and 2i + 1 clash."""
+    rng = random.Random(97)
+    cases = [(random_clutter_sample(rng, max_vertices=12, max_edges=10, allow_bounds=False), False)
+             for _ in range(40)]
+    for n in range(17, 25):
+        cases.append((exact_clutter(rng, n, rng.randint(n // 2, n), rng.choice((3, 4))), False))
+    for v in range(4, 11):
+        f = CnfFormula(v, [tuple(x if rng.random() < 0.5 else -x for x in rng.sample(range(1, v + 1), 3))
+                           for _ in range(rng.randint(v, round(4.2 * v)))])
+        cases.append((cnf_to_clutter(f), True))
+    return cases
+
+
+class TestFoldOrder:
+    def test_group_ends_are_blockers_of_deletion_minors(self, fold_steps):
+        # the fold takes the singleton edges first, then the others by least
+        # vertex x, greatest first.  No other edge holds the vertex of a
+        # singleton, so after the last edge of each x the fold has seen
+        # exactly the edges that miss every vertex below x that is not a
+        # singleton edge, and its family is the blocker of that deletion minor
+        ends = singles_seen = 0
+        for h, literals in _group_end_cases():
+            fold_steps.clear()
+            verts, masks, pairs = _edge_masks(h, literals)
+            last = _berge(len(verts), masks, pairs, DEFAULT_EDGE_BUDGET)
+            order = fold_order(h.edges)
+            mask_of = dict(zip(h.edges, masks))
+            assert [mask for mask, _ in fold_steps] == [mask_of[e] for e in order]
+            after = [family for _, family in fold_steps[1:]] + [last]
+            singles = {e[0] for e in h.edges if len(e) == 1}
+            singles_seen += bool(singles)
+            groups = [e[0] if len(e) > 1 else None for e in order]
+            for i, least in enumerate(groups):
+                if groups[i + 1:i + 2] == [least]:
+                    continue
+                deleted = [v for v in verts
+                           if v not in singles and (least is None or v < least)]
+                minor = h.restrict(deleted, ())
+                assert set(minor.edges) == set(order[:i + 1])
+                want = {t for t in blocker(minor).edge_sets
+                        if not literals or not any(v ^ 1 in t for v in t)}
+                assert set(map(frozenset, _decode(verts, after[i]))) == want
+                ends += 1
+        assert singles_seen >= 20 and ends >= 150
 
 
 class TestDualityOracle:

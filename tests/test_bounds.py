@@ -17,7 +17,7 @@ from clutterkit import (
     verify_bound,
 )
 
-from helpers import brute_has_matching_minor, random_clutter_sample
+from helpers import brute_has_matching_minor, fk_is_blocker, matched_clique, random_clutter_sample
 
 C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
@@ -156,6 +156,22 @@ class TestVerifyBound:
                 verify_bound(h, -1)
             assert type(info.value) is ValueError
             assert str(info.value) == "matching bound must be non-negative"
+
+    @pytest.mark.parametrize("k", [16, 20, 30])
+    def test_the_bound_caps_the_fold_on_matched_cliques(self, k):
+        # at r = 2 and k = 1 the bound is 1 + |H|.  Every group of the fold
+        # ends on the blocker of a deletion minor, which stays in the class,
+        # so those families stay under the bound
+        h = matched_clique(k)
+        b = blocker(h, edge_budget=blocker_size_bound(BoundParams(len(h), 2, 1)))
+        assert len(b) == k + 1
+        assert fk_is_blocker(h.edges, b.edges)
+
+    def test_matched_clique_of_thirty(self):
+        report = verify_bound(matched_clique(30), 1)
+        assert report.params.edge_count == 465 and report.bound == 466
+        assert report.observed_blocker_size == 31
+        assert report.within_bound
 
     def test_holds_on_random_members(self):
         rng = random.Random(113)

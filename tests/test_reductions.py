@@ -27,6 +27,7 @@ from helpers import (
     berge_fold_peak,
     brute_consistent_minimal_transversals,
     brute_min_cover_cost,
+    fold_order,
     random_cnf,
     random_cover_instance,
     truth_table_satisfiable,
@@ -449,7 +450,7 @@ class TestSolveSat:
             n = rng.randint(3, 7)
             f = exact_3cnf(rng, n, rng.randint(1, round(4.2 * n)))
             clashes = [(2 * i, 2 * i + 1) for i in range(1, n + 1)]
-            peak = berge_fold_peak(cnf_to_clutter(f).edges, clashes)
+            peak = berge_fold_peak(fold_order(cnf_to_clutter(f).edges), clashes)
             assert solve_sat(f, edge_budget=peak) == solve_sat(f)
             with pytest.raises(ResourceLimitError):
                 solve_sat(f, edge_budget=peak - 1)
