@@ -90,6 +90,8 @@ def cmd_semimatchings(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.matching == args.file == "-":
+        raise ValueError("the clutter and the matching cannot both be read from stdin")
     h = _load_clutter(args.file)
     matching = parse_semi_matching(_read_text(args.matching))
     print(format_semi_matching(extract_minor_matching(h, matching)))

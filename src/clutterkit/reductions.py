@@ -70,6 +70,7 @@ class SetCoverInstance(_Value):
                     raise ValueError(f"element {u!r} outside universe 1..{universe_size}")
         sets = tuple(map(frozenset, sets))
         if weights is not None:
+            import math
             from fractions import Fraction
 
             exact = []
@@ -77,6 +78,9 @@ class SetCoverInstance(_Value):
                 # True would pass as Fraction(1), as it would pass as an element
                 if isinstance(w, bool):
                     raise ValueError(f"weights must be numbers, got {w!r}")
+                # a float is taken at its exact value, which inf and nan lack
+                if isinstance(w, float) and not math.isfinite(w):
+                    raise ValueError(f"weights must be finite, got {w!r}")
                 # any other weight, a str or a Decimal say, is read from its
                 # str() as a file weight is, under the same exponent guard
                 exact.append(Fraction(w) if isinstance(w, (int, float, Fraction))

@@ -145,6 +145,24 @@ def matched_clique(k: int) -> Clutter:
                    + [[k + i, k + j] for i in range(k) for j in range(i + 1, k)])
 
 
+def rotation_clutter(n: int) -> Clutter:
+    """The dense rank-4 clutter of the sets {i, i+1, i+3, i+7} and
+    {i, i+2, i+5, i+9} mod n, for each i < n."""
+    return Clutter([(i + d) % n for d in ds] for i in range(n)
+                   for ds in ((0, 1, 3, 7), (0, 2, 5, 9)))
+
+
+def gapped_path(n: int) -> Clutter:
+    """A path on n vertices whose labels leave gaps: edge i joins
+    3i + i % 2 and 3i + 3 + (i + 1) % 2."""
+    return Clutter([3 * i + i % 2, 3 * i + 3 + (i + 1) % 2] for i in range(n - 1))
+
+
+def fan(n: int) -> Clutter:
+    """The rank-3 fan of the n edges {0, 2i+1, 2i+2}."""
+    return Clutter([0, 2 * i + 1, 2 * i + 2] for i in range(n))
+
+
 def _brute_minimal_sets(sets) -> set[frozenset]:
     pool = set(sets)
     return {s for s in pool if not any(t < s for t in pool)}
@@ -361,6 +379,21 @@ def random_cover_instance(rng: random.Random, max_elements=12, max_sets=10,
             sets[rng.randrange(m)].add(u)
     weights = tuple(Fraction(rng.randint(1, max_weight)) for _ in range(m))
     return SetCoverInstance(n, tuple(frozenset(s) for s in sets), weights)
+
+
+def cnf8_text() -> str:
+    """DIMACS text of a 3-CNF formula of 34 clauses on 8 variables, which
+    uses all 16 literals."""
+    clauses = ("".join(f"{(1 - 2 * ((5 * i + i // 8) % 8 >> b & 1)) * ((i + d) % 8 + 1)} "
+                       for b, d in enumerate((0, 2, 5))) + "0\n" for i in range(34))
+    return "p cnf 8 34\n" + "".join(clauses)
+
+
+def cover12_text() -> str:
+    """Set-cover text of 12 sets {i, i+1, i+3} mod 12, plus 1 to each
+    element, on 12 elements, with tied weights 1 + 5i mod 3."""
+    return "12 12\n" + "".join(f"{1 + 5 * i % 3} 3 {i + 1} {(i + 1) % 12 + 1} {(i + 3) % 12 + 1}\n"
+                               for i in range(12))
 
 
 def quadratic_greedy_independent_set(graph) -> tuple[int, ...]:

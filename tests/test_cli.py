@@ -150,18 +150,27 @@ def test_negative_membership_arguments_are_input_errors(tmp_path, capsys, text, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv, code, want", [
-    (["bound", "--k", "3", "--verify", "--json"], 0,
+M3 = "0 1\n2 3\n4 5\n"
+
+
+@pytest.mark.parametrize("argv, text, code, want", [
+    (["bound", "--k", "3", "--verify", "--json"], M3, 0,
      {"edges": 3, "r": 2, "k": 3, "bound": 8, "observed": 8, "within": True}),
-    (["bound", "--k", "1", "--json"], 0, {"edges": 3, "r": 2, "k": 1, "bound": 4}),
-    (["membership", "--r", "2", "--k", "4", "--json"], 0,
+    (["bound", "--k", "1", "--json"], M3, 0, {"edges": 3, "r": 2, "k": 1, "bound": 4}),
+    (["membership", "--r", "2", "--k", "4", "--json"], M3, 0,
      {"r": 2, "k": 4, "rank": 2, "member": True}),
-    (["membership", "--r", "2", "--k", "3", "--json"], 1,
+    (["membership", "--r", "2", "--k", "3", "--json"], M3, 1,
      {"r": 2, "k": 3, "rank": 2, "member": False}),
-], ids=["bound-verify", "bound", "member", "not-member"])
-def test_json_output_is_what_json_dumps_writes(tmp_path, capsys, argv, code, want):
-    p = tmp_path / "m3.clt"
-    p.write_text("0 1\n2 3\n4 5\n")
+    (["bound", "--k", "1", "--json"], "1 2\n", 0, {"edges": 1, "r": 2, "k": 1, "bound": 2}),
+    (["membership", "--r", "2", "--k", "1", "--json"], "1 2\n", 1,
+     {"r": 2, "k": 1, "rank": 2, "member": False}),
+    (["membership", "--r", "2", "--k", "2", "--json"], "1 2\n", 0,
+     {"r": 2, "k": 2, "rank": 2, "member": True}),
+], ids=["bound-verify", "bound", "member", "not-member",
+        "bound-one-edge", "not-member-one-edge", "member-one-edge"])
+def test_json_output_is_what_json_dumps_writes(tmp_path, capsys, argv, text, code, want):
+    p = tmp_path / "h.clt"
+    p.write_text(text)
     assert main([*argv, str(p)]) == code
     assert capsys.readouterr().out == json.dumps(want) + "\n"
 

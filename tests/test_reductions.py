@@ -107,6 +107,14 @@ class TestSetCoverMapping:
         with pytest.raises(ValueError):
             SetCoverInstance(2, (frozenset({1}),), names=("a", "b"))
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("before, after", [((), ()), ((1, 0.5), (Fraction(3, 2),))],
+                             ids=["alone", "beside valid weights"])
+    def test_non_finite_float_weight_is_refused(self, bad, before, after):
+        weights = (*before, float(bad), *after)
+        with pytest.raises(ValueError, match=f"weights must be finite, got {bad}"):
+            SetCoverInstance(1, (frozenset({1}),) * len(weights), weights)
+
 
 class TestSolveSetCover:
     def test_triangle_cardinality(self):
