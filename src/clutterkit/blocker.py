@@ -176,7 +176,7 @@ from math import comb
 from operator import or_
 from typing import Iterable, Sequence
 
-from .core import Clutter, Edge
+from .core import Clutter, Edge, _check_count
 from .errors import ResourceLimitError
 
 DEFAULT_EDGE_BUDGET = 10**6
@@ -246,6 +246,7 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, l
     the masks before they decode them.  Where _lattice_answers says so,
     _lattice returns the same masks in the Berge fold's place.
     """
+    _check_count(edge_budget, "edge budget")
     verts, masks, pairs = _edge_masks(h, literals)
     n = len(verts)
     if _lattice_answers(n, edge_budget):
@@ -518,6 +519,7 @@ def cheapest_transversal(
     in blocker, and the answer and its budget trips are those of a scan of
     the blocker (of its consistent sets, with literals).
     """
+    _check_count(edge_budget, "edge budget")
     verts, masks, pairs = _edge_masks(h, literals)
     n = len(verts)
     if not _lattice_answers(n, edge_budget):

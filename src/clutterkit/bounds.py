@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker
-from .core import Clutter, _Value, _check_int
+from .core import Clutter, _Value, _check_count, _check_int
 from .errors import NotInClassError
 from .matching import DEFAULT_NODE_BUDGET, find_kk2_minor
 
@@ -29,15 +29,11 @@ class BoundParams(_Value):
     k: int
 
     def __init__(self, edge_count: int, r: int, k: int):
-        _check_int(edge_count, "edge count")
+        _check_count(edge_count, "edge count")
         _check_int(r, "rank bound")
-        _check_int(k, "matching bound")
-        if edge_count < 0:
-            raise ValueError("edge count must be non-negative")
+        _check_count(k, "matching bound")
         if r < 2:
             raise ValueError("the bound is only defined for rank at least 2")
-        if k < 0:
-            raise ValueError("matching bound must be non-negative")
         super().__init__(edge_count, r, k)
 
 
@@ -94,15 +90,12 @@ def class_membership(
 ) -> bool:
     """True iff h has rank at most r and no matching minor of k pairs.
 
-    An r or k that is not a non-negative int raises ValueError whatever
-    the rank of h.
+    An r, k or node_budget that is not a non-negative int raises
+    ValueError whatever the rank of h.
     """
-    _check_int(r, "rank bound")
-    _check_int(k, "matching size")
-    if r < 0:
-        raise ValueError("rank bound must be non-negative")
-    if k < 0:
-        raise ValueError("matching size must be non-negative")
+    _check_count(r, "rank bound")
+    _check_count(k, "matching size")
+    _check_count(node_budget, "node budget")
     if h.is_zero:
         raise ValueError("class membership is undefined for the edgeless clutter")
     if h.rank() > r:
@@ -121,13 +114,13 @@ def verify_bound(
     blocker size.
 
     Requires h to have no matching minor of k+1 pairs (checked; raises
-    NotInClassError otherwise) and rank at least 2; a k that is not a
-    non-negative int raises ValueError.  A report with within_bound false
-    would indicate an implementation bug.
+    NotInClassError otherwise) and rank at least 2; a k or budget that is
+    not a non-negative int raises ValueError.  A report with within_bound
+    false would indicate an implementation bug.
     """
-    _check_int(k, "matching bound")
-    if k < 0:
-        raise ValueError("matching bound must be non-negative")
+    _check_count(k, "matching bound")
+    _check_count(edge_budget, "edge budget")
+    _check_count(node_budget, "node budget")
     if h.is_zero:
         raise ValueError("the bound is undefined for the edgeless clutter")
     witness = find_kk2_minor(h, k + 1, node_budget=node_budget)

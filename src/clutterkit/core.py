@@ -29,6 +29,13 @@ def _check_int(value: object, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _check_count(value: object, what: str) -> None:
+    """Raise ValueError unless value is an int other than a bool, at least 0."""
+    _check_int(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative")
+
+
 def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     # by size, then lexicographically: the sort by len is stable, and both
     # sorts compare in C

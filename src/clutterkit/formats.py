@@ -157,7 +157,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def parse_setcover(text: str) -> SetCoverInstance:
     """Parse the cover format: first line 'n m', then m lines of
-    '<weight> <size> <e1> ... <esize>' with 1-based elements."""
+    '<weight> <size> <e1> ... <esize>' with distinct 1-based elements."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty cover instance", 1)
@@ -182,6 +182,8 @@ def parse_setcover(text: str) -> SetCoverInstance:
         size, *elems = _ints(toks[1:], lineno)
         if len(elems) != size:
             raise ParseError(f"declared {size} elements, found {len(elems)}", lineno)
+        if len(set(elems)) < size:
+            raise ParseError("duplicate element in set", lineno)
         for u in elems:
             if not 1 <= u <= n:
                 raise ParseError(f"element {u} outside universe 1..{n}", lineno)

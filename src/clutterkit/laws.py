@@ -10,7 +10,7 @@ import random
 from typing import Callable
 
 from .blocker import blocker
-from .core import Clutter, ONE, ZERO, _Value, _check_int
+from .core import Clutter, ONE, ZERO, _Value, _check_count
 from .generate import random_clutter
 
 
@@ -79,9 +79,7 @@ _LAWS: dict[str, Callable[..., bool]] = {
 
 def run_law_suite(samples: int = 500, seed: int = 0) -> list[LawResult]:
     """Run every law on `samples` random inputs; one result per law."""
-    _check_int(samples, "sample count")
-    if samples < 0:
-        raise ValueError(f"sample count must be non-negative, got {samples}")
+    _check_count(samples, "sample count")
     rng = random.Random(seed)
     failures: dict[str, str] = {}
     if blocker(ZERO) != ONE:

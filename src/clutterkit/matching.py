@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Clutter, Edge, _Value, _check_int
+from .core import Clutter, Edge, _Value, _check_count, _check_int
 from .errors import ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -53,9 +53,7 @@ class SemiMatching(_Value):
             # each label is checked as given, as Clutter() checks it: in a
             # set, True or 2.0 would already have collapsed into an int
             for v in left + host:
-                _check_int(v, "vertex label")
-                if v < 0:
-                    raise ValueError(f"vertex labels must be non-negative, got {v}")
+                _check_count(v, "vertex label")
             l = tuple(sorted(set(left)))
             s = tuple(sorted(set(host)))
             if len(l) != 2:
@@ -114,9 +112,7 @@ class ConflictGraph(_Value):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        _check_int(n, "vertex count")
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_count(n, "vertex count")
         edges = tuple(edges)
         for i, j in edges:
             _check_int(i, "conflict edge endpoint")
@@ -452,6 +448,7 @@ def _search_pairs(
     the stage is raised: the matching-minor search with minor_size, else
     semi-matching enumeration.
     """
+    _check_count(budget, "search budget")
     stage = "semi-matching enumeration" if minor_size is None else "matching-minor search"
     limit = f"{stage} exceeded budget of {budget} search steps"
     edges = h.edges
@@ -670,7 +667,11 @@ def _witness(h: Clutter, matching: SemiMatching) -> MinorWitness:
 
 
 def is_k_matching(h: Clutter, k: int) -> bool:
-    """True iff h has exactly k edges, all of size two, pairwise disjoint."""
+    """True iff h has exactly k edges, all of size two, pairwise disjoint.
+
+    A k that is not an int raises ValueError.
+    """
+    _check_int(k, "matching size")
     if k < 0 or len(h.edges) != k:
         return False
     if any(len(e) != 2 for e in h.edges):
@@ -705,12 +706,10 @@ def find_kk2_minor(
     staircase, no two candidates meet 3b, so for k >= 2 the answer is
     None; it is charged the root and the one-candidate families the search
     would reach, and no candidate is built.  Past node_budget steps a
-    ResourceLimitError is raised.  A k that is not a non-negative int
-    raises ValueError.
+    ResourceLimitError is raised.  A k or node_budget that is not a
+    non-negative int raises ValueError.
     """
-    _check_int(k, "matching size")
-    if k < 0:
-        raise ValueError("matching size must be non-negative")
+    _check_count(k, "matching size")
     for pairs in _search_pairs(h, node_budget, k):
         return _witness(h, SemiMatching._from_canonical(pairs))
     return None

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .blocker import DEFAULT_EDGE_BUDGET, blocker, cheapest_transversal
-from .core import _REREADABLE, Clutter, _Value, _check_int
+from .core import _REREADABLE, Clutter, _Value, _check_count, _check_int
 from .errors import InfeasibleInstanceError, ParseError
 
 if TYPE_CHECKING:
@@ -57,9 +57,7 @@ class SetCoverInstance(_Value):
         weights: tuple[Fraction, ...] | None = None,
         names: tuple[str, ...] | None = None,
     ):
-        _check_int(universe_size, "universe size")
-        if universe_size < 0:
-            raise ValueError("universe size must be non-negative")
+        _check_count(universe_size, "universe size")
         # each element is checked as given: in a frozenset, True would
         # already have collapsed into 1
         sets = [s if s.__class__ in _REREADABLE else tuple(s) for s in sets]
@@ -137,9 +135,7 @@ class CnfFormula(_Value):
     clauses: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
-        _check_int(num_vars, "variable count")
-        if num_vars < 0:
-            raise ValueError("variable count must be non-negative")
+        _check_count(num_vars, "variable count")
         clauses = tuple(tuple(c) for c in clauses)
         for clause in clauses:
             if not clause:

@@ -235,6 +235,7 @@ class TestSetCoverFormat:
     (parse_setcover, "2 1\nabc 1 1\n", 2),
     (parse_setcover, "2 1\n1/0 1 1\n", 2),
     (parse_setcover, "2 1\n1 2 1 y\n", 2),
+    (parse_setcover, "2 2\n1 2 1 1\n1 1 2\n", 2),  # an element twice in one set
 ])
 def test_rejection_names_its_line(parse, text, line):
     with pytest.raises(ParseError) as err:

@@ -2,7 +2,6 @@ import pytest
 
 import clutterkit.laws
 from clutterkit import ZERO, blocker, run_law_suite
-from clutterkit.cli import main
 
 
 def test_all_laws_hold_on_a_quick_run():
@@ -35,11 +34,3 @@ def test_a_failing_law_is_reported_with_its_counterexample(monkeypatch):
     assert not involution.ok
     detail = involution.detail
     assert detail.startswith("f=") and " g=" in detail and " h=" in detail, detail
-
-
-def test_laws_command_exits_1_on_a_failed_law(monkeypatch, capsys):
-    monkeypatch.setattr(clutterkit.laws, "blocker", lambda h: ZERO)
-    assert main(["laws", "--samples", "3"]) == 1
-    out = capsys.readouterr().out
-    assert "blocker is an involution: FAILED (3 samples)" in out
-    assert "counterexample:" in out

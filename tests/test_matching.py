@@ -986,6 +986,14 @@ class TestIsKMatching:
         assert not is_k_matching(ONE, 0)
         assert not is_k_matching(Clutter([[1, 2]]), 2)
         assert not is_k_matching(Clutter([[1], [2, 3, 4]]), 2)  # 2 edges on 4 vertices
+        assert not is_k_matching(kk2(2), -1)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2", None])
+    def test_k_must_be_an_int(self, k):
+        # kk2(2) and kk2(1) are 2.0- and True-matchings if k is not checked
+        for h in (kk2(2), kk2(1)):
+            with pytest.raises(ValueError, match="matching size must be an integer"):
+                is_k_matching(h, k)
 
 
 class TestFindMatchingMinor:

@@ -22,6 +22,7 @@ from clutterkit import (
     SetCoverInstance,
     ZERO,
     blocker,
+    maximal_independent_sets,
     class_membership,
     enumerate_semi_matchings,
     extract_minor_matching,
@@ -29,6 +30,8 @@ from clutterkit import (
     kk2,
     random_clutter,
     run_law_suite,
+    solve_sat,
+    solve_setcover,
     staircase,
     verify_bound,
 )
@@ -119,6 +122,29 @@ REJECTED = [
     (ConflictGraph, {"n": 2, "edges": ((True, 0),)}),
     (ConflictGraph, {"n": 2, "edges": ((0, 1.0),)}),
 ]
+
+# every budget of the library, with the other arguments of a call; rank 3
+# is past class_membership's r, so it must check its budget up front
+BUDGETS = [
+    (blocker, {"h": kk2(2)}, "edge_budget"),
+    (maximal_independent_sets, {"h": kk2(2)}, "edge_budget"),
+    (find_kk2_minor, {"h": kk2(2), "k": 2}, "node_budget"),
+    (enumerate_semi_matchings, {"h": kk2(2)}, "budget"),
+    (class_membership, {"h": staircase(2), "r": 2, "k": 2}, "node_budget"),
+    (verify_bound, {"h": kk2(2), "k": 2}, "edge_budget"),
+    (verify_bound, {"h": kk2(2), "k": 2}, "node_budget"),
+    (solve_setcover, {"inst": SetCoverInstance(1, ({1},))}, "edge_budget"),
+    (solve_sat, {"formula": CnfFormula(1, ((1,),))}, "edge_budget"),
+]
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5, "9", None])
+@pytest.mark.parametrize("func, kwargs, name", BUDGETS,
+                         ids=[f"{func.__name__}-{name}" for func, _, name in BUDGETS])
+def test_budgets_are_non_negative_ints(func, kwargs, name, value):
+    with pytest.raises(ValueError, match="budget must be (an integer|non-negative)"):
+        func(**kwargs, **{name: value})
+
 
 cases = pytest.mark.parametrize("cls, kwargs", [case[:2] for case in CASES],
                                 ids=[cls.__name__ for cls, *_ in CASES])
