@@ -9,7 +9,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .blocker import blocker, maximal_independent_sets
 from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membership, verify_bound
@@ -33,6 +33,9 @@ from .matching import (
     find_kk2_minor,
 )
 from .reductions import _rational, solve_sat, solve_setcover
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _read_text(path: str) -> str:
@@ -98,13 +101,17 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _text(value: int | bool) -> str:
-    """An int or a bool as JSON writes it."""
-    # str() refuses an int of more than 4,300 digits, and a bound can have
-    # more; Decimal writes any int exactly
+def _text(value: int | bool | Fraction) -> str:
+    """An int or a bool as JSON writes it; a Fraction as its numerator,
+    then / and its denominator unless that is 1."""
+    # str() refuses an int of more than 4,300 digits, and a bound or a
+    # cost can have more; Decimal writes any int exactly
     from decimal import Decimal
 
-    return str(value).lower() if isinstance(value, bool) else str(Decimal(value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    n, d = map(Decimal, value.as_integer_ratio())
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _print_json(payload: dict[str, int | bool]) -> None:
@@ -164,7 +171,7 @@ def cmd_solve_setcover(args) -> int:
     objective = "oracle" if oracle is not None else "weighted" if args.weighted else "cardinality"
     cover, cost = solve_setcover(inst, objective, oracle=oracle, edge_budget=args.budget)
     print("cover:", " ".join(map(str, cover)))
-    print("cost:", cost)
+    print("cost:", _text(cost))
     return 0
 
 

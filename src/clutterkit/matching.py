@@ -209,31 +209,26 @@ def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
     """
     in_l: dict[int, int] | None = None
     in_s: dict[int, int] = {}
-    if minor:
-        def clash(i: int) -> int:
-            nonlocal in_l, in_s
-            if in_l is None:
-                in_l, in_s = _vertex_masks(cand)
+
+    def clash(i: int) -> int:
+        nonlocal in_l, in_s
+        if in_l is None:
+            in_l, in_s = _vertex_masks(cand)
+        (a, b), e = cand[i]
+        if minor:
             # 3b fails when L_i meets S_j or L_j meets S_i
-            (a, b), e = cand[i]
             mask = in_s[a] | in_s[b]
             for v in e:
                 mask |= in_l[v]
             return mask
-    else:
-        def clash(i: int) -> int:
-            nonlocal in_l, in_s
-            if in_l is None:
-                in_l, in_s = _vertex_masks(cand)
-            # 2 fails when L_i meets L_j, and 3a when either L lies inside
-            # the other's S: L_j lies inside S_i when it meets S_i twice
-            (a, b), e = cand[i]
-            once = twice = 0
-            for v in e:
-                m = in_l[v]
-                twice |= once & m
-                once |= m
-            return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
+        # 2 fails when L_i meets L_j, and 3a when either L lies inside
+        # the other's S: L_j lies inside S_i when it meets S_i twice
+        once = twice = 0
+        for v in e:
+            m = in_l[v]
+            twice |= once & m
+            once |= m
+        return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
     return clash
 
 

@@ -275,24 +275,6 @@ def brute_semi_matchings(edges) -> list[tuple]:
     return sorted(out, key=lambda f: (len(f), f))
 
 
-def brute_has_matching_minor(edge_sets, k: int) -> bool:
-    """Exhaustive search over every keep/delete/contract assignment."""
-    edges = [frozenset(e) for e in edge_sets]
-    universe = sorted(set().union(*edges)) if edges else []
-    for assign in itertools.product(range(3), repeat=len(universe)):
-        dele = {v for v, a in zip(universe, assign) if a == 1}
-        cont = {v for v, a in zip(universe, assign) if a == 2}
-        cur = [e - cont for e in edges if not e & dele]
-        mins = _brute_minimal_sets(cur)
-        if (
-            len(mins) == k
-            and all(len(s) == 2 for s in mins)
-            and len(frozenset().union(*mins) if mins else frozenset()) == 2 * k
-        ):
-            return True
-    return False
-
-
 def brute_minor_contains(edge_sets, recognizer) -> bool:
     """Exhaustive minor search with an arbitrary shape recognizer."""
     edges = [frozenset(e) for e in edge_sets]
@@ -306,23 +288,29 @@ def brute_minor_contains(edge_sets, recognizer) -> bool:
     return False
 
 
-def brute_min_cover_cost(inst, objective="cardinality"):
-    """Minimum cover cost over every subfamily; None when infeasible."""
+def brute_has_matching_minor(edge_sets, k: int) -> bool:
+    """Exhaustive search over every keep/delete/contract assignment for a
+    minor of k disjoint two-vertex edges."""
+    return brute_minor_contains(edge_sets, lambda mins: (
+        len(mins) == k and all(len(s) == 2 for s in mins)
+        and len(frozenset().union(*mins)) == 2 * k))
+
+
+def brute_covers(inst):
+    """Every subfamily of inst's sets that covers its universe, as a tuple
+    of set indices, fewest sets first."""
     universe = set(range(1, inst.universe_size + 1))
-    best = None
     for r in range(len(inst.sets) + 1):
         for combo in itertools.combinations(range(len(inst.sets)), r):
-            covered = set()
-            for i in combo:
-                covered |= inst.sets[i]
-            if covered >= universe:
-                if objective == "cardinality":
-                    cost = len(combo)
-                else:
-                    cost = sum((inst.weights[i] for i in combo), Fraction(0))
-                if best is None or cost < best:
-                    best = cost
-    return best
+            if set().union(*(inst.sets[i] for i in combo)) >= universe:
+                yield combo
+
+
+def brute_min_cover_cost(inst, objective="cardinality"):
+    """Minimum cover cost over every subfamily; None when infeasible."""
+    return min((len(combo) if objective == "cardinality"
+                else sum((inst.weights[i] for i in combo), Fraction(0))
+                for combo in brute_covers(inst)), default=None)
 
 
 def truth_table_satisfiable(formula) -> bool:

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import clutterkit
 import clutterkit.laws
-from clutterkit import (ZERO, Clutter, ResourceLimitError, enumerate_semi_matchings,
+from clutterkit import (ZERO, Clutter, ResourceLimitError, blocker, enumerate_semi_matchings,
                         format_semi_matching, kk2, random_clutter, serialize_clutter, staircase)
 from clutterkit.cli import main
 
@@ -49,6 +49,8 @@ INPUTS = {
     "huge exponent": "1 1\n1e4000000 1 1\n",
     "cover3": "3 3\n1 2 1 2\n1 2 2 3\n1 2 1 3\n",
     "cover3, one heavy set": "3 3\n1 2 1 2\n1 2 2 3\n10 2 1 3\n",
+    "weight 1e4300": "1 1\n1e4300 1 1\n",
+    "weight 1e-4300": "1 1\n1e-4300 1 1\n",
     "repeated element": "2 2\n1 2 1 1\n1 1 2\n",
     "not a number": "1 x\n",
     "one edge": "0 1\n",
@@ -205,6 +207,9 @@ SINGLE_RUNS = [
     ("solve-sat", "no variables", 0, "SATISFIABLE\nv 0\n"),
     ("solve-setcover", "cover3, one heavy set", 0, "cover: 0 1\ncost: 2\n"),
     ("solve-setcover --weighted", "cover3, one heavy set", 0, "cover: 0 1\ncost: 2\n"),
+    # a cost past the 4,300 digits str() writes of an int is printed exactly
+    ("solve-setcover --weighted", "weight 1e4300", 0, f"cover: 0\ncost: 1{'0' * 4300}\n"),
+    ("solve-setcover --weighted", "weight 1e-4300", 0, f"cover: 0\ncost: 1/1{'0' * 4300}\n"),
     ("solve-setcover", "repeated element", 2, "error: line 2: duplicate element in set\n"),
     ("gen --family kk2 --k 2", "empty", 0, "0 1\n2 3\n"),
     ("gen --family staircase --n 2", "empty", 0, "1 3\n2 3 4\n"),
@@ -308,13 +313,14 @@ ORACLES = [
     ("", 2, "error: the oracle command is empty\n"),
     (" ", 2, "error: the oracle command is empty\n"),
     (f"{sys.executable} -c \"print('1/0')\"", 2, "error: '1/0' is not a rational\n"),
+    ("echo 1e4300", 0, f"cover: 0 1\ncost: 1{'0' * 4300}\n"),
 ]
 
 
 @pytest.mark.parametrize("cmd, code, want", ORACLES,
                          ids=["prints the cost", "exits 1", "prints no rational",
                               "prints a cost and exits 1", "empty", "blank",
-                              "prints a zero denominator"])
+                              "prints a zero denominator", "prints a cost of 4,301 digits"])
 def test_solve_setcover_oracle_cmd(monkeypatch, capsys, cmd, code, want):
     argv = ["solve-setcover", "--oracle-cmd", cmd]
     check(run(monkeypatch, capsys, argv, INPUTS["cover3"]), code, want)
@@ -410,10 +416,19 @@ def test_every_law_holds_on_200_samples(capsys):
 
 
 def test_laws_command_exits_1_on_a_failed_law(monkeypatch, capsys):
+    # a blocker that is always ZERO breaks only the involution, at the unit
+    involution = "blocker is an involution: ok (3 samples)\n"
     monkeypatch.setattr(clutterkit.laws, "blocker", lambda h: ZERO)
-    check(run(monkeypatch, capsys, ["laws", "--samples", "3"], ""), 1,
-          ["blocker is an involution: FAILED (3 samples)",
-           "  counterexample: blocker of the edgeless clutter is not the unit"])
+    check(run(monkeypatch, capsys, ["laws", "--samples", "3"], ""), 1, laws_ok(3).replace(
+        involution, "blocker is an involution: FAILED (3 samples)\n"
+        "  counterexample: blocker of the edgeless clutter is not the unit\n"))
+    # one that is wrong only off ZERO fails on a sample, which the line names
+    monkeypatch.setattr(clutterkit.laws, "blocker", lambda h: blocker(h) if h.is_zero else ZERO)
+    code, out, err = run(monkeypatch, capsys, ["laws", "--samples", "3"], "")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    detail = lines[lines.index("blocker is an involution: FAILED (3 samples)") + 1]
+    assert detail.startswith("  counterexample: f=") and " g=" in detail and " h=" in detail, detail
 
 
 def test_import_loads_no_unused_stdlib_modules():

@@ -26,8 +26,10 @@ from clutterkit.blocker import _decode, _fold
 from helpers import (
     berge_fold_peak,
     brute_consistent_minimal_transversals,
+    brute_covers,
     brute_min_cover_cost,
     fold_order,
+    fs_clutter,
     random_cnf,
     random_cover_instance,
     truth_table_satisfiable,
@@ -165,28 +167,11 @@ class TestSolveSetCover:
             assert wcost == brute_min_cover_cost(inst, "weighted")
 
     def test_blocker_sets_are_exactly_the_minimal_covers(self):
-        import itertools
-
-        from clutterkit import blocker
-
         rng = random.Random(157)
         for _ in range(25):
             inst = random_cover_instance(rng, max_elements=8, max_sets=8)
-            universe = set(range(1, inst.universe_size + 1))
-            feasible = []
-            for r in range(len(inst.sets) + 1):
-                for combo in itertools.combinations(range(len(inst.sets)), r):
-                    covered = set()
-                    for i in combo:
-                        covered |= inst.sets[i]
-                    if covered >= universe:
-                        feasible.append(frozenset(combo))
-            minimal = {
-                c for c in feasible
-                if not any(other < c for other in feasible)
-            }
-            got = set(blocker(setcover_to_clutter(inst)).edge_sets)
-            assert got == minimal
+            covers = fs_clutter(brute_covers(inst))
+            assert set(blocker(setcover_to_clutter(inst)).edge_sets) == covers
 
     def test_cover_is_feasible(self):
         rng = random.Random(137)

@@ -102,7 +102,7 @@ REJECTED = [
     # a library weight is read like a file weight: no exponent past 4300
     (SetCoverInstance, {"universe_size": 1, "sets": ({1},), "weights": ("1e1000000",)}),
     (SetCoverInstance, {"universe_size": 1, "sets": ({1},), "weights": (Decimal("1e1000000"),)}),
-    # generator and law-suite counts are ints, not fractions or bools
+    # generator and law-suite counts are non-negative ints, not fractions or bools
     (kk2, {"k": 2.5}),
     (kk2, {"k": True}),
     (staircase, {"n": 2.5}),
@@ -111,6 +111,7 @@ REJECTED = [
     (random_clutter, {"n": True, "m": 1, "r": 1, "seed": 0}),
     (run_law_suite, {"samples": 2.5}),
     (run_law_suite, {"samples": True}),
+    (run_law_suite, {"samples": -3}),
     # semi-matching labels are checked as given, as Clutter() checks them:
     # none of these formats to text that parse_semi_matching reads back
     (SemiMatching, {"pairs": (((True, 2), (True, 2, 3)),)}),
