@@ -172,6 +172,14 @@ class Assignment(_Value):
 
 
 def satisfies(formula: CnfFormula, assignment: Assignment) -> bool:
+    """Whether the assignment makes every clause true.
+
+    Raises ValueError, naming the least missing variable, when the
+    assignment leaves out any of 1..num_vars.
+    """
+    for v in range(1, formula.num_vars + 1):
+        if v not in assignment.values:
+            raise ValueError(f"assignment has no value for variable {v}")
     for clause in formula.clauses:
         if not any(
             assignment.values[abs(lit)] == (lit > 0) for lit in clause

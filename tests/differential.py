@@ -12,14 +12,13 @@ setting, so its records run once, under the default ones.  A record
 holds the answer as ints and tuples, or the exception's type and
 message.
 
-    python tests/differential.py --digest         # sha256 of answers, of trips
+    python tests/differential.py                  # counts, sha256 of answers, of trips
     python tests/differential.py --against REV    # compare with git revision REV
 
 --against extracts `git archive REV src` into a temporary directory,
 runs the same records on it in a child process and lists the first ten
-records that differ; it exits 1 if any does.  --reduced takes the input
-set that test_differential.py pins by digest.  pytest does not collect
-this file.
+records that differ; it exits 1 if any does.  test_differential.py pins
+the counts and digests.  pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ ENGINES = {"fold-only": {"LATTICE_UP_TO": -1}, "default": {}}
 PACKINGS = {"all-packed": 0, "default": None, "none-packed": 10**9}
 
 
-def _clutters(ck, reduced):
+def _clutters(ck):
     """(label, clutter) for the blocker and independent-set records."""
     yield "ZERO", ck.ZERO
     yield "ONE", ck.ONE
@@ -51,35 +50,35 @@ def _clutters(ck, reduced):
         yield f"staircase({k})", ck.staircase(k)
     rng = random.Random(1)
     for n in range(1, 27):
-        for i in range(2 if reduced else 30):
+        for i in range(30):
             edges = [rng.sample(range(n), rng.randint(1, min(4, n)))
                      for _ in range(rng.randint(1, n // 2 + 1))]
             yield f"random(n={n}, i={i})", ck.Clutter(edges)
         if n <= 16:  # n to 2n edges of rank 3 or 4, within the lattice's reach
-            for i in range(1 if reduced else 12):
+            for i in range(12):
                 edges = [rng.sample(range(n), rng.randint(min(3, n), min(4, n)))
                          for _ in range(rng.randint(n, 2 * n))]
                 yield f"dense(n={n}, i={i})", ck.Clutter(edges)
 
 
-def _formulas(ck, reduced):
+def _formulas(ck):
     """(label, formula) on 1..12 variables; from 9 on the fold answers at
     the default budget."""
     rng = random.Random(2)
     for v in range(1, 13):
-        for i in range(3 if reduced else 40):
+        for i in range(40):
             clauses = [tuple(x if rng.random() < 0.5 else -x
                              for x in rng.sample(range(1, v + 1), rng.randint(1, min(3, v))))
                        for _ in range(rng.randint(1, round(4.5 * v)))]
             yield f"cnf(v={v}, i={i})", ck.CnfFormula(v, clauses)
 
 
-def _covers(ck, reduced):
+def _covers(ck):
     """(label, instance): weighted covers of 1..12 elements, some infeasible."""
     from fractions import Fraction
 
     rng = random.Random(3)
-    for i in range(20 if reduced else 400):
+    for i in range(400):
         n = rng.randint(1, 12)
         sets = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(4, n))))
                 for _ in range(rng.randint(1, 10))]
@@ -87,35 +86,35 @@ def _covers(ck, reduced):
         yield f"cover(n={n}, i={i})", ck.SetCoverInstance(n, sets, weights)
 
 
-def _pair_clutters(ck, reduced):
+def _pair_clutters(ck):
     """(label, clutter) for the pair search."""
     for k in range(1, 5):
         yield f"kk2({k})", ck.kk2(k)
     for k in range(1, 6):
         yield f"staircase({k})", ck.staircase(k)
     rng = random.Random(4)
-    for i in range(12 if reduced else 300):
+    for i in range(300):
         n = rng.randint(2, 8)
         edges = [rng.sample(range(n), rng.randint(2, min(4, n)))
                  for _ in range(rng.randint(1, 6))]
         yield f"pairs(n={n}, i={i})", ck.Clutter(edges)
 
 
-def _calls(ck, reduced):
+def _calls(ck):
     """(function, label, n, call) for every input of the blocker and the
     solvers: call(budget) is the answer."""
-    for label, h in _clutters(ck, reduced):
+    for label, h in _clutters(ck):
         n = len(h.vertices)
         yield "blocker", label, n, lambda b, h=h: ck.blocker(h, edge_budget=b).edges
         yield "indep", label, n, lambda b, h=h: ck.maximal_independent_sets(h, edge_budget=b)
-    for label, f in _formulas(ck, reduced):
+    for label, f in _formulas(ck):
 
         def sat(b, f=f):
             a = ck.solve_sat(f, edge_budget=b)
             return () if a is None else (a.as_literals(),)
 
         yield "sat", label, len(ck.cnf_to_clutter(f).vertices), sat
-    for label, inst in _covers(ck, reduced):
+    for label, inst in _covers(ck):
         try:
             n = len(ck.setcover_to_clutter(inst).vertices)
         except ck.InfeasibleInstanceError:
@@ -129,9 +128,9 @@ def _calls(ck, reduced):
             yield f"cover-{objective}", label, n, cover
 
 
-def _pair_calls(ck, reduced):
+def _pair_calls(ck):
     """(function, label, n, call) for every input of the pair search."""
-    for label, h in _pair_clutters(ck, reduced):
+    for label, h in _pair_clutters(ck):
         n = len(h.vertices)
         for k in (1, 2, 3):
 
@@ -155,14 +154,14 @@ def _outcomes(calls, engine, packing):
             yield (function, label, engine, packing, budget), outcome
 
 
-def records(reduced=False):
+def records():
     """Yield (key, outcome): key is (function, input, engine, packing,
     budget), and outcome is ("ok", answer) or ("raise", type name, message)."""
     ck = importlib.import_module("clutterkit")
     # the attribute clutterkit.blocker is the function, not the module
     module = importlib.import_module("clutterkit.blocker")
     saved = {name: getattr(module, name) for name in ("LATTICE_UP_TO", "PACK_FROM")}
-    calls = list(_calls(ck, reduced))
+    calls = list(_calls(ck))
     try:
         for engine, overrides in ENGINES.items():
             for packing, pack_from in PACKINGS.items():
@@ -172,7 +171,7 @@ def records(reduced=False):
                 yield from _outcomes(calls, engine, packing)
     finally:
         module.__dict__.update(saved)
-    yield from _outcomes(_pair_calls(ck, reduced), "default", "default")
+    yield from _outcomes(_pair_calls(ck), "default", "default")
 
 
 def summary(recs) -> tuple[int, int, str, str]:
@@ -187,7 +186,7 @@ def summary(recs) -> tuple[int, int, str, str]:
     return count, tripped, answers.hexdigest(), trips.hexdigest()
 
 
-def _compared(recs, rev: str, reduced: bool, differ: list):
+def _compared(recs, rev: str, differ: list):
     """Pass recs through; for each record to which git revision rev's src
     gives another outcome, append (key, its outcome, ours) to differ."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"],
@@ -196,8 +195,7 @@ def _compared(recs, rev: str, reduced: bool, differ: list):
         with zipfile.ZipFile(BytesIO(archive)) as zf:
             zf.extractall(tmp)
         argv = [sys.executable, __file__, "--emit", str(Path(tmp, "src"))]
-        with subprocess.Popen(argv + ["--reduced"] * reduced,
-                              stdout=subprocess.PIPE, text=True) as child:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as child:
             for rec, line in zip(recs, child.stdout):
                 # both sides as JSON, so tuples compare with lists alike
                 if json.dumps(rec) != line.rstrip("\n"):
@@ -209,26 +207,23 @@ def _compared(recs, rev: str, reduced: bool, differ: list):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--digest", action="store_true", help="print the two digests")
     parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
-    parser.add_argument("--reduced", action="store_true", help="the input set the test pins")
     # one JSON line per record of the clutterkit under the given src, for --against
     parser.add_argument("--emit", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.emit or str(ROOT / "src"))
-    recs = records(args.reduced)
+    recs = records()
     if args.emit:
         for rec in recs:
             print(json.dumps(rec))
         return 0
     differ: list = []
     if args.against:
-        recs = _compared(recs, args.against, args.reduced, differ)
+        recs = _compared(recs, args.against, differ)
     count, tripped, answers, trips = summary(recs)
     print(f"{count} records, {tripped} trips")
-    if args.digest:
-        print("answers", answers)
-        print("trips", trips)
+    print("answers", answers)
+    print("trips", trips)
     if args.against:
         print(f"{len(differ)} records differ from {args.against}")
         for key, old, new in differ[:10]:

@@ -135,15 +135,29 @@ def test_07_staircase_separation():
 
 
 def test_08_minor_search_matches_exhaustive_oracle():
-    with criterion(8, "minor search agrees with exhaustive oracle (100 clutters)", 300):
+    with criterion(8, "minor search agrees with exhaustive oracle (140 clutters, "
+                      "40 with three planted pairs)", 300):
         rng = random.Random(1008)
-        for _ in range(100):
-            h = random_clutter_sample(rng, max_vertices=6, max_edges=5, max_rank=6)
+        clutters = [random_clutter_sample(rng, max_vertices=6, max_edges=5, max_rank=6)
+                    for _ in range(100)]
+        # three disjoint pairs on 6 to 8 vertices plus 0 to 3 random edges:
+        # the draws above are too small for a 3K2 minor
+        rng = random.Random(2008)
+        for _ in range(40):
+            n = rng.randint(6, 8)
+            v = rng.sample(range(1, n + 1), 6)
+            clutters.append(Clutter([v[0:2], v[2:4], v[4:6]] + [
+                rng.sample(range(1, n + 1), rng.randint(2, 4)) for _ in range(rng.randint(0, 3))]))
+        with_3k2 = 0
+        for h in clutters:
             for k in (1, 2, 3):
                 got = find_kk2_minor(h, k)
-                assert (got is not None) == brute_has_matching_minor(h.edge_sets, k)
+                expected = brute_has_matching_minor(h.edge_sets, k)
+                assert (got is not None) == expected
                 if got is not None:
                     assert got.verify(h)
+            with_3k2 += expected  # the oracle's answer for k = 3
+        assert with_3k2 > 0
 
 
 def test_09_sat_equivalence():

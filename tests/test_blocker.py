@@ -349,20 +349,26 @@ class TestEngines:
             assert _fk_verdict(h, b.edges)
 
 
+def _spy(monkeypatch, name, log):
+    """Patch the blocker module's function name so that each call first
+    appends log(*args) to a list; return the list."""
+    blocker_module = importlib.import_module("clutterkit.blocker")
+    logged = []
+    inner = getattr(blocker_module, name)
+
+    def spy(*args):
+        logged.append(log(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(blocker_module, name, spy)
+    return logged
+
+
 @pytest.fixture
 def lattice_calls(monkeypatch):
     """The vertex count of each table of transversals the subset lattice
     builds, for the fold and for the one-answer pick alike."""
-    blocker_module = importlib.import_module("clutterkit.blocker")
-    calls = []
-    transversals = blocker_module._transversals
-
-    def spy(n, masks, pairs):
-        calls.append(n)
-        return transversals(n, masks, pairs)
-
-    monkeypatch.setattr(blocker_module, "_transversals", spy)
-    return calls
+    return _spy(monkeypatch, "_transversals", lambda n, masks, pairs: n)
 
 
 def _sat16():
@@ -474,16 +480,7 @@ class TestLayers:
 def minimal_steps(monkeypatch):
     """The vertex count of each minimality step and byte readout that the
     subset lattice runs on a table of transversals."""
-    blocker_module = importlib.import_module("clutterkit.blocker")
-    calls = []
-    minimal_masks = blocker_module._minimal_masks
-
-    def spy(n, table):
-        calls.append(n)
-        return minimal_masks(n, table)
-
-    monkeypatch.setattr(blocker_module, "_minimal_masks", spy)
-    return calls
+    return _spy(monkeypatch, "_minimal_masks", lambda n, table: n)
 
 
 def _brute_cheapest(h, weights, literals):
@@ -730,16 +727,7 @@ class TestIndependentSetsFromTheFold:
 @pytest.fixture
 def packed_steps(monkeypatch):
     """The mover count of each step the fold packs."""
-    blocker_module = importlib.import_module("clutterkit.blocker")
-    calls = []
-    extend_packed = blocker_module._extend_packed
-
-    def spy(family, movers, *args):
-        calls.append(len(movers))
-        return extend_packed(family, movers, *args)
-
-    monkeypatch.setattr(blocker_module, "_extend_packed", spy)
-    return calls
+    return _spy(monkeypatch, "_extend_packed", lambda family, movers, *args: len(movers))
 
 
 class TestPackedFold:
@@ -781,17 +769,9 @@ class TestPackedFold:
 def fold_steps(monkeypatch):
     """Each step of the fold as its edge mask and the family before it:
     with every step packed, _extend_packed sees them all."""
-    blocker_module = importlib.import_module("clutterkit.blocker")
-    monkeypatch.setattr(blocker_module, "PACK_FROM", 0)
-    steps = []
-    extend_packed = blocker_module._extend_packed
-
-    def spy(family, movers, mask, *args):
-        steps.append((mask, family + movers))
-        return extend_packed(family, movers, mask, *args)
-
-    monkeypatch.setattr(blocker_module, "_extend_packed", spy)
-    return steps
+    monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "PACK_FROM", 0)
+    return _spy(monkeypatch, "_extend_packed",
+                lambda family, movers, mask, *args: (mask, family + movers))
 
 
 def _group_end_cases():

@@ -373,6 +373,15 @@ class TestSolveSat:
         assert a is not None and satisfies(f, a)
         assert not satisfies(f, Assignment({1: True, 2: True}))
 
+    @pytest.mark.parametrize("num_vars, values, missing", [
+        (2, {1: True}, 2),
+        (2, {1: False}, 2),
+        (3, {1: False, 2: True}, 3),
+    ])
+    def test_satisfies_refuses_a_partial_assignment(self, num_vars, values, missing):
+        with pytest.raises(ValueError, match=f"no value for variable {missing}$"):
+            satisfies(CnfFormula(num_vars, ((1, 2),)), Assignment(values))
+
     def test_contradiction(self):
         assert solve_sat(CnfFormula(1, ((1,), (-1,)))) is None
 
