@@ -111,10 +111,10 @@ cached holds tables take n of them for each n used, the cached layers
 per byte of each table size used.
 
 The lattice takes a few table operations per vertex, where the fold
-tests family members one by one, so _lattice_answers decides once, for
-_fold and cheapest_transversal alike, before the first step: on at most
-LATTICE_UP_TO vertices, with edge_budget >= C(n, n // 2), the lattice
-answers, and otherwise the fold runs to the end.  That bound
+tests family members one by one, so _fold decides once, for every
+reader, before the first step: on at most LATTICE_UP_TO vertices, with
+edge_budget >= C(n, n // 2), the lattice answers, and otherwise the
+fold runs to the end.  That bound
 keeps every answer and budget trip point the fold's: every family the
 fold holds is an antichain (a subset of the minimal transversals of the
 seen edges), so by Sperner's theorem (1928) it never holds more than
@@ -128,16 +128,17 @@ bit stands for the least vertex in just one of the two sets, both sorted
 tuples agree up to it, and the set holding it is the lexicographically
 smaller tuple and has the greater mask.  So sorting the masks in
 descending order, then stably by bit count, puts them in canonical order
-with two sorts of ints and no tuple comparison.  Three consumers in this
-module read the masks, each decoding only what it needs.  blocker sorts
+with two sorts of ints and no tuple comparison.  Three readers in this
+module call _fold, each decoding only what it needs.  blocker sorts
 the masks so and decodes them into its clutter, which
 Clutter._from_antichain wraps as they come; maximal_independent_sets
 does the same with the complement of each mask within the vertex set.
 cheapest_transversal wants one set, the canonically first of least cost:
 it keeps the masks of least cost, summing integer weights through one
 256-entry table per eight bits, then takes the greatest of those with
-the fewest bits, and decodes only that one, bit by bit.  Where the
-lattice answers and there are no weights, it reads no mask out at all.
+the fewest bits, and decodes only that one, through _decode.  Without
+weights it asks _fold (with fewest) for only that mask, and where the
+lattice answers, _fold reads no other mask out of the table.
 A transversal with the fewest vertices is minimal, since a smaller
 transversal inside it would have fewer; with literals, a consistent one
 is too, since the sets inside a consistent set are consistent.  So the
@@ -207,8 +208,8 @@ LATTICE_UP_TO = 16
 
 # _decode keeps its tables for this many vertex tuples, each of 1 to 60 KiB
 # up to 24 vertices.  One round of the benchmark's dualize workload decodes
-# on at most 9 vertex tuples; its cli-mix round on 67, all of at most 10
-# vertices, where a rebuild costs a few us
+# on at most 11 vertex tuples; its cli-mix round on 76, all of at most 18
+# vertices, where a rebuild costs 10 to 70 us on one Xeon vCPU
 DECODE_TABLES_KEPT = 16
 
 
@@ -234,23 +235,36 @@ def blocker(h: Clutter, *, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Clutter:
     return Clutter._from_antichain(_decode(verts, _in_canonical_order(masks)))
 
 
-def _fold(h: Clutter, edge_budget: int, literals: bool = False) -> tuple[Edge, list[int]]:
+def _fold(h: Clutter, edge_budget: int, literals: bool = False,
+          fewest: bool = False) -> tuple[Edge, list[int]]:
     """The minimal transversals of h; with literals, only those that hold
     no vertex v together with v ^ 1 (the literals 2i and 2i + 1).
 
     Returns the vertices of h and one bitmask per transversal, in which bit
     n - 1 - i stands for the i-th of the n vertices, so that among masks of
     one size the greater stands for the canonically earlier set.  Only the
-    consumers in this module read the masks, and none relies on their
+    readers in this module read the masks, and none relies on their
     order, which is unspecified: blocker and maximal_independent_sets sort
-    the masks before they decode them.  Where _lattice_answers says so,
-    _lattice returns the same masks in the Berge fold's place.
+    the masks before they decode them.  This is the one place that checks
+    edge_budget and decides between the engines: on at most LATTICE_UP_TO
+    vertices, with a budget the fold could not pass, _lattice returns the
+    same masks in the Berge fold's place.  There, with fewest, only the
+    greatest mask of the fewest bits comes back, the one cheapest_transversal
+    picks without weights; the Berge fold returns every mask either way.
     """
     _check_count(edge_budget, "edge budget")
     verts, masks, pairs = _edge_masks(h, literals)
     n = len(verts)
-    if _lattice_answers(n, edge_budget):
-        return verts, _lattice(n, masks, pairs)
+    # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
+    # budget it cannot trip and the lattice may answer in its place
+    if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
+        if not fewest:
+            return verts, _lattice(n, masks, pairs)
+        # a transversal with the fewest vertices is minimal, so the first
+        # layer of the table that holds any holds the answer, its highest bit
+        table = _transversals(n, masks, pairs)
+        hit = next(filter(None, map(table.__and__, _layers(n))), 0)
+        return verts, [hit.bit_length() - 1] if hit else []
     return verts, _berge(n, masks, pairs, edge_budget)
 
 
@@ -264,13 +278,6 @@ def _edge_masks(h: Clutter, literals: bool) -> tuple[Edge, list[int], int]:
     pairs = sum(1 << n - 2 - p for p in range(n - 1)
                 if verts[p] ^ 1 == verts[p + 1]) if literals else 0
     return verts, masks, pairs
-
-
-def _lattice_answers(n: int, edge_budget: int) -> bool:
-    """Whether the subset lattice answers in the fold's place on n vertices."""
-    # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
-    # budget it cannot trip and the lattice may answer in its place
-    return n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2)
 
 
 def _berge(n: int, masks: list[int], pairs: int, edge_budget: int) -> list[int]:
@@ -517,32 +524,18 @@ def cheapest_transversal(
     that hold no vertex v together with v ^ 1 count, and the fold drops
     every other set as soon as it is built.  edge_budget caps the fold as
     in blocker, and the answer and its budget trips are those of a scan of
-    the blocker (of its consistent sets, with literals).
+    the blocker (of its consistent sets, with literals).  It reads _fold
+    as blocker does, asking, without weights, for only the greatest mask
+    of the fewest bits.
     """
-    _check_count(edge_budget, "edge budget")
-    verts, masks, pairs = _edge_masks(h, literals)
-    n = len(verts)
-    if not _lattice_answers(n, edge_budget):
-        family = _berge(n, masks, pairs, edge_budget)
-    elif weights is None:
-        # a transversal with the fewest vertices is minimal, so the greatest
-        # set of the first layer that holds any is the answer
-        table = _transversals(n, masks, pairs)
-        family = []
-        for layer in _layers(n):
-            if hit := table & layer:
-                family = [hit.bit_length() - 1]
-                break
-    else:
-        family = _lattice(n, masks, pairs)
+    verts, family = _fold(h, edge_budget, literals, weights is None)
     if not family:
         return None
     if weights is not None:
         family = _least_cost(verts, family, weights)
     fewest = min(map(int.bit_count, family))
     first = max([m for m in family if m.bit_count() == fewest])
-    top = n - 1
-    return tuple([v for i, v in enumerate(verts) if first >> top - i & 1])
+    return _decode(verts, [first])[0]
 
 
 def _least_cost(verts: Edge, masks: list[int], weights: Sequence[int]) -> list[int]:

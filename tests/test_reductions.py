@@ -3,6 +3,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -242,6 +243,23 @@ class TestSolveSetCover:
                 tied += costs.count(best) > 1
             zero += best == 0
         assert tied > 40 and zero > 20
+
+    def test_budget_caps_the_fold(self):
+        rng = random.Random(199)
+        kept = 0
+        for _ in range(30):
+            inst = random_cover_instance(rng)
+            h = setcover_to_clutter(inst)
+            n = len(h.vertices)
+            peak = berge_fold_peak(fold_order(h.edges))
+            if peak - 1 >= comb(n, n // 2):  # the lattice would answer at peak - 1
+                continue
+            kept += 1
+            for objective in ("cardinality", "weighted"):
+                assert solve_setcover(inst, objective, edge_budget=peak) == solve_setcover(inst, objective)
+                with pytest.raises(ResourceLimitError):
+                    solve_setcover(inst, objective, edge_budget=peak - 1)
+        assert kept >= 20
 
     def test_monotonicity_spot_check_warns(self):
         bad = MonotoneOracle(lambda s: -len(s))
