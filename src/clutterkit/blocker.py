@@ -247,10 +247,11 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False,
     order, which is unspecified: blocker and maximal_independent_sets sort
     the masks before they decode them.  This is the one place that checks
     edge_budget and decides between the engines: on at most LATTICE_UP_TO
-    vertices, with a budget the fold could not pass, _lattice returns the
-    same masks in the Berge fold's place.  There, with fewest, only the
-    greatest mask of the fewest bits comes back, the one cheapest_transversal
-    picks without weights; the Berge fold returns every mask either way.
+    vertices, with a budget the fold could not pass, it reads the same
+    masks off the subset lattice's 2^n-bit table of transversals in the
+    Berge fold's place.  There, with fewest, only the greatest mask of the
+    fewest bits comes back, the one cheapest_transversal picks without
+    weights; the Berge fold returns every mask either way.
     """
     _check_count(edge_budget, "edge budget")
     verts, masks, pairs = _edge_masks(h, literals)
@@ -258,11 +259,11 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False,
     # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
     # budget it cannot trip and the lattice may answer in its place
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
+        table = _transversals(n, masks, pairs)
         if not fewest:
-            return verts, _lattice(n, masks, pairs)
+            return verts, _minimal_masks(n, table)
         # a transversal with the fewest vertices is minimal, so the first
         # layer of the table that holds any holds the answer, its highest bit
-        table = _transversals(n, masks, pairs)
         hit = next(filter(None, map(table.__and__, _layers(n))), 0)
         return verts, [hit.bit_length() - 1] if hit else []
     return verts, _berge(n, masks, pairs, edge_budget)
@@ -391,12 +392,6 @@ def _layers(n: int) -> tuple[int, ...]:
         # the subsets holding bit i are the others moved up by 2^i
         layers = [low | high << (1 << i) for low, high in zip(layers + [0], [0] + layers)]
     return tuple(layers)
-
-
-def _lattice(n: int, masks: list[int], pairs: int) -> list[int]:
-    """The masks _fold returns for the edge masks of a clutter on n vertices
-    and the clash mask pairs, read off 2^n-bit tables of the subsets."""
-    return _minimal_masks(n, _transversals(n, masks, pairs))
 
 
 def _transversals(n: int, masks: list[int], pairs: int) -> int:

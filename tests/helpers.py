@@ -1,20 +1,52 @@
-"""Shared test utilities: independent brute-force oracles and generators.
+"""Shared test utilities: independent brute-force oracles, the inputs and
+generators more than one test module draws from, and two probes.
 
 The oracles here avoid the package's algorithms on purpose: transversals
 by subset enumeration, minors by trying every deletion/contraction
 assignment, covers by subfamily enumeration, SAT by truth table.  Past
 the reach of subset enumeration, fk_is_blocker checks a claimed blocker
-by Fredman and Khachiyan's duality test.
+by Fredman and Khachiyan's duality test.  The probes watch the package
+at work: spy logs the calls of one of its functions, and traced measures
+the peak memory of one call.
 """
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from clutterkit import Clutter, ONE, ZERO
+
+C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+
+
+def spy(monkeypatch, module, name, note, log=None) -> list:
+    """Patch module's function name so that each call first appends
+    note(*args) to log, a new list unless one is given; return log.  Two
+    spies given one log keep their calls in one order."""
+    log = [] if log is None else log
+    inner = getattr(module, name)
+
+    def spied(*args):
+        log.append(note(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, spied)
+    return log
+
+
+def traced(run):
+    """run() and the tracemalloc peak, in bytes, of that call alone."""
+    tracemalloc.start()
+    try:
+        got = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak
 
 
 def random_clutter_sample(rng: random.Random, max_vertices=8, max_edges=6, max_rank=4,
@@ -145,11 +177,16 @@ def matched_clique(k: int) -> Clutter:
                    + [[k + i, k + j] for i in range(k) for j in range(i + 1, k)])
 
 
+def rotations(n: int, *shapes) -> Clutter:
+    """The clutter of the sets {i + d for d in ds} mod n, for each i < n
+    and each tuple ds of shapes."""
+    return Clutter([(i + d) % n for d in ds] for i in range(n) for ds in shapes)
+
+
 def rotation_clutter(n: int) -> Clutter:
     """The dense rank-4 clutter of the sets {i, i+1, i+3, i+7} and
     {i, i+2, i+5, i+9} mod n, for each i < n."""
-    return Clutter([(i + d) % n for d in ds] for i in range(n)
-                   for ds in ((0, 1, 3, 7), (0, 2, 5, 9)))
+    return rotations(n, (0, 1, 3, 7), (0, 2, 5, 9))
 
 
 def gapped_path(n: int) -> Clutter:
@@ -341,16 +378,18 @@ def brute_consistent_minimal_transversals(formula) -> set[frozenset]:
     return out
 
 
+def clause(rng: random.Random, variables, width: int) -> tuple[int, ...]:
+    """width distinct variables drawn from variables, each negated with
+    probability 1/2."""
+    return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(variables, width))
+
+
 def random_cnf(rng: random.Random, max_vars=12, max_clauses=20, width=3):
     from clutterkit import CnfFormula
 
     n = rng.randint(width, max_vars)
     m = rng.randint(1, max_clauses)
-    clauses = []
-    for _ in range(m):
-        variables = rng.sample(range(1, n + 1), width)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
-    return CnfFormula(n, tuple(clauses))
+    return CnfFormula(n, tuple(clause(rng, range(1, n + 1), width) for _ in range(m)))
 
 
 def random_cover_instance(rng: random.Random, max_elements=12, max_sets=10,

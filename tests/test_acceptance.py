@@ -32,6 +32,7 @@ from clutterkit import (
 )
 
 from helpers import (
+    C6,
     brute_has_matching_minor,
     brute_min_cover_cost,
     random_clutter_sample,
@@ -39,8 +40,6 @@ from helpers import (
     random_cover_instance,
     truth_table_satisfiable,
 )
-
-C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
 
 @contextlib.contextmanager

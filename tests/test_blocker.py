@@ -3,7 +3,6 @@ import importlib
 import itertools
 import random
 import sys
-import tracemalloc
 from math import comb
 
 import pytest
@@ -33,24 +32,31 @@ from clutterkit.blocker import (
     _decode_tables,
     _edge_masks,
     _fold,
-    _lattice,
     _layers,
+    _minimal_masks,
+    _transversals,
     cheapest_transversal,
 )
-from clutterkit.core import _canonical
 
 from helpers import (
+    C6,
     berge_fold_peak,
     brute_minimal_transversals,
     canonical_edges,
+    clause,
     exact_clutter,
     fk_is_blocker,
     fold_order,
     random_clutter_sample,
+    rotation_clutter,
+    rotations,
+    spy,
+    traced,
     truth_table_satisfiable,
 )
 
-C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+# the attribute clutterkit.blocker is the function, not the module
+BLOCKER = importlib.import_module("clutterkit.blocker")
 
 
 def _spanning_edges(rng, verts, rank, count):
@@ -117,8 +123,7 @@ def _packed_sat_cases():
             clauses, parts = [], []
             for size in sizes:
                 group, variables = variables[:size], variables[size:]
-                part = [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(group, 3))
-                        for _ in range(rng.randint(1, 6 * size))]
+                part = [clause(rng, group, 3) for _ in range(rng.randint(1, 6 * size))]
                 clauses += part
                 parts.append([[2 * l if l > 0 else -2 * l + 1 for l in c] for c in part])
             f = CnfFormula(sum(sizes), tuple(clauses))
@@ -252,9 +257,8 @@ class TestBlocker:
         rng = random.Random(71)
         for _ in range(12):
             n = rng.randint(7, 12)
-            f = CnfFormula(n, tuple(
-                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
-                for _ in range(rng.randint(n, round(4.2 * n)))))
+            f = CnfFormula(n, tuple(clause(rng, range(1, n + 1), 3)
+                                    for _ in range(rng.randint(n, round(4.2 * n)))))
             clashes = [(2 * i, 2 * i + 1) for i in range(1, n + 1)]
             peak = berge_fold_peak(fold_order(cnf_to_clutter(f).edges), clashes)
             assert solve_sat(f, edge_budget=peak) == solve_sat(f)
@@ -262,12 +266,7 @@ class TestBlocker:
                 solve_sat(f, edge_budget=peak - 1)
 
     def test_memory_of_sixty_five_thousand_sets(self):
-        tracemalloc.start()
-        try:
-            got = blocker(kk2(16))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = traced(lambda: blocker(kk2(16)))
         assert len(got) == 2**16
         assert peak < 16 * 10**6  # bytes; 14.2 MB when first measured
 
@@ -279,23 +278,13 @@ class TestBlocker:
         # measured; one int per seen edge makes it 3.13x (2.80 MiB)
         rng = random.Random(1)
         h = Clutter([tuple(sorted(rng.sample(range(1, 33), 3))) for _ in range(48)])
-        tracemalloc.start()
-        try:
-            _, family = _fold(h, DEFAULT_EDGE_BUDGET)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (_, family), peak = traced(lambda: _fold(h, DEFAULT_EDGE_BUDGET))
         assert len(family) == 23_852
         assert peak < 2.4 * (sys.getsizeof(family) + sum(map(sys.getsizeof, family)))
 
 
-def _rotations(n, *offsets):
-    """The edges {i + o for o in offsets} mod n, for i < n."""
-    return [[(i + o) % n for o in offsets] for i in range(n)]
-
-
 # a dense rank-4 clutter on 14 vertices whose blocker has 303 sets
-DENSE14 = Clutter(_rotations(14, 0, 1, 3, 7) + _rotations(14, 0, 2, 5, 9))
+DENSE14 = rotation_clutter(14)
 
 
 def _engine_cases():
@@ -349,34 +338,18 @@ class TestEngines:
             assert _fk_verdict(h, b.edges)
 
 
-def _spy(monkeypatch, name, log):
-    """Patch the blocker module's function name so that each call first
-    appends log(*args) to a list; return the list."""
-    blocker_module = importlib.import_module("clutterkit.blocker")
-    logged = []
-    inner = getattr(blocker_module, name)
-
-    def spy(*args):
-        logged.append(log(*args))
-        return inner(*args)
-
-    monkeypatch.setattr(blocker_module, name, spy)
-    return logged
-
-
 @pytest.fixture
 def lattice_calls(monkeypatch):
     """The vertex count of each table of transversals the subset lattice
     builds, for the fold and for the one-answer pick alike."""
-    return _spy(monkeypatch, "_transversals", lambda n, masks, pairs: n)
+    return spy(monkeypatch, BLOCKER, "_transversals", lambda n, masks, pairs: n)
 
 
 def _sat16():
     """A 3-CNF formula on 8 variables whose clause clutter has 19 edges on
     all 16 literal vertices."""
     rng = random.Random(0)
-    return CnfFormula(8, tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3))
-                               for _ in range(20)))
+    return CnfFormula(8, tuple(clause(rng, range(1, 9), 3) for _ in range(20)))
 
 
 class TestLatticeSwitch:
@@ -396,8 +369,7 @@ class TestLatticeSwitch:
         assert lattice_calls == [14]
 
     def test_not_on_seventeen_vertices(self, lattice_calls):
-        h = Clutter(_rotations(17, 0, 1, 3, 7) + _rotations(17, 0, 2, 5, 9)
-                    + _rotations(17, 0, 4, 6, 13))
+        h = rotations(17, (0, 1, 3, 7), (0, 2, 5, 9), (0, 4, 6, 13))
         assert len(h.vertices) == 17
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == []
@@ -411,14 +383,14 @@ class TestLatticeSwitch:
         assert len(got) == size
         assert lattice_calls == [n]
         assert fk_is_blocker(h.edges, got.edges)
-        monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "LATTICE_UP_TO", -1)
+        monkeypatch.setattr(BLOCKER, "LATTICE_UP_TO", -1)
         assert blocker(h) == got
         assert lattice_calls == [n]
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_at_once_with_as_many_edges_as_vertices(self, n, lattice_calls):
         # the n-cycle: n edges on n vertices
-        h = Clutter(_rotations(n, 0, 1))
+        h = rotations(n, (0, 1))
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == [n]
 
@@ -436,8 +408,7 @@ class TestLatticeReadout:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_first_and_last_bits_of_the_table(self, n, monkeypatch):
-        blocker_module = importlib.import_module("clutterkit.blocker")
-        monkeypatch.setattr(blocker_module, "LATTICE_UP_TO", -1)
+        monkeypatch.setattr(BLOCKER, "LATTICE_UP_TO", -1)
         full = (1 << n) - 1
         # the n singletons: one transversal, the table's last bit; the one
         # edge of all n vertices: the n singletons, its first bits
@@ -446,7 +417,7 @@ class TestLatticeReadout:
             verts, folded = _fold(h, DEFAULT_EDGE_BUDGET)
             assert verts == tuple(range(n))
             assert sorted(folded) == want
-            assert _lattice(n, masks, 0) == want
+            assert _minimal_masks(n, _transversals(n, masks, 0)) == want
 
     def test_dense_clutters_on_sixteen_vertices(self, lattice_calls):
         rng = random.Random(89)
@@ -480,7 +451,7 @@ class TestLayers:
 def minimal_steps(monkeypatch):
     """The vertex count of each minimality step and byte readout that the
     subset lattice runs on a table of transversals."""
-    return _spy(monkeypatch, "_minimal_masks", lambda n, table: n)
+    return spy(monkeypatch, BLOCKER, "_minimal_masks", lambda n, table: n)
 
 
 def _brute_cheapest(h, weights, literals):
@@ -540,8 +511,8 @@ def _decode_bit_by_bit(verts, masks):
 
 class TestDecode:
     def test_matches_the_bit_by_bit_decode(self):
-        # 0 to 40 vertices: no table, a partial last table, the unrolled
-        # lookups up to 24 vertices and the loop above them
+        # 0 to 40 vertices: at 0 the one table (((),),), a partial last
+        # table, the unrolled lookups up to 24 vertices and the loop above them
         rng = random.Random(83)
         for n in range(41):
             verts = tuple(sorted(rng.sample(range(5 * n), n)))
@@ -612,24 +583,25 @@ class TestCanonicalOrder:
 
     def test_decoded_families_and_restrictions_are_canonical(self, engine, pack_from):
         rng = random.Random(101)
-        branches = set()
+        tables = set()
         for n in (1, 3, 8, 13, 16, 17, 20, 24, 25, 28):
             for _ in range(3):
                 h = _gapped_clutter(rng, n)
-                # the three decode branches: up to 16 vertices, up to 24, above
-                branches.add(0 if n <= 16 else 1 if n <= 24 else 2)
+                # the four decode paths: one table (up to 4 vertices), two
+                # (up to 16), three (up to 24), and the loop over four or more
+                tables.add(min(len(_decode_tables(h.vertices)), 4))
                 b = blocker(h)
                 indep = maximal_independent_sets(h)
-                assert b.edges == _canonical(b.edges)
-                assert indep == _canonical(indep)
+                assert b.edges == canonical_edges(b.edges)
+                assert indep == canonical_edges(indep)
                 for g in (h, b):
                     d = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
                     edges = g.restrict(d, ()).edges
-                    assert edges == _canonical(edges)
+                    assert edges == canonical_edges(edges)
         for g in (ZERO, ONE, blocker(ZERO), blocker(ONE)):
-            assert g.edges == _canonical(g.edges)
-            assert maximal_independent_sets(g) == _canonical(maximal_independent_sets(g))
-        assert branches == {0, 1, 2}
+            assert g.edges == canonical_edges(g.edges)
+            assert maximal_independent_sets(g) == canonical_edges(maximal_independent_sets(g))
+        assert tables == {1, 2, 3, 4}
 
     def test_first_consistent_transversal_is_the_first_consistent_blocker_set(
             self, engine, pack_from):
@@ -638,12 +610,10 @@ class TestCanonicalOrder:
         decided = set()
         for v in range(1, 13):
             for _ in range(8):
-                f = CnfFormula(v, [
-                    tuple(x if rng.random() < 0.5 else -x
-                          for x in rng.sample(range(1, v + 1), rng.randint(1, min(3, v))))
-                    for _ in range(rng.randint(1, round(4.2 * v)))])
+                f = CnfFormula(v, [clause(rng, range(1, v + 1), rng.randint(1, min(3, v)))
+                                   for _ in range(rng.randint(1, round(4.2 * v)))])
                 h = cnf_to_clutter(f)
-                want = next((t for t in _canonical(blocker(h).edges)
+                want = next((t for t in canonical_edges(blocker(h).edges)
                              if not any(2 * i in t and 2 * i + 1 in t for i in range(1, v + 1))),
                             None)
                 assert cheapest_transversal(h, literals=True) == want
@@ -727,7 +697,7 @@ class TestIndependentSetsFromTheFold:
 @pytest.fixture
 def packed_steps(monkeypatch):
     """The mover count of each step the fold packs."""
-    return _spy(monkeypatch, "_extend_packed", lambda family, movers, *args: len(movers))
+    return spy(monkeypatch, BLOCKER, "_extend_packed", lambda family, movers, *args: len(movers))
 
 
 class TestPackedFold:
@@ -736,7 +706,7 @@ class TestPackedFold:
 
     @pytest.fixture(autouse=True)
     def fold_only(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "LATTICE_UP_TO", -1)
+        monkeypatch.setattr(BLOCKER, "LATTICE_UP_TO", -1)
 
     def test_blocker_and_independent_sets_match_brute_force(self, pack_from):
         for h, want in _PACKED_FOLD_CASES:
@@ -760,7 +730,7 @@ class TestPackedFold:
         # kk2(10) has 20 vertices, past the lattice; its disjoint edges make
         # every set a mover, so step i moves 2^i sets
         assert len(blocker(kk2(10))) == 1024
-        pack_from = importlib.import_module("clutterkit.blocker").PACK_FROM
+        pack_from = BLOCKER.PACK_FROM
         assert packed_steps == [1 << i for i in range(10) if 1 << i >= pack_from]
         assert packed_steps
 
@@ -769,9 +739,9 @@ class TestPackedFold:
 def fold_steps(monkeypatch):
     """Each step of the fold as its edge mask and the family before it:
     with every step packed, _extend_packed sees them all."""
-    monkeypatch.setattr(importlib.import_module("clutterkit.blocker"), "PACK_FROM", 0)
-    return _spy(monkeypatch, "_extend_packed",
-                lambda family, movers, mask, *args: (mask, family + movers))
+    monkeypatch.setattr(BLOCKER, "PACK_FROM", 0)
+    return spy(monkeypatch, BLOCKER, "_extend_packed",
+               lambda family, movers, mask, *args: (mask, family + movers))
 
 
 def _group_end_cases():
@@ -785,7 +755,7 @@ def _group_end_cases():
     for n in range(17, 25):
         cases.append((exact_clutter(rng, n, rng.randint(n // 2, n), rng.choice((3, 4))), False))
     for v in range(4, 11):
-        f = CnfFormula(v, [tuple(x if rng.random() < 0.5 else -x for x in rng.sample(range(1, v + 1), 3))
+        f = CnfFormula(v, [clause(rng, range(1, v + 1), 3)
                            for _ in range(rng.randint(v, round(4.2 * v)))])
         cases.append((cnf_to_clutter(f), True))
     return cases

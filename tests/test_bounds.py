@@ -17,9 +17,8 @@ from clutterkit import (
     verify_bound,
 )
 
-from helpers import brute_has_matching_minor, fk_is_blocker, matched_clique, random_clutter_sample
-
-C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+from helpers import (C6, brute_has_matching_minor, fk_is_blocker, matched_clique,
+                     random_clutter_sample)
 
 
 class TestBoundValue:

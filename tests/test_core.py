@@ -10,6 +10,7 @@ from clutterkit import Clutter, ONE, ZERO, is_transversal
 from clutterkit.core import _canonical
 
 from helpers import (
+    C6,
     canonical_edges,
     fs_clutter,
     fs_contains,
@@ -20,8 +21,6 @@ from helpers import (
     fs_vertices,
     random_clutter_sample,
 )
-
-C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
 
 def edge_families():
@@ -90,14 +89,8 @@ class TestConstruction:
     @settings(deadline=None)
     def test_antichain_and_canonical_invariants(self, fam):
         h = Clutter(fam)
-        sets = h.edge_sets
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if i != j:
-                    assert not a <= b
-        keys = [(len(e), e) for e in h.edges]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        _assert_canonical(h)
+        assert len(set(h.edges)) == len(h.edges)
 
     @given(edge_families())
     @settings(deadline=None)

@@ -32,25 +32,12 @@ class TestClutterFormat:
     def test_one_directive(self):
         assert parse_clutter("!one\n") == ONE
 
-    def test_one_with_edges_rejected(self):
-        with pytest.raises(ParseError):
-            parse_clutter("!one\n1 2\n")
-
     def test_serialize_canonical(self):
         assert serialize_clutter(Clutter([[2, 1], [3]])) == "3\n1 2\n"
 
     def test_serialize_bounds(self):
         assert serialize_clutter(ZERO) == ""
         assert serialize_clutter(ONE) == "!one\n"
-
-    def test_malformed_token_reports_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_clutter("1 2\nx y\n")
-        assert err.value.line == 2
-
-    def test_duplicate_vertex_rejected(self):
-        with pytest.raises(ParseError):
-            parse_clutter("1 1 2\n")
 
     def test_wide_edge_parses_in_linear_time(self):
         n = 40_000
@@ -108,21 +95,6 @@ class TestMatchingFormat:
         assert parse_semi_matching("-") == SemiMatching()
         assert parse_semi_matching("# nothing\n") == SemiMatching()
 
-    def test_bad_pair(self):
-        with pytest.raises(ParseError):
-            parse_semi_matching("1,2,3:1,2,3")
-        with pytest.raises(ParseError):
-            parse_semi_matching("1,2 1,2,3")
-
-    def test_negative_label_names_its_line(self):
-        # refused as parse_clutter refuses it, so every parsed matching
-        # formats back to text that parses
-        with pytest.raises(ParseError) as err:
-            parse_semi_matching("# one pair\n-1,2:-1,2,3\n")
-        assert err.value.line == 2
-        with pytest.raises(ParseError):
-            parse_semi_matching("1,2:1,2,-3")
-
 
 class TestDimacs:
     def test_basic(self):
@@ -134,46 +106,9 @@ class TestDimacs:
         f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
 
-    def test_missing_header(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("1 2 0\n")
-
-    def test_bad_token(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf 2 1\n1 x 0\n")
-
-    def test_literal_out_of_range(self):
-        with pytest.raises(ParseError) as err:
-            parse_dimacs("p cnf 2 1\n5 0\n")
-        assert err.value.line == 2
-        with pytest.raises(ParseError) as err:
-            parse_dimacs("p cnf 2 2\n1 2 0\nc note\n1\n-3 0\n")
-        assert err.value.line == 5
-
-    def test_negative_variable_count(self):
-        with pytest.raises(ParseError) as err:
-            parse_dimacs("c header next\np cnf -1 0\n")
-        assert err.value.line == 2
-
     def test_satlib_terminator_ends_the_clauses(self):
         f = parse_dimacs("p cnf 3 1\n1 -2 0\n%\n0\n")
         assert f.clauses == ((1, -2),)
-
-    def test_clause_count_must_match_the_header(self):
-        for text in ("c two\np cnf 3 2\n1 -2 0\n",
-                     "c two\np cnf 3 2\n1 0\n2 0\n3 0\n",
-                     "c two\np cnf 3 5\n1 -2 0\n%\n0\n"):
-            with pytest.raises(ParseError) as err:
-                parse_dimacs(text)
-            assert err.value.line == 2
-
-    def test_second_header_reports_its_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_dimacs("p cnf 1 1\n1 0\np cnf 3 2\n3 0\n")
-        assert err.value.line == 3
-        with pytest.raises(ParseError) as err:
-            parse_dimacs("c one\np cnf 2 1\np cnf 2 1\n1 2 0\n")
-        assert err.value.line == 3
 
 
 class TestSetCoverFormat:
@@ -188,24 +123,6 @@ class TestSetCoverFormat:
         from fractions import Fraction
 
         assert inst.weights == (Fraction(1, 3),)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ParseError):
-            parse_setcover("2 1\n1 2 1\n")
-
-    def test_wrong_line_count(self):
-        with pytest.raises(ParseError):
-            parse_setcover("2 2\n1 1 1\n")
-
-    def test_element_outside_universe_reports_its_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_setcover("3 2\n1 1 1\n1 2 2 9\n")
-        assert err.value.line == 3
-
-    def test_negative_weight_reports_its_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_setcover("2 2\n1 1 1\n-1 1 2\n")
-        assert err.value.line == 3
 
     def test_exponent_is_bounded(self):
         start = time.perf_counter()
@@ -222,12 +139,35 @@ class TestSetCoverFormat:
 @pytest.mark.parametrize("parse, text, line", [
     (parse_clutter, "0 1\n2 -1\n", 2),
     (parse_clutter, "0 1\n# note\n2 3 2\n", 3),
+    (parse_clutter, "!one\n1 2\n", 1),
+    (parse_clutter, "1 2\nx y\n", 2),
+    (parse_clutter, "1 1 2\n", 1),
     (parse_semi_matching, "# one pair\n1,x:1,2,3\n", 2),
     (parse_semi_matching, "1,2:1,2\n# second\n3,4:3,4\n", 3),
+    (parse_semi_matching, "1,2,3:1,2,3", 1),
+    (parse_semi_matching, "1,2 1,2,3", 1),
+    # a negative label is refused as parse_clutter refuses it, so every
+    # parsed matching formats back to text that parses
+    (parse_semi_matching, "# one pair\n-1,2:-1,2,3\n", 2),
+    (parse_semi_matching, "1,2:1,2,-3", 1),
     (parse_dimacs, "", 1),
     (parse_dimacs, "c shape\np cnf 2\n1 0\n", 2),
     (parse_dimacs, "p cnf two 1\n1 0\n", 1),
     (parse_dimacs, "p cnf 2 2\n1 0\n0\n", 3),
+    (parse_dimacs, "1 2 0\n", 1),
+    (parse_dimacs, "p cnf 2 1\n1 x 0\n", 2),
+    (parse_dimacs, "p cnf 2 1\n5 0\n", 2),
+    (parse_dimacs, "p cnf 2 2\n1 2 0\nc note\n1\n-3 0\n", 5),
+    (parse_dimacs, "c header next\np cnf -1 0\n", 2),
+    (parse_dimacs, "c two\np cnf 3 2\n1 -2 0\n", 2),
+    (parse_dimacs, "c two\np cnf 3 2\n1 0\n2 0\n3 0\n", 2),
+    (parse_dimacs, "c two\np cnf 3 5\n1 -2 0\n%\n0\n", 2),
+    (parse_dimacs, "p cnf 1 1\n1 0\np cnf 3 2\n3 0\n", 3),
+    (parse_dimacs, "c one\np cnf 2 1\np cnf 2 1\n1 2 0\n", 3),
+    (parse_setcover, "2 1\n1 2 1\n", 2),
+    (parse_setcover, "2 2\n1 1 1\n", 1),
+    (parse_setcover, "3 2\n1 1 1\n1 2 2 9\n", 3),
+    (parse_setcover, "2 2\n1 1 1\n-1 1 2\n", 3),
     (parse_setcover, "# nothing here\n", 1),
     (parse_setcover, "# head\n2 x\n1 1 1\n", 2),
     (parse_setcover, "-1 0\n", 1),

@@ -5,7 +5,6 @@ import math
 import operator
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,10 +37,12 @@ from clutterkit import (
 )
 
 from helpers import (
+    C6,
     brute_has_matching_minor,
     brute_minor_contains,
     brute_semi_matchings,
     exact_clutter,
+    fan,
     fs_conflict_edges,
     fs_expansion,
     fs_is_expanded_minor_matching,
@@ -51,9 +52,9 @@ from helpers import (
     random_tangled_semi_matching,
     recomputed_extract_minor_matching,
     ring_semi_matching,
+    spy,
+    traced,
 )
-
-C6 = Clutter([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 
 
 def pairs_of(h: Clutter) -> SemiMatching:
@@ -67,15 +68,22 @@ def has_partners(h: Clutter) -> bool:
                for s, t in itertools.combinations(h.edge_sets, 2))
 
 
-def traced(run):
-    """run() and the tracemalloc peak, in bytes, of that call alone."""
-    tracemalloc.start()
-    try:
-        got = run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return got, peak
+def candidates(h: Clutter) -> list:
+    """Every (two-vertex set, edge) candidate of h, in the search's order."""
+    return sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+
+
+def sunflower(core: int, size: int, petals: int, first: int = 10) -> Clutter:
+    """petals edges, each the core 0..core-1 and a petal of its own: petal
+    p is the size vertices from first + size * p on."""
+    return Clutter(list(range(core)) + [first + size * p + i for i in range(size)]
+                   for p in range(petals))
+
+
+def relabelled_staircase(rng: random.Random, n: int) -> Clutter:
+    """staircase(n) with its 2n + 1 vertices relabelled by a sample of 0..99."""
+    labels = rng.sample(range(100), 2 * n + 1)
+    return Clutter([labels[v] for v in e] for e in staircase(n).edges)
 
 
 class TestSemiMatchingType:
@@ -437,12 +445,11 @@ def _entries_meet_the_reference(h, entries):
             and all(entries(((v, v), e))[1] == marks[v] for e in h.edges if len(e) > 1 for v in e))
 
 
-def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
-    # the sizes straddle the 512-bit switch between summing bits and setting
-    # them in a buffer that the tables once had: 120 to 135 three-vertex
-    # edges take 480 to 540 bits, and the one-vertex edges own no block.
-    # Then larger shapes: a rank-3 fan {0, 2i+1, 2i+2} of 400 edges (1,600
-    # bits), a star of 1,400 edges, and rank 4 with 200 edges on 60 vertices
+def test_cover_tables_meet_the_reference_on_large_clutters():
+    # 120 to 135 three-vertex edges on 12 vertices with up to three
+    # one-vertex edges, which own no block; a rank-3 fan {0, 2i+1, 2i+2} of
+    # 400 edges, a star of 1,400 edges, and rank 4 with 200 edges on 60
+    # vertices
     cover_tables = importlib.import_module("clutterkit.matching")._cover_tables
     rng = random.Random(71)
     triples = list(itertools.combinations(range(12), 3))
@@ -452,7 +459,7 @@ def test_cover_tables_on_both_sides_of_the_buffer_cutoff():
     quads = set()
     while len(quads) < 200:
         quads.add(tuple(sorted(rng.sample(range(60), 4))))
-    hs += [Clutter([0, 2 * i + 1, 2 * i + 2] for i in range(400)),
+    hs += [fan(400),
            Clutter([0, i] for i in range(1, 1401)),
            Clutter(quads)]
     for h in hs:
@@ -505,11 +512,8 @@ def _lazy_build_inputs():
     rng = random.Random(251)
     hs = [ONE, ZERO] + [staircase(n) for n in range(2, 8)]
     hs += [random_clutter_sample(rng, max_vertices=9, max_edges=8, max_rank=5) for _ in range(120)]
-    for core in range(4):
-        for size in (1, 2, 3):
-            for petals in range(1, 5):
-                hs.append(Clutter(list(range(core)) + [10 + size * p + i for i in range(size)]
-                                  for p in range(petals)))
+    hs += [sunflower(core, size, petals)
+           for core in range(4) for size in (1, 2, 3) for petals in range(1, 5)]
     assert sum(len({len(e) for e in h.edges}) > 1 and any(len(e) == 1 for e in h.edges)
                for h in hs) >= 20
     return hs
@@ -553,7 +557,7 @@ def test_rows_and_entries_built_lazily_meet_their_definitions(monkeypatch):
     matching = importlib.import_module("clutterkit.matching")
     hs = _lazy_build_inputs()
     for h in hs:
-        cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+        cand = candidates(h)
         for minor in (False, True):
             clash = matching._clash_masks(cand, minor)
             got = [clash(i) for i in range(len(cand))]
@@ -566,7 +570,7 @@ def test_rows_and_entries_built_lazily_meet_their_definitions(monkeypatch):
     _spied_builders(monkeypatch, log)
     built = 0
     for h in hs:
-        cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+        cand = candidates(h)
         _, _, of_host, marks = _reference_cover_tables(h.edges)
         for search, minor in ((lambda: enumerate_semi_matchings(h), False),
                               (lambda: find_kk2_minor(h, 2), True),
@@ -1101,16 +1105,13 @@ class TestFindMatchingMinor:
             raise AssertionError("the pair search built its candidates")
 
         matching = importlib.import_module("clutterkit.matching")
-        monkeypatch.setattr(matching, "_clash_masks", refuse)
-        monkeypatch.setattr(matching, "_cover_tables", refuse)
+        spy(monkeypatch, matching, "_clash_masks", refuse)
+        spy(monkeypatch, matching, "_cover_tables", refuse)
         rng = random.Random(229)
         hs = [staircase(n) for n in range(2, 13)]
-        for n in range(2, 13):
-            labels = rng.sample(range(100), 2 * n + 1)
-            hs.append(Clutter([labels[v] for v in e] for e in staircase(n).edges))
-        for core in range(1, 4):
-            for petals in range(2, 7):
-                hs.append(Clutter(list(range(core)) + [core + p] for p in range(petals)))
+        hs += [relabelled_staircase(rng, n) for n in range(2, 13)]
+        hs += [sunflower(core, 1, petals, first=core)
+               for core in range(1, 4) for petals in range(2, 7)]
         for h in hs:
             assert not has_partners(h)
             for k in (2, 3):
@@ -1133,15 +1134,10 @@ class TestFindMatchingMinor:
         hs = [ONE, ZERO]
         hs += [random_clutter_sample(rng, max_vertices=9, max_edges=8, max_rank=5,
                                      allow_bounds=False) for _ in range(400)]
-        for n in range(1, 12):
-            labels = rng.sample(range(100), 2 * n + 1)
-            hs.append(Clutter([labels[v] for v in e] for e in staircase(n).edges))
+        hs += [relabelled_staircase(rng, n) for n in range(1, 12)]
         # sunflowers: one- and two-vertex petals around a core of 0-3 vertices
-        for core in range(4):
-            for size in (1, 2):
-                for petals in range(1, 6):
-                    hs.append(Clutter(list(range(core)) + [10 + size * p + i for i in range(size)]
-                                      for p in range(petals)))
+        hs += [sunflower(core, size, petals)
+               for core in range(4) for size in (1, 2) for petals in range(1, 6)]
         mixed = [h for h in hs if len({len(e) for e in h.edges}) > 1
                  and any(len(e) == 1 for e in h.edges)]
         assert len(mixed) >= 30
@@ -1154,19 +1150,8 @@ class TestFindMatchingMinor:
         # tables with them, once, also one that stops before any family one
         # short of its size; none rebuilds them per family
         matching = importlib.import_module("clutterkit.matching")
-        calls = []
-
-        def spy(name):
-            real = getattr(matching, name)
-
-            def counted(*args):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(matching, name, counted)
-
-        spy("_clash_masks")
-        spy("_cover_tables")
+        calls = spy(monkeypatch, matching, "_clash_masks", lambda *args: "_clash_masks")
+        spy(monkeypatch, matching, "_cover_tables", lambda *args: "_cover_tables", calls)
         searches = []
         for n, m in ((12, 12), (14, 16), (16, 20)):
             for seed in range(6):
@@ -1196,7 +1181,7 @@ class TestFindMatchingMinor:
         _spied_builders(monkeypatch, log)
         found = 0
         for h, want, family in expected:
-            cand = sorted((l, e) for e in h.edges for l in itertools.combinations(e, 2))
+            cand = candidates(h)
             log.clear()
             w = find_kk2_minor(h, 1)
             l, s = cand[0]
@@ -1216,14 +1201,7 @@ class TestFindMatchingMinor:
         # only a row reads the per-vertex masks, and a two-pair search
         # builds them once, with its first row
         matching = importlib.import_module("clutterkit.matching")
-        vertex_masks = matching._vertex_masks
-        calls = []
-
-        def spied_vertex_masks(cand):
-            calls.append(len(cand))
-            return vertex_masks(cand)
-
-        monkeypatch.setattr(matching, "_vertex_masks", spied_vertex_masks)
+        calls = spy(monkeypatch, matching, "_vertex_masks", len)
         h = exact_clutter(random.Random(0), 400, 1500, 3)
         w = find_kk2_minor(h, 1, node_budget=10**8)
         assert w is not None and w.verify(h)
@@ -1327,29 +1305,22 @@ class TestFindMatchingMinor:
         # one edge of 300 vertices gives 44,850 candidates and about 10**9
         # candidate pairs: the budget must refuse them before any is built
         h = Clutter([range(300)])
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ResourceLimitError):
                 find_kk2_minor(h, 2, node_budget=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced(refused)
         assert peak < 2**20
 
     def test_memory_does_not_grow_with_one_vertex_edges(self):
         # no host holds the vertex of a one-vertex edge, so the condition-4
-        # tables must not grow with them.  The edges are an antichain as
-        # written, and minimalizing 20,003 of them takes Clutter() about 30 s
-        h = Clutter._from_antichain([(i,) for i in range(20_000)]
-                                    + [(20_000 + 2 * i, 20_001 + 2 * i) for i in range(3)])
+        # tables must not grow with them
+        h = Clutter([(i,) for i in range(20_000)]
+                    + [(20_000 + 2 * i, 20_001 + 2 * i) for i in range(3)])
         for run, want in ((lambda: len(enumerate_semi_matchings(h)), 8),
                           (lambda: find_kk2_minor(h, 0) is not None, True)):
-            tracemalloc.start()
-            try:
-                got = run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            got, peak = traced(run)
             assert got == want
             assert peak < 5 * 10**6
 

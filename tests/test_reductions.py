@@ -29,6 +29,7 @@ from helpers import (
     brute_consistent_minimal_transversals,
     brute_covers,
     brute_min_cover_cost,
+    clause,
     fold_order,
     fs_clutter,
     random_cnf,
@@ -329,10 +330,8 @@ class TestCnfMapping:
 
 def exact_3cnf(rng, num_vars, num_clauses):
     """num_clauses clauses, each over 3 distinct variables."""
-    return CnfFormula(num_vars, tuple(
-        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
-        for _ in range(num_clauses)
-    ))
+    return CnfFormula(num_vars, tuple(clause(rng, range(1, num_vars + 1), 3)
+                                      for _ in range(num_clauses)))
 
 
 def _near_threshold_formulas():
