@@ -149,6 +149,39 @@ module sees a mask: solve_sat and solve_setcover get the vertices of
 that one set, and the oracle objective of solve_setcover scans the
 blocker.
 
+That one-answer pick with literals (solve_sat's) needs neither table of
+2^n bits: only 3^V of the 4^V subsets of the literals of V variables are
+consistent.  So, on V variables with 3^V <= 2^LATTICE_UP_TO (V <= 10),
+_fold reads it off a table of 3^V bits, one per partial assignment.  The
+variable at sorted position p is the digit of weight 3^(V - 1 - p): 0
+when it is unassigned, 1 when the set holds its odd literal 2x + 1, and
+2 when it holds the even literal 2x.  Every index stands for a
+consistent set, so nothing is dropped for a clash.  The table of
+transversals is the AND, over the edges, of the OR of the digit tables
+of the edge's vertices.  The answer is the highest bit of the first
+nonzero AND of that table with the layer of assignments of k variables,
+k from 0 up, decoded digit by digit into the one mask _fold returns:
+
+- A consistent transversal with the fewest vertices is minimal, since
+  the sets inside a consistent set are consistent.  A set holding the
+  absent literal of a variable with one literal among the vertices is in
+  no such layer, since without that literal it is a transversal with one
+  vertex fewer.
+- Within a layer, a greater index stands for a canonically earlier set.
+  Take two consistent sets of one size and the first variable x where
+  their digits differ.  A set with digit 2 holds 2x, while the other
+  set's next vertex is at least 2x + 1.  A set with digit 1 holds 2x + 1,
+  while the other set's next vertex is at least 2x + 2.
+
+The table answers under the lattice's rule, edge_budget >= C(n, n // 2)
+on the n literal vertices, so every answer and budget trip point is still
+the fold's.  Each table is at most 3^10 = 59,049 bits (7.2 KiB): the
+cached digit tables take two per variable and the cached layers V + 1
+for each V used, 31 tables at V = 10.  _spread builds each digit table,
+and each table of _holds, by replicating a block of it, radix copies a
+step, and _layers prepends one top digit a step, so each build costs time
+linear in the size of its tables.
+
 _decode reads each mask through tables of at most 8 bits, each holding
 the sorted vertex tuple of every subset of its bits, and a mask decodes
 to the concatenation of its lookups, from its high bits down.  The
@@ -184,8 +217,9 @@ DEFAULT_EDGE_BUDGET = 10**6
 
 # a fold step with at least this many movers tests them all at once.  With
 # default budgets the lattice answers every clutter on at most 16 vertices,
-# so the fold serves larger ones: kk2(k) from k = 9 and formulas from 9
-# variables (18 literal vertices).  Best of 3 x 5 on one pinned Xeon
+# so the fold serves larger ones: kk2(k) from k = 9, and formulas from 11
+# variables (22 literal vertices), since the table of partial assignments
+# picks solve_sat's answer on up to 10.  Best of 3 x 5 on one pinned Xeon
 # vCPU, folding in the order of _berge, at PACK_FROM = 8 / every step
 # packed / none: blocker and maximal_independent_sets on kk2(9), kk2(10)
 # and kk2(11) took 4.5 / 4.6 / 16.4 ms; solve_sat on 40 seeded 3-CNF
@@ -203,7 +237,12 @@ PACK_FROM = 8
 # on 4 and 6 variables 1.3x and 1.4x (even on 8).  It made the folds that
 # finish early slower, since a 16-vertex lattice costs about 200 us
 # whatever the clutter: 0.5n edges of rank 3 on 16 vertices 1.3x, kk2(8)
-# 1.2x, staircase(7) 2x and staircase(8) 4.5x (51 to 232 us)
+# 1.2x, staircase(7) 2x and staircase(8) 4.5x (51 to 232 us).  The same
+# cap bounds the table of partial assignments, 3^V <= 2^LATTICE_UP_TO bits,
+# that picks solve_sat's answer on V variables.  Per formula, on 40 seeded
+# 3-CNF with round(4.2V) clauses on one Xeon vCPU, it took 37 us in place of
+# the subset lattice's 107 at V = 8, and 59 and 102 in place of the fold's
+# 234 and 318 at 9 and 10
 LATTICE_UP_TO = 16
 
 # _decode keeps its tables for this many vertex tuples, each of 1 to 60 KiB
@@ -246,18 +285,27 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False,
     readers in this module read the masks, and none relies on their
     order, which is unspecified: blocker and maximal_independent_sets sort
     the masks before they decode them.  This is the one place that checks
-    edge_budget and decides between the engines: on at most LATTICE_UP_TO
-    vertices, with a budget the fold could not pass, it reads the same
-    masks off the subset lattice's 2^n-bit table of transversals in the
-    Berge fold's place.  There, with fewest, only the greatest mask of the
-    fewest bits comes back, the one cheapest_transversal picks without
-    weights; the Berge fold returns every mask either way.
+    edge_budget and decides between the engines, each time with a budget
+    the fold could not pass: with literals and fewest, on V variables with
+    3^V <= 2^LATTICE_UP_TO, the one mask comes off the 3^V-bit table of
+    partial assignments; otherwise, on at most LATTICE_UP_TO vertices, it
+    reads the same masks off the subset lattice's 2^n-bit table of
+    transversals in the Berge fold's place.  There, with fewest, only the
+    greatest mask of the fewest bits comes back, the one
+    cheapest_transversal picks without weights; the Berge fold returns
+    every mask either way.
     """
     _check_count(edge_budget, "edge budget")
+    # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
+    # budget it cannot trip and a table may answer in its place
+    if literals and fewest:
+        verts = h.vertices
+        n = len(verts)
+        names = tuple(dict.fromkeys([v >> 1 for v in verts]))
+        if 3 ** len(names) <= 2 ** LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
+            return verts, _consistent_pick(verts, names, h.edges)
     verts, masks, pairs = _edge_masks(h, literals)
     n = len(verts)
-    # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
-    # budget it cannot trip and the lattice may answer in its place
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
         table = _transversals(n, masks, pairs)
         if not fewest:
@@ -366,13 +414,31 @@ def _extend_packed(
         family.extend([t | c for t in compress(movers, flags)])
 
 
+def _spread(x: int, s: int, radix: int, size: int) -> int:
+    """x, a pattern of s bits, repeated to fill size = s * radix^j bits.
+    Each step makes radix copies of the table so far, so the whole build
+    costs time linear in size."""
+    while s < size:
+        x = reduce(or_, [x << d * s for d in range(radix)])
+        s *= radix
+    return x
+
+
 @cache
 def _holds(n: int) -> tuple[int, ...]:
     """For each i < n, the 2^n-bit table of the subsets holding bit i."""
-    full = (1 << (1 << n)) - 1
     # bit i of S repeats 2^i zeros then 2^i ones
-    return tuple(((1 << w) - 1 << w) * (full // ((1 << 2 * w) - 1))
-                 for w in (1 << i for i in range(n)))
+    return tuple(_spread((1 << w) - 1 << w, 2 * w, 2, 1 << n) for w in (1 << i for i in range(n)))
+
+
+@cache
+def _digits(count: int) -> tuple[int, ...]:
+    """For the variable at each position p < count, the 3^count-bit tables
+    of the partial assignments whose digit of weight 3^(count - 1 - p) is 2
+    (it holds the even literal) and 1 (the odd one), in that order."""
+    size = 3 ** count
+    return tuple(_spread((1 << w) - 1 << d * w, 3 * w, 3, size)
+                 for w in (3 ** (count - 1 - p) for p in range(count)) for d in (2, 1))
 
 
 @cache
@@ -385,13 +451,45 @@ _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 @cache
-def _layers(n: int) -> tuple[int, ...]:
-    """For each k <= n, the 2^n-bit table of the subsets of k bits."""
+def _layers(n: int, radix: int = 2) -> tuple[int, ...]:
+    """For each k <= n, the radix^n-bit table of the indexes of n digits
+    in radix with k of them nonzero: the subsets of k bits, and with radix
+    3 the partial assignments of k variables."""
     layers = [1]
-    for i in range(n):
-        # the subsets holding bit i are the others moved up by 2^i
-        layers = [low | high << (1 << i) for low, high in zip(layers + [0], [0] + layers)]
+    s = 1
+    for _ in range(n):
+        # prepend a top digit: the indexes where it is d > 0 are the others
+        # with one digit fewer set, moved up by d * s
+        fewer = [0] + layers
+        layers.append(0)
+        for d in range(1, radix):
+            layers = [low | high << d * s for low, high in zip(layers, fewer)]
+        s *= radix
     return tuple(layers)
+
+
+def _consistent_pick(verts: Edge, names: tuple[int, ...], edges: Iterable[Edge]) -> list[int]:
+    """The mask of the consistent transversal of edges with the fewest
+    vertices that comes first canonically, or [] if there is none, read
+    off the 3^V-bit table of the partial assignments of the V variables
+    names (v >> 1 for the vertices v in verts, in order)."""
+    digits = _digits(len(names))
+    at = dict(zip(names, range(0, 2 * len(names), 2)))
+    held = {v: digits[at[v >> 1] + (v & 1)] for v in verts}
+    table = (1 << 3 ** len(names)) - 1
+    for e in edges:  # the empty edge meets no set
+        table &= reduce(or_, map(held.__getitem__, e)) if e else 0
+    hit = next(filter(None, map(table.__and__, _layers(len(names), 3))), 0)
+    if not hit:
+        return []
+    index = hit.bit_length() - 1
+    top = len(verts) - 1
+    mask = 0
+    for x in reversed(names):
+        index, d = divmod(index, 3)
+        if d:  # 2 for the even literal, 1 for the odd
+            mask |= 1 << top - verts.index(2 * x + (d & 1))
+    return [mask]
 
 
 def _transversals(n: int, masks: list[int], pairs: int) -> int:

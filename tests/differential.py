@@ -62,8 +62,8 @@ def _clutters(ck):
 
 
 def _formulas(ck):
-    """(label, formula) on 1..12 variables; from 9 on the fold answers at
-    the default budget."""
+    """(label, formula) on 1..12 variables; from 11 on the fold answers at
+    the default budget, below that the table of partial assignments."""
     rng = random.Random(2)
     for v in range(1, 13):
         for i in range(40):

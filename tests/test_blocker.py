@@ -30,8 +30,10 @@ from clutterkit.blocker import (
     _berge,
     _decode,
     _decode_tables,
+    _digits,
     _edge_masks,
     _fold,
+    _holds,
     _layers,
     _minimal_masks,
     _transversals,
@@ -345,11 +347,19 @@ def lattice_calls(monkeypatch):
     return spy(monkeypatch, BLOCKER, "_transversals", lambda n, masks, pairs: n)
 
 
-def _sat16():
-    """A 3-CNF formula on 8 variables whose clause clutter has 19 edges on
-    all 16 literal vertices."""
+@pytest.fixture
+def pick_calls(monkeypatch):
+    """The variable count of each table of partial assignments built for a
+    one-answer pick with literals."""
+    return spy(monkeypatch, BLOCKER, "_consistent_pick", lambda verts, names, edges: len(names))
+
+
+def _sat(v):
+    """A 3-CNF formula on v variables with round(2.5v) clauses.  Its clause
+    clutter holds all 2v literal vertices for v = 8 to 11, with 19 edges at
+    v = 8, 22 at 9, 25 at 10 and 28 at 11."""
     rng = random.Random(0)
-    return CnfFormula(8, tuple(clause(rng, range(1, 9), 3) for _ in range(20)))
+    return CnfFormula(v, tuple(clause(rng, range(1, v + 1), 3) for _ in range(round(2.5 * v))))
 
 
 class TestLatticeSwitch:
@@ -394,12 +404,19 @@ class TestLatticeSwitch:
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == [n]
 
-    def test_literal_folds_in_one_call(self, lattice_calls):
-        f = _sat16()
+    @pytest.mark.parametrize("v", [8, 10])
+    def test_literal_folds_in_one_call(self, v, pick_calls, lattice_calls, monkeypatch):
+        f = _sat(v)
         h = cnf_to_clutter(f)
-        assert len(h.vertices) == 16 and len(h) >= 16
-        assert solve_sat(f) == _first_consistent([h.edges], f.num_vars)
-        assert lattice_calls == [16]
+        assert len(h.vertices) == 2 * v and len(h) >= 2 * v
+        got = solve_sat(f)
+        if v == 8:  # brute force over 2^20 subsets is too slow for the suite
+            assert got == _first_consistent([h.edges], f.num_vars)
+        assert pick_calls == [v]
+        assert lattice_calls == []
+        monkeypatch.setattr(BLOCKER, "LATTICE_UP_TO", -1)
+        assert solve_sat(f) == got
+        assert pick_calls == [v]
 
 
 class TestLatticeReadout:
@@ -432,6 +449,11 @@ class TestLatticeReadout:
 
 
 class TestLayers:
+    def test_holds_match_brute_force(self):
+        for n in range(11):
+            assert _holds(n) == tuple(sum(1 << s for s in range(1 << n) if s >> i & 1)
+                                      for i in range(n))
+
     def test_matches_the_brute_force_layers(self):
         for n in range(11):
             want = [0] * (n + 1)
@@ -445,6 +467,98 @@ class TestLayers:
         assert [layer.bit_count() for layer in layers] == [comb(16, k) for k in range(17)]
         # the sum equals the OR only when no two layers share a bit
         assert functools.reduce(int.__or__, layers) == sum(layers) == full
+
+
+def _literal_pick_cases():
+    """Clutters on literal vertices, with the bounds, vertices 0 and 1,
+    variables with one literal present, singleton edges, and the clause
+    clutters of formulas with singleton and subsumed clauses."""
+    rng = random.Random(211)
+    cases = [ZERO, ONE, Clutter([[0], [1]]), Clutter([[0, 1]]), Clutter([[1]]),
+             Clutter([[0, 2], [1, 3]]), Clutter([[4], [5, 6], [2, 7]])]
+    for _ in range(60):
+        # vertices 0 to 11: one or both literals of each of up to 6 variables
+        verts = rng.sample(range(12), rng.randint(1, 12))
+        cases.append(Clutter(rng.sample(verts, rng.randint(1, min(3, len(verts))))
+                             for _ in range(rng.randint(1, 8))))
+    for _ in range(40):
+        v = rng.randint(1, 6)
+        clauses = [clause(rng, range(1, v + 1), rng.randint(1, min(3, v)))
+                   for _ in range(rng.randint(1, 3 * v))]
+        # a clause and one that it subsumes
+        clauses += [clauses[0] + tuple(x for x in range(1, v + 1)
+                                       if x not in clauses[0] and -x not in clauses[0])[:1]]
+        cases.append(cnf_to_clutter(CnfFormula(v, clauses)))
+    return cases
+
+
+class TestAssignmentTable:
+    """Without weights and with literals, on V variables with 3^V <=
+    2^LATTICE_UP_TO and a budget of at least C(n, n // 2), the one answer
+    comes off the 3^V-bit table of partial assignments, and no other."""
+
+    def test_digits_and_layers_match_brute_force(self):
+        for count in range(7):
+            size = 3 ** count
+            digits = [[i // 3 ** (count - 1 - p) % 3 for p in range(count)] for i in range(size)]
+            assert _digits(count) == tuple(
+                sum(1 << i for i in range(size) if digits[i][p] == d)
+                for p in range(count) for d in (2, 1))
+            want = [0] * (count + 1)
+            for i, ds in enumerate(digits):
+                want[count - ds.count(0)] |= 1 << i
+            assert _layers(count, 3) == tuple(want)
+
+    def test_tables_partition_the_table_on_ten_variables(self):
+        full = (1 << 3 ** 10) - 1
+        layers = _layers(10, 3)
+        assert [layer.bit_count() for layer in layers] == [comb(10, k) << k for k in range(11)]
+        # the sum equals the OR only when no two tables share a bit
+        assert functools.reduce(int.__or__, layers) == sum(layers) == full
+        digits = _digits(10)
+        for p in range(10):
+            even, odd = digits[2 * p:2 * p + 2]
+            assert even.bit_count() == odd.bit_count() == 3 ** 9
+            assert not even & odd
+        # an assignment of layer k holds k nonzero digits
+        for k, layer in enumerate(layers):
+            assert sum((d & layer).bit_count() for d in digits) == k * layer.bit_count()
+
+    def test_matches_the_brute_force_pick(self, pick_calls):
+        cases = _literal_pick_cases()
+        for h in cases:
+            assert cheapest_transversal(h, literals=True) == _brute_cheapest(h, None, True)
+        assert len(pick_calls) == len(cases)
+
+    def test_packed_sat_cases(self, pick_calls):
+        # up to 12 variables: the table answers on up to 10, the fold above
+        table = []
+        for f, want in _PACKED_SAT_CASES:
+            assert solve_sat(f) == want
+            count = len({v >> 1 for v in cnf_to_clutter(f).vertices})
+            if count <= 10:
+                table.append(count)
+        assert pick_calls == table
+        assert len(table) < len(_PACKED_SAT_CASES)
+
+    @pytest.mark.parametrize("v", [9, 10])
+    def test_hands_over_to_the_fold_below_the_sperner_bound(self, v, pick_calls, monkeypatch):
+        h = cnf_to_clutter(_sat(v))
+        n = len(h.vertices)
+        assert n == 2 * v
+        folds = spy(monkeypatch, BLOCKER, "_berge", lambda n, *args: n)
+        got = cheapest_transversal(h, literals=True, edge_budget=comb(n, n // 2))
+        assert pick_calls == [v] and folds == []
+        assert cheapest_transversal(h, literals=True, edge_budget=comb(n, n // 2) - 1) == got
+        assert pick_calls == [v] and folds == [n]
+
+    def test_not_without_the_lattice_or_on_eleven_variables(self, pick_calls, monkeypatch):
+        assert len(cnf_to_clutter(_sat(11)).vertices) == 22
+        solve_sat(_sat(11))
+        monkeypatch.setattr(BLOCKER, "LATTICE_UP_TO", -1)
+        for v in (8, 10):
+            solve_sat(_sat(v))
+        assert pick_calls == []
 
 
 @pytest.fixture
@@ -480,15 +594,16 @@ class TestCheapestTransversal:
         assert tied > 10
 
     def test_lattice_pick_runs_no_minimality_step(self, lattice_calls, minimal_steps):
-        h = cnf_to_clutter(_sat16())
+        # the literal pick reads the table of partial assignments instead
+        h = cnf_to_clutter(_sat(8))
         assert cheapest_transversal(h, literals=True) == _brute_cheapest(h, None, True)
         assert cheapest_transversal(DENSE14) == _brute_cheapest(DENSE14, None, False)
-        assert lattice_calls == [16, 14]
+        assert lattice_calls == [14]
         assert minimal_steps == []
         # the weighted pick reads the minimal sets out, once
         weights = list(range(14))
         assert cheapest_transversal(DENSE14, weights) == _brute_cheapest(DENSE14, weights, False)
-        assert lattice_calls == [16, 14, 14]
+        assert lattice_calls == [14, 14]
         assert minimal_steps == [14]
 
     def test_fold_and_lattice_agree_past_the_sperner_bound(self):
