@@ -90,23 +90,24 @@ there.
 
 On few vertices the subset lattice answers faster than a long fold.
 With n vertices, a table of 2^n bits has bit S set when the subset whose
-fold mask is S has some property, and holds[i] is the table of the
-subsets holding the vertex of bit i.  A set is a non-transversal exactly
-when it lies inside the complement of some edge, so the non-transversals
-are the down-closure of those complements: set the bit of each
-complement, the fold's edge mask XOR 2^n - 1, then for each i OR in
-(miss & holds[i]) >> 2^i, which moves every set holding bit i to the set
-without it.  The transversals T are the rest.  A transversal is minimal
-when no set one vertex smaller is a transversal, so the minimal ones are
-T minus the OR over i of (T << 2^i) & holds[i], the sets holding bit i
-whose set without it is in T.  A clashing pair on adjacent bits p and p + 1
-drops holds[p] & holds[p + 1] from T first; the kept sets are exactly the
-consistent minimal transversals, because every subset of a consistent
-set is consistent.  The set bits are read off a byte at a time: compress
-over a cached tuple of the byte offsets picks out the nonzero bytes in C,
-so only those cost Python work and no call makes an int per byte.  Each
+fold mask is S has some property, and holds[i], the radix-2 digit table
+_digits(n)[i], is the table of the subsets holding the vertex of bit i.
+A set is a non-transversal exactly when it lies inside the complement of
+some edge, so the non-transversals are the down-closure of those
+complements: set the bit of each complement, the fold's edge mask XOR
+2^n - 1, then for each i OR in (miss & holds[i]) >> 2^i, which moves
+every set holding bit i to the set without it.  The transversals T are
+the rest.  A transversal is minimal when no set one vertex smaller is a
+transversal, so the minimal ones are T minus the OR over i of
+(T << 2^i) & holds[i], the sets holding bit i whose set without it is in
+T.  A clashing pair on adjacent bits p and p + 1 drops holds[p] &
+holds[p + 1] from T first; the kept sets are exactly the consistent
+minimal transversals, because every subset of a consistent set is
+consistent.  The set bits are read off a byte at a time: compress over a
+cached tuple of the byte offsets picks out the nonzero bytes in C, so
+only those cost Python work and no call makes an int per byte.  Each
 table is 2^n bits, so at most 8 KB with n <= LATTICE_UP_TO = 16; the
-cached holds tables take n of them for each n used, the cached layers
+cached digit tables take n of them for each n used, the cached layers
 (the subsets of each size, below) n + 1, and the cached offsets one int
 per byte of each table size used.
 
@@ -177,25 +178,28 @@ The table answers under the lattice's rule, edge_budget >= C(n, n // 2)
 on the n literal vertices, so every answer and budget trip point is still
 the fold's.  Each table is at most 3^10 = 59,049 bits (7.2 KiB): the
 cached digit tables take two per variable and the cached layers V + 1
-for each V used, 31 tables at V = 10.  _spread builds each digit table,
-and each table of _holds, by replicating a block of it, radix copies a
+for each V used, 31 tables at V = 10.  One builder, _digits(n, radix),
+makes the digit tables of both truth tables, radix 2 for the lattice and
+radix 3 here, each by _spread replicating a block of it, radix copies a
 step, and _layers prepends one top digit a step, so each build costs time
-linear in the size of its tables.
+linear in the size of its tables.  Over every size the two truth tables
+can reach, n <= 16 and V <= 10, their caches hold about 1.1 MiB for the
+lattice (its offsets included) and 0.3 MiB for the assignments, by
+tracemalloc on CPython 3.11.
 
 _decode reads each mask through tables of at most 8 bits, each holding
 the sorted vertex tuple of every subset of its bits, and a mask decodes
 to the concatenation of its lookups, from its high bits down.  The
-tables split the bits as evenly as they can: one table up to 4
-vertices, two up to 16 (32 + 32 entries at n = 10, 128 + 128 at 14,
-256 + 256 at 16), three up to 24 (7, 7 and 6 bits at 20) and one per 8
-bits above.  So a mask costs one lookup up to 4 vertices, two lookups
-and one concatenation on 5 to 16, three lookups on 17 to 24, and a loop
-over the tables above.  Even widths keep building them cheap: two
-tables of n / 2 bits hold 2^(n / 2 + 1) entries, where 8-bit tables cut
-from the low bits up would hold 256 + 2^(n - 8).  _decode_tables builds
-them, cached by the sorted vertex tuple in an lru_cache of
-DECODE_TABLES_KEPT entries, so that repeated calls on one vertex set
-decode without building any.  By sys.getsizeof an entry holds 19 KiB
+tables split the bits as evenly as they can: two up to 16 vertices (32 +
+32 entries at n = 10, 128 + 128 at 14, 256 + 256 at 16), three up to 24
+(7, 7 and 6 bits at 20) and one per 8 bits above.  So a mask costs two
+lookups and one concatenation up to 16 vertices, three lookups on 17 to
+24, and a loop over the tables above.  Even widths keep building them
+cheap: two tables of n / 2 bits hold 2^(n / 2 + 1) entries, where 8-bit
+tables cut from the low bits up would hold 256 + 2^(n - 8).
+_decode_tables builds them, cached by the sorted vertex tuple in an
+lru_cache of DECODE_TABLES_KEPT entries, so that repeated calls on one
+vertex set decode without building any.  By sys.getsizeof an entry holds 19 KiB
 at 14 vertices, 40 KiB at 16, 24 KiB at 20 and 60 KiB at 24, and
 about 2.5 KiB per vertex above.
 
@@ -296,16 +300,16 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False,
     every mask either way.
     """
     _check_count(edge_budget, "edge budget")
+    verts = h.vertices
+    n = len(verts)
     # no family of the fold passes C(n, n // 2) sets (Sperner), so with that
-    # budget it cannot trip and a table may answer in its place
+    # budget it cannot trip and a table may answer in its place.  Each size
+    # cap comes first: C(n, n // 2) costs milliseconds on 20,000 vertices
     if literals and fewest:
-        verts = h.vertices
-        n = len(verts)
         names = tuple(dict.fromkeys([v >> 1 for v in verts]))
         if 3 ** len(names) <= 2 ** LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
             return verts, _consistent_pick(verts, names, h.edges)
-    verts, masks, pairs = _edge_masks(h, literals)
-    n = len(verts)
+    masks, pairs = _edge_masks(verts, h.edges, literals)
     if n <= LATTICE_UP_TO and edge_budget >= comb(n, n // 2):
         table = _transversals(n, masks, pairs)
         if not fewest:
@@ -317,16 +321,16 @@ def _fold(h: Clutter, edge_budget: int, literals: bool = False,
     return verts, _berge(n, masks, pairs, edge_budget)
 
 
-def _edge_masks(h: Clutter, literals: bool) -> tuple[Edge, list[int], int]:
-    """The vertices of h, the mask of each edge, and the clash mask: with
-    literals, bit n - 2 - p set when verts[p] clashes with verts[p + 1]."""
-    verts = h.vertices
+def _edge_masks(verts: Edge, edges: Iterable[Edge], literals: bool) -> tuple[list[int], int]:
+    """The mask of each edge over the sorted vertices verts, and the clash
+    mask: with literals, bit n - 2 - p set when verts[p] clashes with
+    verts[p + 1]."""
     n = len(verts)
     bit = {v: 1 << n - 1 - i for i, v in enumerate(verts)}
-    masks = [sum(map(bit.__getitem__, e)) for e in h.edges]
+    masks = [sum(map(bit.__getitem__, e)) for e in edges]
     pairs = sum(1 << n - 2 - p for p in range(n - 1)
                 if verts[p] ^ 1 == verts[p + 1]) if literals else 0
-    return verts, masks, pairs
+    return masks, pairs
 
 
 def _berge(n: int, masks: list[int], pairs: int, edge_budget: int) -> list[int]:
@@ -425,20 +429,15 @@ def _spread(x: int, s: int, radix: int, size: int) -> int:
 
 
 @cache
-def _holds(n: int) -> tuple[int, ...]:
-    """For each i < n, the 2^n-bit table of the subsets holding bit i."""
-    # bit i of S repeats 2^i zeros then 2^i ones
-    return tuple(_spread((1 << w) - 1 << w, 2 * w, 2, 1 << n) for w in (1 << i for i in range(n)))
-
-
-@cache
-def _digits(count: int) -> tuple[int, ...]:
-    """For the variable at each position p < count, the 3^count-bit tables
-    of the partial assignments whose digit of weight 3^(count - 1 - p) is 2
-    (it holds the even literal) and 1 (the odd one), in that order."""
-    size = 3 ** count
-    return tuple(_spread((1 << w) - 1 << d * w, 3 * w, 3, size)
-                 for w in (3 ** (count - 1 - p) for p in range(count)) for d in (2, 1))
+def _digits(n: int, radix: int = 2) -> tuple[int, ...]:
+    """The radix^n-bit tables of the indexes of n digits in radix whose
+    digit of weight radix^i is d, for each i < n from the low digit up, and
+    each d from radix - 1 down to 1: with radix 2, the subsets holding bit
+    i; with radix 3, the partial assignments holding the even literal (2)
+    and the odd one (1) of the variable of that digit."""
+    # the digit of weight w repeats w zeros, w ones, and so on up to radix - 1
+    return tuple(_spread((1 << w) - 1 << d * w, radix * w, radix, radix ** n)
+                 for w in (radix ** i for i in range(n)) for d in range(radix - 1, 0, -1))
 
 
 @cache
@@ -473,8 +472,9 @@ def _consistent_pick(verts: Edge, names: tuple[int, ...], edges: Iterable[Edge])
     vertices that comes first canonically, or [] if there is none, read
     off the 3^V-bit table of the partial assignments of the V variables
     names (v >> 1 for the vertices v in verts, in order)."""
-    digits = _digits(len(names))
-    at = dict(zip(names, range(0, 2 * len(names), 2)))
+    digits = _digits(len(names), 3)
+    # the last variable has the lowest digit
+    at = dict(zip(reversed(names), range(0, 2 * len(names), 2)))
     held = {v: digits[at[v >> 1] + (v & 1)] for v in verts}
     table = (1 << 3 ** len(names)) - 1
     for e in edges:  # the empty edge meets no set
@@ -495,7 +495,7 @@ def _consistent_pick(verts: Edge, names: tuple[int, ...], edges: Iterable[Edge])
 def _transversals(n: int, masks: list[int], pairs: int) -> int:
     """The 2^n-bit table of the transversals of the edge masks that hold
     both bits of no clash in pairs."""
-    holds = _holds(n)
+    holds = _digits(n)
     top = (1 << n) - 1
     buf = bytearray(max(1, (1 << n) >> 3))  # n < 3: one byte
     for x in [top ^ m for m in masks]:  # the complements of the edges
@@ -514,7 +514,7 @@ def _transversals(n: int, masks: list[int], pairs: int) -> int:
 def _minimal_masks(n: int, t: int) -> list[int]:
     """The masks of the minimal sets of a 2^n-bit table of transversals."""
     up = 0
-    for i, held in enumerate(_holds(n)):
+    for i, held in enumerate(_digits(n)):
         up |= (t << (1 << i)) & held
     t ^= t & up
     data = t.to_bytes(max(1, (1 << n) >> 3), "little")
@@ -530,12 +530,12 @@ def _decode_tables(verts: Edge) -> tuple[tuple[Edge, ...], ...]:
     """The tables _decode reads masks over verts with, from the low bits up:
     entry j of a table holds the sorted vertices of the bits set in j.
     Tuples, since the cache hands them to every caller."""
-    # one table up to 4 vertices, two up to 16, then one per 8 bits, of
-    # widths as even as possible.  Bit i stands for rev[i], and rev
-    # descends, so prepending keeps each tuple sorted
+    # two tables up to 16 vertices, then one per 8 bits, of widths as even
+    # as possible.  Bit i stands for rev[i], and rev descends, so prepending
+    # keeps each tuple sorted
     n = len(verts)
     rev = verts[::-1]
-    count = 1 if n <= 4 else max(2, -(-n // 8))
+    count = max(2, -(-n // 8))
     tables = []
     k = 0
     for j in range(count):
@@ -550,13 +550,11 @@ def _decode_tables(verts: Edge) -> tuple[tuple[Edge, ...], ...]:
 
 def _decode(verts: Edge, masks: Iterable[int]) -> list[Edge]:
     """Each mask as the sorted tuple of the vertices its bits stand for."""
-    # a mask's lookups concatenate from its high bits down: one lookup up to
-    # 4 vertices, two up to 16 and three up to 24, unrolled, and a loop over
-    # the tables above.  No mask has a bit past the last table, so its
-    # lookup needs no mask
+    # a mask's lookups concatenate from its high bits down: two lookups up
+    # to 16 vertices and three up to 24, unrolled, and a loop over the
+    # tables above.  No mask has a bit past the last table, so its lookup
+    # needs no mask
     tables = _decode_tables(verts)
-    if len(tables) == 1:
-        return list(map(tables[0].__getitem__, masks))
     if len(tables) == 2:
         a, b = tables
         low = len(a) - 1

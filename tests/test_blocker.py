@@ -33,7 +33,6 @@ from clutterkit.blocker import (
     _digits,
     _edge_masks,
     _fold,
-    _holds,
     _layers,
     _minimal_masks,
     _transversals,
@@ -404,6 +403,28 @@ class TestLatticeSwitch:
         assert fk_is_blocker(h.edges, blocker(h).edges)
         assert lattice_calls == [n]
 
+    def test_the_size_caps_come_before_the_sperner_bound(self, monkeypatch):
+        # C(n, n // 2) costs milliseconds on 20,000 vertices, so no call past
+        # the reach of both tables computes it
+        sizes = spy(monkeypatch, BLOCKER, "comb", lambda n, k: n)
+        blocker(kk2(12))
+        solve_sat(_sat(11))
+        assert len(blocker(Clutter([v] for v in range(2000)))) == 1
+        assert sizes == []
+        blocker(kk2(8))
+        solve_sat(_sat(10))
+        assert sizes == [16, 20]
+
+    def test_a_literal_fold_reads_the_vertices_once(self, monkeypatch):
+        # Clutter.vertices rebuilds its sorted union on every read
+        h = cnf_to_clutter(_sat(11))
+        want = cheapest_transversal(h, literals=True)
+        reads = []
+        vertices = Clutter.vertices
+        monkeypatch.setattr(Clutter, "vertices", property(lambda c: reads.append(c) or vertices.fget(c)))
+        assert cheapest_transversal(h, literals=True) == want
+        assert reads == [h]
+
     @pytest.mark.parametrize("v", [8, 10])
     def test_literal_folds_in_one_call(self, v, pick_calls, lattice_calls, monkeypatch):
         f = _sat(v)
@@ -448,25 +469,49 @@ class TestLatticeReadout:
         assert lattice_calls == [16] * 10
 
 
+def _brute_digits(n, radix):
+    """The n digits in radix of each index below radix^n, from the low
+    digit up."""
+    return [[s // radix ** i % radix for i in range(n)] for s in range(radix ** n)]
+
+
 class TestLayers:
-    def test_holds_match_brute_force(self):
-        for n in range(11):
-            assert _holds(n) == tuple(sum(1 << s for s in range(1 << n) if s >> i & 1)
-                                      for i in range(n))
+    """The digit tables and layers of both truth tables: radix 2 over the
+    subsets of n vertices, radix 3 over the partial assignments of n
+    variables."""
 
-    def test_matches_the_brute_force_layers(self):
-        for n in range(11):
+    @pytest.mark.parametrize("radix, most", [(2, 10), (3, 6)])
+    def test_digits_match_brute_force(self, radix, most):
+        for n in range(most + 1):
+            digits = _brute_digits(n, radix)
+            assert _digits(n, radix) == tuple(
+                sum(1 << s for s, ds in enumerate(digits) if ds[i] == d)
+                for i in range(n) for d in range(radix - 1, 0, -1))
+
+    @pytest.mark.parametrize("radix, most", [(2, 10), (3, 6)])
+    def test_layers_match_brute_force(self, radix, most):
+        for n in range(most + 1):
             want = [0] * (n + 1)
-            for s in range(1 << n):
-                want[s.bit_count()] |= 1 << s
-            assert _layers(n) == tuple(want)
+            for s, ds in enumerate(_brute_digits(n, radix)):
+                want[n - ds.count(0)] |= 1 << s
+            assert _layers(n, radix) == tuple(want)
 
-    def test_layers_partition_the_table_on_sixteen_vertices(self):
-        layers = _layers(16)
-        full = (1 << (1 << 16)) - 1
-        assert [layer.bit_count() for layer in layers] == [comb(16, k) for k in range(17)]
-        # the sum equals the OR only when no two layers share a bit
+    @pytest.mark.parametrize("radix, n", [(2, 16), (3, 10)])
+    def test_tables_partition_the_table(self, radix, n):
+        full = (1 << radix ** n) - 1
+        layers = _layers(n, radix)
+        assert ([layer.bit_count() for layer in layers]
+                == [comb(n, k) * (radix - 1) ** k for k in range(n + 1)])
+        # the sum equals the OR only when no two tables share a bit
         assert functools.reduce(int.__or__, layers) == sum(layers) == full
+        digits = _digits(n, radix)
+        for i in range(n):
+            nonzero = digits[(radix - 1) * i:(radix - 1) * (i + 1)]
+            assert [d.bit_count() for d in nonzero] == [radix ** (n - 1)] * (radix - 1)
+            assert functools.reduce(int.__or__, nonzero) == sum(nonzero)
+        # an index of layer k holds k nonzero digits
+        for k, layer in enumerate(layers):
+            assert sum((d & layer).bit_count() for d in digits) == k * layer.bit_count()
 
 
 def _literal_pick_cases():
@@ -496,33 +541,6 @@ class TestAssignmentTable:
     """Without weights and with literals, on V variables with 3^V <=
     2^LATTICE_UP_TO and a budget of at least C(n, n // 2), the one answer
     comes off the 3^V-bit table of partial assignments, and no other."""
-
-    def test_digits_and_layers_match_brute_force(self):
-        for count in range(7):
-            size = 3 ** count
-            digits = [[i // 3 ** (count - 1 - p) % 3 for p in range(count)] for i in range(size)]
-            assert _digits(count) == tuple(
-                sum(1 << i for i in range(size) if digits[i][p] == d)
-                for p in range(count) for d in (2, 1))
-            want = [0] * (count + 1)
-            for i, ds in enumerate(digits):
-                want[count - ds.count(0)] |= 1 << i
-            assert _layers(count, 3) == tuple(want)
-
-    def test_tables_partition_the_table_on_ten_variables(self):
-        full = (1 << 3 ** 10) - 1
-        layers = _layers(10, 3)
-        assert [layer.bit_count() for layer in layers] == [comb(10, k) << k for k in range(11)]
-        # the sum equals the OR only when no two tables share a bit
-        assert functools.reduce(int.__or__, layers) == sum(layers) == full
-        digits = _digits(10)
-        for p in range(10):
-            even, odd = digits[2 * p:2 * p + 2]
-            assert even.bit_count() == odd.bit_count() == 3 ** 9
-            assert not even & odd
-        # an assignment of layer k holds k nonzero digits
-        for k, layer in enumerate(layers):
-            assert sum((d & layer).bit_count() for d in digits) == k * layer.bit_count()
 
     def test_matches_the_brute_force_pick(self, pick_calls):
         cases = _literal_pick_cases()
@@ -626,8 +644,9 @@ def _decode_bit_by_bit(verts, masks):
 
 class TestDecode:
     def test_matches_the_bit_by_bit_decode(self):
-        # 0 to 40 vertices: at 0 the one table (((),),), a partial last
-        # table, the unrolled lookups up to 24 vertices and the loop above them
+        # 0 to 40 vertices: at 0 two tables of one entry, ((),), a partial
+        # last table, the unrolled lookups up to 24 vertices and the loop
+        # above them
         rng = random.Random(83)
         for n in range(41):
             verts = tuple(sorted(rng.sample(range(5 * n), n)))
@@ -658,7 +677,7 @@ class TestDecode:
             assert _decode_tables.cache_info().currsize <= DECODE_TABLES_KEPT
 
     def test_a_mutated_answer_leaves_the_cache_alone(self):
-        # one table, two, three and more
+        # two tables (at 3 and 12 vertices), three and more
         for n in (3, 12, 20, 30):
             verts = tuple(range(0, 2 * n, 2))
             masks = [(1 << n) - 1, 0, 5]
@@ -671,12 +690,12 @@ class TestDecode:
             assert type(tables) is tuple and all(type(t) is tuple for t in tables)
 
     def test_the_fewest_tables_of_even_widths(self):
-        # one table up to 4 vertices, two up to 16, then one per 8 bits,
-        # each of at most 8 bits and no two more than a bit apart
+        # two tables up to 16 vertices, then one per 8 bits, each of at
+        # most 8 bits and no two more than a bit apart
         for n in range(65):
             widths = [len(t).bit_length() - 1 for t in _decode_tables(tuple(range(n)))]
             assert sum(widths) == n and max(widths) - min(widths) <= 1, n
-            assert len(widths) == (1 if n <= 4 else max(2, -(-n // 8))), n
+            assert len(widths) == max(2, -(-n // 8)), n
         assert [len(t) for t in _decode_tables(tuple(range(20)))] == [128, 128, 64]
 
 
@@ -702,8 +721,8 @@ class TestCanonicalOrder:
         for n in (1, 3, 8, 13, 16, 17, 20, 24, 25, 28):
             for _ in range(3):
                 h = _gapped_clutter(rng, n)
-                # the four decode paths: one table (up to 4 vertices), two
-                # (up to 16), three (up to 24), and the loop over four or more
+                # the three decode paths: two tables (up to 16 vertices),
+                # three (up to 24), and the loop over four or more
                 tables.add(min(len(_decode_tables(h.vertices)), 4))
                 b = blocker(h)
                 indep = maximal_independent_sets(h)
@@ -716,7 +735,7 @@ class TestCanonicalOrder:
         for g in (ZERO, ONE, blocker(ZERO), blocker(ONE)):
             assert g.edges == canonical_edges(g.edges)
             assert maximal_independent_sets(g) == canonical_edges(maximal_independent_sets(g))
-        assert tables == {1, 2, 3, 4}
+        assert tables == {2, 3, 4}
 
     def test_first_consistent_transversal_is_the_first_consistent_blocker_set(
             self, engine, pack_from):
@@ -886,7 +905,8 @@ class TestFoldOrder:
         ends = singles_seen = 0
         for h, literals in _group_end_cases():
             fold_steps.clear()
-            verts, masks, pairs = _edge_masks(h, literals)
+            verts = h.vertices
+            masks, pairs = _edge_masks(verts, h.edges, literals)
             last = _berge(len(verts), masks, pairs, DEFAULT_EDGE_BUDGET)
             order = fold_order(h.edges)
             mask_of = dict(zip(h.edges, masks))
