@@ -11,28 +11,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from . import bounds, formats, generate, laws, matching, reductions
 from .blocker import blocker, maximal_independent_sets
-from .bounds import BoundParams, BoundReport, blocker_size_bound, class_membership, verify_bound
 from .core import Clutter
 from .errors import ParseError, ResourceLimitError
-from .formats import (
-    format_semi_matching,
-    parse_clutter,
-    parse_dimacs,
-    parse_semi_matching,
-    parse_setcover,
-    serialize_clutter,
-)
-from .generate import kk2, random_clutter, staircase
-from .laws import run_law_suite
-from .matching import (
-    MinorWitness,
-    _search_pairs,
-    enumerate_semi_matchings,
-    extract_minor_matching,
-    find_kk2_minor,
-)
-from .reductions import _rational, solve_sat, solve_setcover
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,10 +27,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_clutter(path: str) -> Clutter:
-    return parse_clutter(_read_text(path))
+    return formats.parse_clutter(_read_text(path))
 
 
-def _print_witness(w: MinorWitness) -> None:
+def _print_witness(w: matching.MinorWitness) -> None:
     print("delete:", " ".join(map(str, w.delete)))
     print("contract:", " ".join(map(str, w.contract)))
     for pair in w.matching:
@@ -57,7 +39,7 @@ def _print_witness(w: MinorWitness) -> None:
 
 def cmd_blocker(args) -> int:
     h = _load_clutter(args.file)
-    print(serialize_clutter(blocker(h, edge_budget=args.budget)), end="")
+    print(formats.serialize_clutter(blocker(h, edge_budget=args.budget)), end="")
     return 0
 
 
@@ -70,7 +52,7 @@ def cmd_indep(args) -> int:
 
 def cmd_minor(args) -> int:
     h = _load_clutter(args.file)
-    witness = find_kk2_minor(h, args.k, node_budget=args.budget)
+    witness = matching.find_kk2_minor(h, args.k, node_budget=args.budget)
     if witness is None:
         print("none")
         return 1
@@ -84,11 +66,11 @@ def cmd_minor(args) -> int:
 def cmd_semimatchings(args) -> int:
     h = _load_clutter(args.file)
     if args.list:
-        for m in enumerate_semi_matchings(h, budget=args.budget):
-            print(format_semi_matching(m))
+        for m in matching.enumerate_semi_matchings(h, budget=args.budget):
+            print(formats.format_semi_matching(m))
     else:
         # counted straight off the search: no list is built or sorted
-        print(sum(1 for _ in _search_pairs(h, args.budget)))
+        print(sum(1 for _ in matching._search_pairs(h, args.budget)))
     return 0
 
 
@@ -96,8 +78,8 @@ def cmd_extract(args) -> int:
     if args.matching == args.file == "-":
         raise ValueError("the clutter and the matching cannot both be read from stdin")
     h = _load_clutter(args.file)
-    matching = parse_semi_matching(_read_text(args.matching))
-    print(format_semi_matching(extract_minor_matching(h, matching)))
+    given = formats.parse_semi_matching(_read_text(args.matching))
+    print(formats.format_semi_matching(matching.extract_minor_matching(h, given)))
     return 0
 
 
@@ -122,12 +104,12 @@ def _print_json(payload: dict[str, int | bool]) -> None:
 def cmd_bound(args) -> int:
     h = _load_clutter(args.file)
     if args.verify:
-        report = verify_bound(h, args.k, edge_budget=args.budget, node_budget=args.budget)
+        report = bounds.verify_bound(h, args.k, edge_budget=args.budget, node_budget=args.budget)
         payload = report.as_dict()
         ok = bool(report.within_bound)
     else:
-        params = BoundParams(len(h), h.rank(), args.k)
-        payload = BoundReport(params, blocker_size_bound(params)).as_dict()
+        params = bounds.BoundParams(len(h), h.rank(), args.k)
+        payload = bounds.BoundReport(params, bounds.blocker_size_bound(params)).as_dict()
         ok = True
     if args.json:
         _print_json(payload)
@@ -139,7 +121,7 @@ def cmd_bound(args) -> int:
 
 def cmd_membership(args) -> int:
     h = _load_clutter(args.file)
-    member = class_membership(h, args.r, args.k, node_budget=args.budget)
+    member = bounds.class_membership(h, args.r, args.k, node_budget=args.budget)
     if args.json:
         _print_json({"r": args.r, "k": args.k, "rank": h.rank(), "member": member})
     else:
@@ -160,24 +142,24 @@ def _command_oracle(cmd: str) -> Callable[[frozenset], object]:
         proc = subprocess.run(argv, input=payload, capture_output=True, text=True)
         if proc.returncode:
             raise OSError(f"oracle command {cmd!r} exited with status {proc.returncode}")
-        return _rational(proc.stdout.strip(), None)
+        return reductions._rational(proc.stdout.strip(), None)
 
     return evaluate
 
 
 def cmd_solve_setcover(args) -> int:
-    inst = parse_setcover(_read_text(args.file))
+    inst = formats.parse_setcover(_read_text(args.file))
     oracle = None if args.oracle_cmd is None else _command_oracle(args.oracle_cmd)
     objective = "oracle" if oracle is not None else "weighted" if args.weighted else "cardinality"
-    cover, cost = solve_setcover(inst, objective, oracle=oracle, edge_budget=args.budget)
+    cover, cost = reductions.solve_setcover(inst, objective, oracle=oracle, edge_budget=args.budget)
     print("cover:", " ".join(map(str, cover)))
     print("cost:", _text(cost))
     return 0
 
 
 def cmd_solve_sat(args) -> int:
-    formula = parse_dimacs(_read_text(args.file))
-    assignment = solve_sat(formula, edge_budget=args.budget)
+    formula = formats.parse_dimacs(_read_text(args.file))
+    assignment = reductions.solve_sat(formula, edge_budget=args.budget)
     if assignment is None:
         print("UNSATISFIABLE")
         return 1
@@ -190,21 +172,21 @@ def cmd_gen(args) -> int:
     if args.family == "kk2":
         if args.k is None:
             raise ValueError("family kk2 requires --k")
-        h = kk2(args.k)
+        h = generate.kk2(args.k)
     elif args.family == "staircase":
         if args.n is None:
             raise ValueError("family staircase requires --n")
-        h = staircase(args.n)
+        h = generate.staircase(args.n)
     else:
         if None in (args.n, args.m, args.r):
             raise ValueError("family random requires --n, --m and --r")
-        h = random_clutter(args.n, args.m, args.r, args.seed)
-    print(serialize_clutter(h), end="")
+        h = generate.random_clutter(args.n, args.m, args.r, args.seed)
+    print(formats.serialize_clutter(h), end="")
     return 0
 
 
 def cmd_laws(args) -> int:
-    results = run_law_suite(args.samples, args.seed)
+    results = laws.run_law_suite(args.samples, args.seed)
     all_ok = True
     for res in results:
         status = "ok" if res.ok else "FAILED"

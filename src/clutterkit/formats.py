@@ -4,10 +4,9 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from . import matching, reductions
 from .core import Clutter, ONE
 from .errors import ParseError
-from .matching import SemiMatching
-from .reductions import CnfFormula, SetCoverInstance, _rational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -73,7 +72,7 @@ def serialize_clutter(h: Clutter) -> str:
     return "".join(" ".join(map(str, e)) + "\n" for e in h.edges)
 
 
-def format_semi_matching(matching: SemiMatching) -> str:
+def format_semi_matching(matching: matching.SemiMatching) -> str:
     """One-line form: pairs 'l1,l2:s1,s2,...' joined by ' ; ', '-' if empty."""
     if not matching.pairs:
         return "-"
@@ -82,7 +81,7 @@ def format_semi_matching(matching: SemiMatching) -> str:
     )
 
 
-def parse_semi_matching(text: str) -> SemiMatching:
+def parse_semi_matching(text: str) -> matching.SemiMatching:
     """Parse the one-line semi-matching form ('#' comments allowed)."""
     payload = None
     payload_line = 0
@@ -91,7 +90,7 @@ def parse_semi_matching(text: str) -> SemiMatching:
             raise ParseError("a matching document holds a single line", lineno)
         payload, payload_line = line, lineno
     if payload is None or payload == "-":
-        return SemiMatching()
+        return matching.SemiMatching()
     pairs = []
     for chunk in payload.split(";"):
         part = chunk.strip()
@@ -101,12 +100,12 @@ def parse_semi_matching(text: str) -> SemiMatching:
                 for side in part.split(":", 1))
         pairs.append((l, s))
     try:
-        return SemiMatching(pairs)
+        return matching.SemiMatching(pairs)
     except ValueError as exc:
         raise ParseError(str(exc), payload_line)
 
 
-def parse_dimacs(text: str) -> CnfFormula:
+def parse_dimacs(text: str) -> reductions.CnfFormula:
     """Parse DIMACS CNF: 'c' comments, a single 'p cnf <vars> <clauses>'
     header, then 0-terminated clauses (possibly spanning lines).  A line
     reading '%' (the SATLIB terminator) ends the clauses.  The number of
@@ -152,10 +151,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ParseError(
             f"header declares {num_clauses} clauses, found {len(clauses)}", header_line
         )
-    return CnfFormula(num_vars, tuple(clauses))
+    return reductions.CnfFormula(num_vars, tuple(clauses))
 
 
-def parse_setcover(text: str) -> SetCoverInstance:
+def parse_setcover(text: str) -> reductions.SetCoverInstance:
     """Parse the cover format: first line 'n m', then m lines of
     '<weight> <size> <e1> ... <esize>' with distinct 1-based elements."""
     lines = list(_content_lines(text))
@@ -176,7 +175,7 @@ def parse_setcover(text: str) -> SetCoverInstance:
         toks = line.split()
         if len(toks) < 2:
             raise ParseError("set line must read '<weight> <size> <elements...>'", lineno)
-        w = _rational(toks[0], lineno)
+        w = reductions._rational(toks[0], lineno)
         if w < 0:
             raise ParseError("weights must be non-negative", lineno)
         size, *elems = _ints(toks[1:], lineno)
@@ -189,4 +188,4 @@ def parse_setcover(text: str) -> SetCoverInstance:
                 raise ParseError(f"element {u} outside universe 1..{n}", lineno)
         sets.append(frozenset(elems))
         weights.append(w)
-    return SetCoverInstance(n, tuple(sets), tuple(weights))
+    return reductions.SetCoverInstance(n, tuple(sets), tuple(weights))

@@ -177,15 +177,18 @@ def satisfies(formula: CnfFormula, assignment: Assignment) -> bool:
     Raises ValueError, naming the least missing variable, when the
     assignment leaves out any of 1..num_vars.
     """
+    values = assignment.values
+    true_literals = set()
     for v in range(1, formula.num_vars + 1):
-        if v not in assignment.values:
+        if v not in values:
             raise ValueError(f"assignment has no value for variable {v}")
-    for clause in formula.clauses:
-        if not any(
-            assignment.values[abs(lit)] == (lit > 0) for lit in clause
-        ):
-            return False
-    return True
+        # compared by ==, so 1 and 0 are true and false as True and False are
+        value = values[v]
+        if value == True:
+            true_literals.add(v)
+        if value == False:
+            true_literals.add(-v)
+    return not any(map(true_literals.isdisjoint, formula.clauses))
 
 
 def setcover_to_clutter(inst: SetCoverInstance) -> Clutter:

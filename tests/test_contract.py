@@ -4,18 +4,18 @@ what it prints.  Every CLI test lives here.
 
 The tables hold one run per row, checked by `check`:
 - SINGLE_RUNS call cli.main in-process on patched stdin.
-- COLD_RUNS start `python -m clutterkit` cold, each within 10 s: one for
-  each of the exit codes 0, 1 and 2, and the budget trips that must come
-  before set-up.
+- COLD_RUNS start `python -m clutterkit` cold, each within 10 s: the
+  commands the benchmark times cold, one for each of the exit codes 0, 1
+  and 2, and the budget trips that must come before set-up.
 - LATTICE_AND_FOLD runs each command twice, with a budget at which the
   subset lattice answers and with one at which the fold does.
 - ORACLES run `solve-setcover --oracle-cmd`, whose commands hold spaces.
 
 The functions check what one row cannot: runs that read named files,
 several runs in one process, counts against lists, the law suite with a
-law broken, the modules the import loads, a bound past the limit on
-int() of a str, and a fuzz of malformed input that must keep the exit
-codes.
+law broken, the modules the import loads, the submodules each cold
+command runs, a bound past the limit on int() of a str, and a fuzz of
+malformed input that must keep the exit codes.
 """
 import contextlib
 import io
@@ -255,6 +255,11 @@ def _env():
 
 
 COLD_RUNS = [
+    # the cold calls the benchmark times
+    ("blocker", "c6", 0, "1 3 5\n2 4 6\n1 2 4 5\n1 3 4 6\n2 3 5 6\n"),
+    ("indep", "c6", 0, "1 4\n2 5\n3 6\n1 3 5\n2 4 6\n"),
+    ("membership --r 6 --k 2", "staircase(4)", 0, "true\n"),
+    ("minor --k 2 --witness", "c6", 0, "delete: 3 6\ncontract: \npair: 1 2\npair: 4 5\n"),
     ("solve-sat", "sat", 0, ["SATISFIABLE"]),
     ("solve-sat", "unsat", 1, ["UNSATISFIABLE"]),
     ("solve-sat", "two headers", 2, 0),
@@ -442,6 +447,35 @@ def test_import_loads_no_unused_stdlib_modules():
     unused = {"dataclasses", "inspect", "subprocess", "shlex", "json", "fractions",
               "decimal", "heapq"}
     assert not new & unused
+
+
+# runs `python -m clutterkit` as -m does, then names on stderr each
+# submodule whose code ran: one still registered only is not a plain module
+RAN = """
+import runpy, sys, types
+try:
+    runpy.run_module("clutterkit", run_name="__main__")
+finally:
+    print(*sorted(name for name, module in sys.modules.items()
+                  if name.startswith("clutterkit.") and type(module) is types.ModuleType),
+          file=sys.stderr)
+"""
+# the submodules every subcommand runs
+EVERY = "blocker cli core errors formats"
+
+
+@pytest.mark.parametrize("argv, name, ran", [
+    ("blocker", "c6", ""),
+    ("indep", "c6", ""),
+    ("solve-sat", "sat", "reductions"),
+    ("minor --k 2 --witness", "c6", "matching"),
+    ("membership --r 6 --k 2", "staircase(4)", "bounds matching"),
+])
+def test_a_cold_command_runs_only_the_submodules_it_uses(argv, name, ran):
+    proc = subprocess.run([sys.executable, "-c", RAN, *argv.split(), "-"], input=INPUTS[name],
+                          capture_output=True, text=True, env=_env(), timeout=10)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    assert proc.stderr.split() == sorted(f"clutterkit.{m}" for m in f"{EVERY} {ran}".split())
 
 
 def _decimal_value(digits):

@@ -399,6 +399,17 @@ class TestSolveSat:
         with pytest.raises(ValueError, match=f"no value for variable {missing}$"):
             satisfies(CnfFormula(num_vars, ((1, 2),)), Assignment(values))
 
+    @pytest.mark.parametrize("values, want", [
+        ({1: True, 2: False}, True),
+        # values compare by ==: 1, 1.0 and 0 count as True and False, 2 as neither
+        ({1: 1, 2: 0}, True),
+        ({1: 1.0, 2: False}, True),
+        ({1: 2, 2: 0}, False),
+        ({1: True, 2: 2}, False),
+    ])
+    def test_satisfies_compares_values_by_equality(self, values, want):
+        assert satisfies(CnfFormula(2, ((1,), (-2,))), Assignment(values)) is want
+
     def test_contradiction(self):
         assert solve_sat(CnfFormula(1, ((1,), (-1,)))) is None
 
