@@ -24,7 +24,7 @@ when some edge inside the union holds no L_i.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Clutter, Edge, _Value, _check_count, _check_int
 from .errors import ResourceLimitError
@@ -197,39 +197,27 @@ def _expansion_sources(
     return sources
 
 
-def _clash_masks(cand: Sequence[Pair], minor: bool) -> Callable[[int], int]:
-    """For each candidate (L, S), the bitmask over candidate indices of
-    those that break conditions 2 or 3a with it or, when `minor` is set,
-    3b (L_i meets S_j or L_j meets S_i, which implies 2 and 3a).  Each
-    mask holds its own candidate's bit.
-
-    What is returned is clash(i), which builds candidate i's mask when it
-    is called, from the per-vertex masks of `_vertex_masks`; the first
-    call builds those, so a search that builds no row builds none.
+def _clash_mask(candidate: Pair, in_l: dict[int, int], in_s: dict[int, int], minor: bool) -> int:
+    """The bitmask over candidate indices of the candidates that break
+    conditions 2 or 3a with candidate (L, S) or, when `minor` is set, 3b
+    (L_i meets S_j or L_j meets S_i, which implies 2 and 3a), read off the
+    per-vertex masks of `_vertex_masks`.  It holds the candidate's own bit.
     """
-    in_l: dict[int, int] | None = None
-    in_s: dict[int, int] = {}
-
-    def clash(i: int) -> int:
-        nonlocal in_l, in_s
-        if in_l is None:
-            in_l, in_s = _vertex_masks(cand)
-        (a, b), e = cand[i]
-        if minor:
-            # 3b fails when L_i meets S_j or L_j meets S_i
-            mask = in_s[a] | in_s[b]
-            for v in e:
-                mask |= in_l[v]
-            return mask
-        # 2 fails when L_i meets L_j, and 3a when either L lies inside
-        # the other's S: L_j lies inside S_i when it meets S_i twice
-        once = twice = 0
+    (a, b), e = candidate
+    if minor:
+        # 3b fails when L_i meets S_j or L_j meets S_i
+        mask = in_s[a] | in_s[b]
         for v in e:
-            m = in_l[v]
-            twice |= once & m
-            once |= m
-        return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
-    return clash
+            mask |= in_l[v]
+        return mask
+    # 2 fails when L_i meets L_j, and 3a when either L lies inside
+    # the other's S: L_j lies inside S_i when it meets S_i twice
+    once = twice = 0
+    for v in e:
+        m = in_l[v]
+        twice |= once & m
+        once |= m
+    return in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | twice
 
 
 def _vertex_masks(cand: Sequence[Pair]) -> tuple[dict[int, int], dict[int, int]]:
@@ -251,16 +239,14 @@ def _vertex_masks(cand: Sequence[Pair]) -> tuple[dict[int, int], dict[int, int]]
     return in_l, in_s
 
 
-def _cover_tables(edges: Sequence[Edge]):
-    """Bit tables for the condition-4 carry test: (low, guard, entries).
+def _cover_tables(edges: Sequence[Edge]) -> tuple[int, int, dict[int, int]]:
+    """Bit tables for the condition-4 carry test: (low, guard, marks).
 
     Each of `edges` but the one-vertex ones owns a block of bits: one slot
     per vertex, then a guard bit.  `low` has the lowest bit of every block
     and `guard` every guard bit.  The marks of a vertex are its slot and
     the guard in every block holding it, so the marks of a AND those of b
-    are the guards of the edges holding {a, b}.  entries((L, S)) returns
-    the pair (cover, held) of a candidate: the slots of the vertices of S,
-    and the guards of the edges holding L.  `_search_pairs`, the one
+    are the guards of the edges holding {a, b}.  `_search_pairs`, the one
     caller, states the test and why it is exact.
 
     One pass over the edges ORs each mark into place.  A vertex in d edges
@@ -279,16 +265,18 @@ def _cover_tables(edges: Sequence[Edge]):
         for i, v in enumerate(e, at):
             marks[v] = marks.get(v, 0) | 1 << i | 1 << top
         at = top + 1
-    slots = ~guard
+    return low, guard, marks
 
-    def entries(candidate: Pair) -> tuple[int, int]:
-        (a, b), e = candidate
-        cover = 0
-        for v in e:
-            cover |= marks[v]
-        return cover & slots, marks[a] & marks[b]
 
-    return low, guard, entries
+def _cover_entry(candidate: Pair, marks: dict[int, int], slots: int) -> tuple[int, int]:
+    """The pair (cover, held) of candidate (L, S) over the marks of
+    `_cover_tables`: the slots of the vertices of S, and the guards of the
+    edges holding L.  `slots` is the complement of the guard bits."""
+    (a, b), e = candidate
+    cover = 0
+    for v in e:
+        cover |= marks[v]
+    return cover & slots, marks[a] & marks[b]
 
 
 def _foreign_owners(matching: SemiMatching) -> tuple[dict[int, int], list[list[int]]]:
@@ -365,7 +353,7 @@ def _search_pairs(
 
     The candidates are (L, S) for every two-vertex subset L of every edge
     S, in sorted order.  Each candidate's row is the bitmask of the
-    candidates compatible with it: those outside its `_clash_masks` mask
+    candidates compatible with it: those outside its `_clash_mask` mask
     for conditions 2 and 3a or, when minor_size is given, for 3b.  A
     family grows only by later candidates in the AND of its members' rows,
     taken in index order, so families are made in depth-first preorder,
@@ -394,9 +382,10 @@ def _search_pairs(
 
     Condition 4 is one carry test over the tables of `_cover_tables`.  A
     candidate (L, S) has a cover, the slots of the vertices of S, and a
-    held, the guards of the edges holding L.  Let `covered` be the OR of
-    the covers of the family's candidates and `held` the OR of their
-    helds.  The family meets condition 4 exactly when
+    held, the guards of the edges holding L, which `_cover_entry` reads
+    off the marks.  Let `covered` be the OR of the covers of the family's
+    candidates and `held` the OR of their helds.  The family meets
+    condition 4 exactly when
 
         (covered + low) & guard & ~held == 0.
 
@@ -425,14 +414,15 @@ def _search_pairs(
     The rest is built where the search first needs it.  Once per search,
     with the sorted candidates: the `low`, `guard` and marks of
     `_cover_tables`, in one pass over the edges.  With the first row: the
-    per-vertex masks of `_vertex_masks`, in one pass over the candidates
-    and one over their hosts.  At most once per candidate: its
-    cover and held when the first family holding it is made, and its row
-    when a family ending in it may grow, that is when it has untried
-    children and, in a minor search, fewer than minor_size pairs.  So a
-    one-pair minor search builds no row and no per-vertex mask, and a
-    search that stops early builds only the rows of the families it went
-    on from.
+    per-vertex masks `in_l` and `in_s` of `_vertex_masks`, in one pass
+    over the candidates and one over their hosts; the search holds them
+    from then on.  At most once per candidate: its cover and held, by
+    `_cover_entry`, when the first family holding it is made, and its row,
+    by `_clash_mask`, when a family ending in it may grow, that is when it
+    has untried children and, in a minor search, fewer than minor_size
+    pairs.  So a one-pair minor search builds no row and no per-vertex
+    mask, and a search that stops early builds only the rows of the
+    families it went on from.
 
     `budget` counts search steps: one per candidate built, one per pair of
     candidates whose compatibility may be settled, and one per family
@@ -458,8 +448,9 @@ def _search_pairs(
             raise ResourceLimitError(limit)
         return
     cand = sorted((l, e) for e in edges for l in itertools.combinations(e, 2))
-    clash = _clash_masks(cand, minor_size is not None)
-    low, guard, entries = _cover_tables(edges)
+    low, guard, marks = _cover_tables(edges)
+    slots, minor = ~guard, minor_size is not None  # read by the builders
+    in_l = in_s = None  # built with the first row
     full = (1 << n) - 1
     rows: list[int | None] = [None] * n
     cover_held: list[tuple[int, int] | None] = [None] * n
@@ -479,7 +470,7 @@ def _search_pairs(
         i = bit.bit_length() - 1
         entry = cover_held[i]
         if entry is None:  # the first family holding candidate i
-            cover_held[i] = entry = entries(cand[i])
+            cover_held[i] = entry = _cover_entry(cand[i], marks, slots)
         cover, hold = entry
         child_covered = covered | cover
         child_held = held | hold
@@ -489,7 +480,9 @@ def _search_pairs(
         if kids and (minor_size is None or len(family) + 1 < minor_size):
             row = rows[i]
             if row is None:
-                rows[i] = row = full ^ clash(i)
+                if in_l is None:  # the first row
+                    in_l, in_s = _vertex_masks(cand)
+                rows[i] = row = full ^ _clash_mask(cand[i], in_l, in_s, minor)
             grandkids = kids & row
             if grandkids:
                 stack.append((kids, covered, held, family))

@@ -435,14 +435,14 @@ def _reference_cover_tables(edges):
     return low, guard, of_host, marks
 
 
-def _entries_meet_the_reference(h, entries):
-    """Whether each candidate's (cover, held) from `entries` is the one the
-    reference tables give, and a one-vertex L = (v, v) gives the marks of
-    every vertex v of a host whole."""
-    _, _, of_host, marks = _reference_cover_tables(h.edges)
-    return (all(entries((l, e)) == (of_host[e], marks[l[0]] & marks[l[1]])
-                for e in h.edges for l in itertools.combinations(e, 2))
-            and all(entries(((v, v), e))[1] == marks[v] for e in h.edges if len(e) > 1 for v in e))
+def _cover_tables_meet_the_reference(h):
+    """Whether `_cover_tables` gives the reference tables and `_cover_entry`
+    each candidate's reference (cover, held)."""
+    matching = importlib.import_module("clutterkit.matching")
+    low, guard, of_host, marks = _reference_cover_tables(h.edges)
+    return matching._cover_tables(h.edges) == (low, guard, marks) and all(
+        matching._cover_entry((l, e), marks, ~guard) == (of_host[e], marks[l[0]] & marks[l[1]])
+        for e in h.edges for l in itertools.combinations(e, 2))
 
 
 def test_cover_tables_meet_the_reference_on_large_clutters():
@@ -450,7 +450,6 @@ def test_cover_tables_meet_the_reference_on_large_clutters():
     # one-vertex edges, which own no block; a rank-3 fan {0, 2i+1, 2i+2} of
     # 400 edges, a star of 1,400 edges, and rank 4 with 200 edges on 60
     # vertices
-    cover_tables = importlib.import_module("clutterkit.matching")._cover_tables
     rng = random.Random(71)
     triples = list(itertools.combinations(range(12), 3))
     hs = []
@@ -463,32 +462,7 @@ def test_cover_tables_meet_the_reference_on_large_clutters():
            Clutter([0, i] for i in range(1, 1401)),
            Clutter(quads)]
     for h in hs:
-        low, guard, entries = cover_tables(h.edges)
-        assert (low, guard) == _reference_cover_tables(h.edges)[:2]
-        assert _entries_meet_the_reference(h, entries)
-
-
-def _eager_clash_masks(cand, minor):
-    """Every candidate's clash mask at once, as the pair search once built
-    them before making its first family: per-edge masks of the candidates
-    whose L meets the edge or lies inside it, ORed with per-vertex ones."""
-    in_l, of_host = {}, {}
-    for i, ((a, b), e) in enumerate(cand):
-        in_l[a] = in_l.get(a, 0) | 1 << i
-        in_l[b] = in_l.get(b, 0) | 1 << i
-        of_host[e] = of_host.get(e, 0) | 1 << i
-    in_s, meets, inside = {}, {}, {}
-    for e, mask in of_host.items():
-        once = twice = 0
-        for v in e:
-            in_s[v] = in_s.get(v, 0) | mask
-            m = in_l.get(v, 0)
-            twice |= once & m
-            once |= m
-        meets[e], inside[e] = once, twice
-    if minor:
-        return [in_s[a] | in_s[b] | meets[e] for (a, b), e in cand]
-    return [in_l[a] | in_l[b] | (in_s[a] & in_s[b]) | inside[e] for (a, b), e in cand]
+        assert _cover_tables_meet_the_reference(h)
 
 
 def _brute_clash_mask(cand, i, minor):
@@ -519,55 +493,31 @@ def _lazy_build_inputs():
     return hs
 
 
-def _spied_builders(monkeypatch, log):
-    """Wrap the search's two builders so that every row mask and every
-    (cover, held) entry it builds is logged as (kind, candidate, value)."""
+def _spy_on_builders(monkeypatch):
+    """Log every row mask and (cover, held) entry the pair search builds,
+    as (kind, candidate, value), in one list, which is returned."""
     matching = importlib.import_module("clutterkit.matching")
-    clash_masks, cover_tables = matching._clash_masks, matching._cover_tables
-
-    def spied_clash_masks(cand, minor):
-        clash = clash_masks(cand, minor)
-
-        def logged(i):
-            mask = clash(i)
-            log.append(("row", cand[i], mask))
-            return mask
-
-        return logged
-
-    def spied_cover_tables(edges):
-        low, guard, entries = cover_tables(edges)
-
-        def logged(candidate):
-            entry = entries(candidate)
-            log.append(("entry", candidate, entry))
-            return entry
-
-        return low, guard, logged
-
-    monkeypatch.setattr(matching, "_clash_masks", spied_clash_masks)
-    monkeypatch.setattr(matching, "_cover_tables", spied_cover_tables)
+    clash_mask, cover_entry = matching._clash_mask, matching._cover_entry
+    log = spy(monkeypatch, matching, "_clash_mask",
+              lambda candidate, *rest: ("row", candidate, clash_mask(candidate, *rest)))
+    return spy(monkeypatch, matching, "_cover_entry",
+               lambda candidate, *rest: ("entry", candidate, cover_entry(candidate, *rest)), log)
 
 
 def test_rows_and_entries_built_lazily_meet_their_definitions(monkeypatch):
     # each builder, called for every candidate, against a pair-by-pair
-    # brute force, the masks the search once built up front, and the
-    # reference tables; then every row and entry that real searches build,
-    # each at most once per candidate
+    # brute force and the reference tables; then every row and entry that
+    # real searches build, each at most once per candidate
     matching = importlib.import_module("clutterkit.matching")
     hs = _lazy_build_inputs()
     for h in hs:
         cand = candidates(h)
+        in_l, in_s = matching._vertex_masks(cand)
         for minor in (False, True):
-            clash = matching._clash_masks(cand, minor)
-            got = [clash(i) for i in range(len(cand))]
-            assert got == _eager_clash_masks(cand, minor)
-            assert got == [_brute_clash_mask(cand, i, minor) for i in range(len(cand))]
-        low, guard, entries = matching._cover_tables(h.edges)
-        assert (low, guard) == _reference_cover_tables(h.edges)[:2]
-        assert _entries_meet_the_reference(h, entries)
-    log = []
-    _spied_builders(monkeypatch, log)
+            assert [matching._clash_mask(c, in_l, in_s, minor) for c in cand] == [
+                _brute_clash_mask(cand, i, minor) for i in range(len(cand))]
+        assert _cover_tables_meet_the_reference(h)
+    log = _spy_on_builders(monkeypatch)
     built = 0
     for h in hs:
         cand = candidates(h)
@@ -1105,8 +1055,8 @@ class TestFindMatchingMinor:
             raise AssertionError("the pair search built its candidates")
 
         matching = importlib.import_module("clutterkit.matching")
-        spy(monkeypatch, matching, "_clash_masks", refuse)
-        spy(monkeypatch, matching, "_cover_tables", refuse)
+        for name in ("_cover_tables", "_cover_entry", "_vertex_masks", "_clash_mask"):
+            spy(monkeypatch, matching, name, refuse)
         rng = random.Random(229)
         hs = [staircase(n) for n in range(2, 13)]
         hs += [relabelled_staircase(rng, n) for n in range(2, 13)]
@@ -1150,8 +1100,7 @@ class TestFindMatchingMinor:
         # tables with them, once, also one that stops before any family one
         # short of its size; none rebuilds them per family
         matching = importlib.import_module("clutterkit.matching")
-        calls = spy(monkeypatch, matching, "_clash_masks", lambda *args: "_clash_masks")
-        spy(monkeypatch, matching, "_cover_tables", lambda *args: "_cover_tables", calls)
+        calls = spy(monkeypatch, matching, "_cover_tables", len)
         searches = []
         for n, m in ((12, 12), (14, 16), (16, 20)):
             for seed in range(6):
@@ -1163,7 +1112,7 @@ class TestFindMatchingMinor:
         for search in searches:
             calls.clear()
             search()
-            assert calls in ([], ["_clash_masks", "_cover_tables"])
+            assert calls in ([], [len(search.args[0].edges)])
             built += bool(calls)
         assert built == 59  # 54 of the 72 minor searches, and the 5 enumerations
 
@@ -1177,8 +1126,7 @@ class TestFindMatchingMinor:
         hs += [C6, kk2(2), kk2(4)] + [staircase(n) for n in range(2, 6)]
         search_pairs = importlib.import_module("clutterkit.matching")._search_pairs
         expected = [(h, find_kk2_minor(h, 2), next(search_pairs(h, 10**6, 2), None)) for h in hs]
-        log = []
-        _spied_builders(monkeypatch, log)
+        log = _spy_on_builders(monkeypatch)
         found = 0
         for h, want, family in expected:
             cand = candidates(h)
