@@ -8,7 +8,9 @@ fresh frozensets on each access: read it once, outside loops.  The
 lattice is bounded by ZERO (no edges at all) and ONE (the single edge {}).
 
 All operations are pure functions of their inputs; results never alias
-mutable state, so values can be shared freely across threads.
+mutable state, so values can be shared freely across threads.  Labels are
+checked once, by the public constructor; operations that build a clutter
+from another one's labels skip the check.
 """
 from __future__ import annotations
 
@@ -42,15 +44,18 @@ def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(sorted(edges), key=len))
 
 
-def _minimal(sets: Iterable[frozenset]) -> list[Edge]:
+def _minimal(sets: Iterable[Iterable[int]]) -> list[Edge]:
     """Inclusion-minimal members of the family, deduplicated, as sorted tuples."""
     kept: list[frozenset] = []
     smaller: list[frozenset] = []  # two different sets of one size never nest
     size = -1
-    for s in sorted(set(sets), key=len):
+    for s in sorted(set(map(frozenset, sets)), key=len):
         if len(s) != size:
             size, smaller = len(s), kept.copy()
-        if not (smaller and any(t <= s for t in smaller)):
+        for t in smaller:
+            if t <= s:
+                break
+        else:
             kept.append(s)
     return [tuple(sorted(s)) for s in kept]
 
@@ -66,7 +71,8 @@ class _Value:
     through the refusing `__setattr__`.  The hot one-field values bind that
     setter once at module level (`_set_edges`, `matching._set_pairs`), and
     their unchecked wrappers pair it with `object.__new__`, so a wrapped
-    value runs no `__init__`.  Equality (same type, equal fields), hash,
+    value runs no `__init__`; `CnfFormula._unchecked` pairs
+    `_Value.__init__` with it.  Equality (same type, equal fields), hash,
     `repr` (`Name(field=value, ...)`) and pickling go by the field values,
     so a value with an unhashable field is unhashable.  Pickle and copy
     rebuild a value through its constructor with the fields as positional
@@ -111,9 +117,12 @@ class _Value:
 class Clutter(_Value):
     """Canonical clutter value.
 
-    The constructor accepts any family of vertex iterables and removes
-    every set that contains another one (including duplicates), so the
-    antichain invariant holds for every constructed value.
+    The constructor accepts any family of vertex iterables, checks every
+    label, and removes every set that contains another one (including
+    duplicates), so the antichain invariant holds for every constructed
+    value.  Only this public constructor checks labels: builders whose
+    labels come from clutters or from checked input use the unchecked
+    `_minimalized`, which runs the same minimalizer.
     """
 
     __slots__ = ("edges",)
@@ -136,8 +145,19 @@ class Clutter(_Value):
                     raise ValueError(
                         f"vertex labels must be non-negative integers, got {v!r}"
                     )
-            pool.append(frozenset(e))
+            pool.append(e)
         _set_edges(self, _canonical(_minimal(pool)))
+
+    @classmethod
+    def _minimalized(cls, edges: Iterable[Iterable[int]]) -> "Clutter":
+        """The clutter of the family, as the constructor builds it, with no
+        label checked.  The callers are builders whose labels are already
+        non-negative ints: restrict with a contraction, join, meet,
+        expansion, cnf_to_clutter, setcover_to_clutter, random_clutter
+        and parse_clutter."""
+        c = object.__new__(cls)
+        _set_edges(c, _canonical(_minimal(edges)))
+        return c
 
     @classmethod
     def _from_antichain(cls, edges: Iterable[Edge]) -> "Clutter":
@@ -197,15 +217,15 @@ class Clutter(_Value):
         survivors = [e for e in self.edges if d.isdisjoint(e)]
         if not c or c.isdisjoint(v for e in survivors for v in e):
             return Clutter._from_antichain(survivors)
-        return Clutter([v for v in e if v not in c] for e in survivors)
+        return Clutter._minimalized(frozenset(e) - c for e in survivors)
 
     def join(self, other: "Clutter") -> "Clutter":
         """Minimalized union of the two edge families."""
-        return Clutter(self.edges + other.edges)
+        return Clutter._minimalized(self.edges + other.edges)
 
     def meet(self, other: "Clutter") -> "Clutter":
         """Minimalized family of pairwise unions."""
-        return Clutter(a + b for a in self.edges for b in other.edges)
+        return Clutter._minimalized(a + b for a in self.edges for b in other.edges)
 
     def __or__(self, other: object) -> "Clutter":
         if not isinstance(other, Clutter):

@@ -1,4 +1,12 @@
-"""Text formats: .clt clutters, semi-matchings, DIMACS CNF, cover instances."""
+"""Text formats: .clt clutters, semi-matchings, DIMACS CNF, cover instances.
+
+Every parser that refuses a text raises a ParseError naming its line.  A
+plain DIMACS text is read in one pass over its tokens, and any other goes
+to the line reader, which is the only code that accepts odd texts or
+names a line.  parse_clutter and the one-pass read check every label and
+literal as they read it, so they build their values through the unchecked
+`Clutter._minimalized` and `CnfFormula._unchecked`.
+"""
 from __future__ import annotations
 
 import warnings
@@ -57,7 +65,7 @@ def parse_clutter(text: str) -> Clutter:
         if edges:
             raise ParseError("'!one' cannot co-occur with edge lines", one_line)
         return ONE
-    h = Clutter(edges)
+    h = Clutter._minimalized(edges)
     if len(h) < len(edges):
         warnings.warn(
             f"{len(edges) - len(h)} subsumed or duplicate edge(s) removed on load"
@@ -109,7 +117,61 @@ def parse_dimacs(text: str) -> reductions.CnfFormula:
     """Parse DIMACS CNF: 'c' comments, a single 'p cnf <vars> <clauses>'
     header, then 0-terminated clauses (possibly spanning lines).  A line
     reading '%' (the SATLIB terminator) ends the clauses.  The number of
-    clauses read must equal the header's count."""
+    clauses read must equal the header's count.
+
+    A plain text is read in one pass (`_dimacs_at_once`); any other goes to
+    the line reader (`_dimacs_by_lines`), which is the only code that
+    accepts odd texts or names the line of a fault."""
+    formula = _dimacs_at_once(text)
+    return formula if formula is not None else _dimacs_by_lines(text)
+
+
+def _dimacs_at_once(text: str) -> reductions.CnfFormula | None:
+    """The formula of a plain text, read in one pass; None for any other.
+
+    A plain text's first line reads 'p cnf <n> <m>', with n >= 0 and single
+    spaces.  The tokens after it are literals of -k..k spelled as str()
+    spells them, where k is the smaller of n and the number of tokens, so
+    that the work is bounded by the text whatever n the header declares.
+    0s cut them into m clauses, none empty; the last clause may lack its 0.
+    Anything else, a comment, '%', a second header or an odd spelling among
+    them, gives None."""
+    head, _, body = text.partition("\n")
+    parts = head.split()
+    # single spaces: a '\r' or '\f' between the fields would end a line
+    if len(parts) != 4 or parts[:2] != ["p", "cnf"] or head.rstrip() != " ".join(parts):
+        return None
+    try:
+        num_vars, num_clauses = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    if num_vars < 0:
+        return None
+    tokens = body.split()
+    k = min(num_vars, len(tokens))
+    spelled = {str(i): i for i in range(-k, k + 1)}
+    try:
+        lits = list(map(spelled.__getitem__, tokens))
+    except KeyError:
+        return None
+    if lits and lits[-1]:  # the last clause lacks its 0
+        lits.append(0)
+    clauses = []
+    start = 0
+    while start < len(lits):
+        end = lits.index(0, start)
+        if end == start:  # an empty clause
+            return None
+        clauses.append(tuple(lits[start:end]))
+        start = end + 1
+    if len(clauses) != num_clauses:
+        return None
+    return reductions.CnfFormula._unchecked(num_vars, tuple(clauses))
+
+
+def _dimacs_by_lines(text: str) -> reductions.CnfFormula:
+    """parse_dimacs, line by line: every text it accepts, and a ParseError
+    that names the line for every text it refuses."""
     num_vars: int | None = None
     num_clauses = header_line = 0
     clauses: list[tuple[int, ...]] = []

@@ -42,4 +42,4 @@ def random_clutter(n: int, m: int, r: int, seed: int) -> Clutter:
     for _ in range(m):
         size = rng.randint(1, min(r, n))
         edges.append(rng.sample(range(1, n + 1), size))
-    return Clutter(edges)
+    return Clutter._minimalized(edges)

@@ -171,7 +171,7 @@ def expansion(h: Clutter, blocks: Iterable[Iterable[int]], carrier: Iterable[int
     equals joining the minimalized parts.  An empty block admits no choice;
     it lies inside every edge, so the result is ZERO.
     """
-    return Clutter(_expansion_sources(h, blocks, carrier))
+    return Clutter._minimalized(_expansion_sources(h, blocks, carrier))
 
 
 def _expansion_sources(

@@ -149,6 +149,16 @@ class CnfFormula(_Value):
                     raise ValueError(f"literal {lit!r} outside variables 1..{num_vars}")
         super().__init__(num_vars, clauses)
 
+    @classmethod
+    def _unchecked(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> "CnfFormula":
+        """Wrap a non-negative variable count and a tuple of non-empty
+        tuples of exact non-zero ints within +-num_vars; neither is checked.
+        The caller is parse_dimacs's one-pass read, which takes only such
+        literals."""
+        f = object.__new__(cls)
+        _Value.__init__(f, num_vars, clauses)
+        return f
+
 
 class Assignment(_Value):
     """Total truth assignment on variables 1..n."""
@@ -203,7 +213,7 @@ def setcover_to_clutter(inst: SetCoverInstance) -> Clutter:
             rows[u - 1].append(i)
     if [] in rows:
         raise InfeasibleInstanceError(f"element {rows.index([]) + 1} is not covered by any set")
-    return Clutter(rows)
+    return Clutter._minimalized(rows)
 
 
 def solve_setcover(
@@ -263,16 +273,12 @@ def solve_setcover(
     return tuple(sorted(inst.name_of(i) for i in cover)), cost
 
 
-def _literal_vertex(lit: int) -> int:
-    return 2 * lit if lit > 0 else 2 * (-lit) + 1
-
-
 def cnf_to_clutter(formula: CnfFormula) -> Clutter:
     """One edge per clause over literal vertices (2i for x_i, 2i+1 for
     its negation).  Subsumed clauses vanish, which is sound for
     satisfiability since a subset clause is logically stronger."""
-    return Clutter(
-        [_literal_vertex(lit) for lit in clause] for clause in formula.clauses
+    return Clutter._minimalized(
+        [2 * lit if lit > 0 else 1 - 2 * lit for lit in clause] for clause in formula.clauses
     )
 
 

@@ -20,6 +20,8 @@ from helpers import (
     fs_restrict,
     fs_vertices,
     random_clutter_sample,
+    random_cnf,
+    random_cover_instance,
 )
 
 
@@ -71,6 +73,12 @@ class TestConstruction:
                 fam.insert(rng.randint(0, len(fam)), [])
             assert Clutter(fam).edges == canonical_edges(fs_clutter(fam))
         assert Clutter(list(ONE) + fam) == ONE
+        # mixed sizes in the thousands, where many kept sets of each size
+        # are scanned for every larger set: dense, where most are subsumed,
+        # and sparse, where most are kept
+        for count, n, low, high in [(1500, 24, 1, 6), (2500, 60, 2, 6), (4000, 200, 3, 6)]:
+            fam = [rng.sample(range(n), rng.randint(low, high)) for _ in range(count)]
+            assert Clutter(fam).edges == canonical_edges(fs_clutter(fam))
 
     def test_same_size_sets_are_never_compared(self):
         # 20,000 singletons cost a quadratic scan if sets of one size are
@@ -321,6 +329,49 @@ def test_operations_match_frozenset_definitions():
             rng.shuffle(q)
             assert (q in h) == fs_contains(sets, q)
             assert is_transversal(h, q) == fs_is_transversal(sets, q)
+
+
+def test_each_unchecked_build_meets_the_constructor(monkeypatch):
+    # every caller of Clutter._minimalized hands it exact non-negative int
+    # labels, and gets what the checking constructor makes of its edges
+    from clutterkit import (cnf_to_clutter, expansion, parse_clutter, random_clutter,
+                            serialize_clutter, setcover_to_clutter)
+
+    minimalized = Clutter._minimalized.__func__
+    seen = []
+    caller = None
+
+    def checked(cls, edges):
+        edges = [tuple(e) for e in edges]
+        assert all(v.__class__ is int and v >= 0 for e in edges for v in e)
+        got = minimalized(cls, edges)
+        assert got == Clutter(edges)
+        seen.append(caller)
+        return got
+
+    monkeypatch.setattr(Clutter, "_minimalized", classmethod(checked))
+    rng = random.Random(45)
+    for _ in range(60):
+        h, g = random_clutter_sample(rng), random_clutter_sample(rng)
+        verts = list(h.vertices)
+        rng.shuffle(verts)
+        cut = rng.randint(0, len(verts))
+        carrier = verts[cut:]
+        blocks = [carrier[i:i + 2] for i in range(0, rng.randint(0, len(carrier)), 2)]
+        calls = {
+            "join": lambda: h.join(g),
+            "meet": lambda: h.meet(g),
+            "restrict": lambda: h.restrict(verts[:cut - 1], verts[cut - 1:cut]),
+            "expansion": lambda: expansion(h, blocks, carrier),
+            "cnf_to_clutter": lambda: cnf_to_clutter(random_cnf(rng)),
+            "setcover_to_clutter": lambda: setcover_to_clutter(random_cover_instance(rng)),
+            "random_clutter": lambda: random_clutter(rng.randint(1, 9), rng.randint(1, 12),
+                                                     rng.randint(1, 4), rng.random()),
+            "parse_clutter": lambda: parse_clutter(serialize_clutter(h)),
+        }
+        for caller, call in calls.items():
+            call()
+    assert set(seen) == set(calls)
 
 
 def test_canonical_order_matches_the_size_then_lex_key():

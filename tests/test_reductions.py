@@ -319,6 +319,27 @@ class TestCnfMapping:
             with pytest.raises(ValueError):
                 CnfFormula(2, (clause,))
 
+    @pytest.mark.parametrize("clauses, message", [
+        (((5,), (True,)), "literal 5 outside variables 1..2"),
+        (((True,), (5,)), "literals must be integers, got True"),
+        (((1,), (), (0,)), "clauses must be non-empty"),
+        (((1, 0), ()), "literal 0 outside variables 1..2"),
+    ])
+    def test_the_first_fault_in_clause_order_is_named(self, clauses, message):
+        with pytest.raises(ValueError) as err:
+            CnfFormula(2, clauses)
+        assert str(err.value) == message
+
+    def test_an_int_subclass_other_than_bool_is_a_literal(self):
+        from enum import IntEnum
+
+        Var = IntEnum("Var", "X Y")
+        f = CnfFormula(2, ((Var.X, -Var.Y),))
+        assert f == CnfFormula(2, ((1, -2),))
+        assert solve_sat(f).as_literals() == (1, -2)
+        with pytest.raises(ValueError, match="got True"):
+            CnfFormula(2, ((Var.X, True),))
+
     def test_formula_is_frozen(self):
         f = CnfFormula(2, ((1, 2),))
         with pytest.raises(AttributeError):
